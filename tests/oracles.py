@@ -8,6 +8,7 @@ the polynomial assembly or the solver being tested.
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from cpasim.dynamics import mean_field_rhs
 
@@ -101,6 +102,17 @@ def numerical_stability(state, p, min_margin=1e-6):
     if abs(margin) < min_margin:
         return None
     return "Unstable" if margin > 0.0 else "Stable"
+
+
+def reference_trajectory(p, delta, initial, t_eval, rtol, atol):
+    """States at ``t_eval`` (starting at 0) from scipy's Python DOP853 in
+    ``solve_ivp``, read off its dense output: the same method as the
+    library's stepper, an independent implementation of it."""
+    sol = solve_ivp(lambda t, y: mean_field_rhs(y, t, p, delta),
+                    (0.0, t_eval[-1]), np.asarray(initial, dtype=float),
+                    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y.T
 
 
 def bloch_norm(state):

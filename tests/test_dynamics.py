@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cpasim
+from cpasim import dynamics
 from cpasim.dynamics import (
     TimeTrace,
     integrate,
@@ -12,11 +17,26 @@ from cpasim.dynamics import (
     vacuum_state,
 )
 from cpasim.errors import StepFailure
-from cpasim.model import Stability, SystemParams, drive_for_input_intensity
+from cpasim.model import (
+    Stability,
+    SystemParams,
+    balanced_input_fields,
+    drive_for_input_intensity,
+    output_fields,
+)
 from cpasim.steady import solve_steady_states
 
-from oracles import bloch_norm
+from oracles import bloch_norm, reference_trajectory
+from test_acceptance import SEED, quiet_solve, random_driven
 from test_model import random_params
+
+PANEL_TOL = dict(rtol=1e-8, atol=1e-10)  # criterion 8's fig4 panels
+RELAX_TOL = dict(rtol=1e-9, atol=1e-12)  # criterion 8's relaxations
+# far above the parametric threshold: the field diverges
+DIVERGENT = SystemParams(kappa_l=0.05, kappa_r=0.05, g=0.0, g_nl_mag=50.0,
+                         phi=0.0, omega_d=1.0)
+MONOSTABLE = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_c=1.0,
+                          delta_tls=2.0, omega_d=8.0)
 
 
 def state_vector(s):
@@ -53,8 +73,7 @@ class TestRHS:
 
 class TestIntegrate:
     def test_relaxes_to_the_stable_root(self):
-        p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_c=1.0,
-                         delta_tls=2.0, omega_d=8.0)
+        p = MONOSTABLE
         states = solve_steady_states(p)
         assert len(states) == 1 and states[0].stability is Stability.STABLE
         final = settle(p, vacuum_state(), 60.0)
@@ -111,16 +130,84 @@ class TestIntegrate:
     def test_step_failure_carries_partial_trace(self):
         # far above the parametric threshold the bare field grows at ~2|G| per
         # unit time without bound; integration must stop at the divergence
-        # cutoff and hand back what it sampled
-        p = SystemParams(kappa_l=0.05, kappa_r=0.05, g=0.0, g_nl_mag=50.0,
-                         phi=0.0, omega_d=1.0)
+        # cutoff and hand back what it sampled, with no raw warning on the way
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             with pytest.raises(StepFailure) as err:
-                integrate(p, 0.0, vacuum_state(), 50.0, 0.05)
-        assert isinstance(err.value.trace, TimeTrace)
-        assert err.value.trace.t[-1] < 50.0
-        assert "diverge" in str(err.value) or "stopped" in str(err.value)
+                integrate(DIVERGENT, 0.0, vacuum_state(), 50.0, 0.05)
+        trace = err.value.trace
+        assert isinstance(trace, TimeTrace)
+        assert trace.t[-1] < 50.0
+        assert len(trace.t) == len(trace.state) == len(trace.n_c)
+        assert "magnitude passed" in str(err.value)
+
+    def test_long_single_sample_run_completes(self):
+        # one sample interval takes more steps than scipy's default cap of 500
+        trace = integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
+        assert trace.t[-1] == 2000.0
+
+    def test_step_cap_is_a_step_failure_not_a_warning(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure) as err:
+                integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
+        assert "steps" in str(err.value)
+        assert list(err.value.trace.t) == [0.0]
+
+
+@pytest.fixture(scope="module")
+def panel_delta1(fig4_params):
+    """Criterion 8's fig4 panel at pump detuning 1."""
+    return integrate(fig4_params, 1.0, vacuum_state(), 100.0, 0.1, **PANEL_TOL)
+
+
+class TestObservables:
+    def test_match_the_per_row_output_fields(self, fig4_params, panel_delta1):
+        p = fig4_params
+        c_in_l, c_in_r = balanced_input_fields(p)
+        per_row = np.array([
+            max(abs(out) ** 2 for out in output_fields(complex(row[0], row[1]),
+                                                       c_in_l, c_in_r, p))
+            for row in panel_delta1.state])
+        assert np.all(np.abs(panel_delta1.out_intensity - per_row)
+                      <= 1e-15 * per_row)
+        assert np.array_equal(panel_delta1.n_c,
+                              panel_delta1.state[:, 0] ** 2
+                              + panel_delta1.state[:, 1] ** 2)
+
+
+class TestAgainstReference:
+    """The dop853 stepper against scipy's solve_ivp DOP853 (tests/oracles)."""
+
+    def test_fig4_panel(self, fig4_params, panel_delta1):
+        ref = reference_trajectory(fig4_params, 1.0, vacuum_state(),
+                                   panel_delta1.t, **PANEL_TOL)
+        n_ref = ref[:, 0] ** 2 + ref[:, 1] ** 2
+        assert np.max(np.abs(panel_delta1.n_c - n_ref)) <= 1e-9 * n_ref.max()
+
+    def test_criterion_8_relaxation(self):
+        rng = np.random.default_rng(SEED)
+        while True:
+            p = random_driven(rng)
+            roots = quiet_solve(p)
+            if len(roots) == 1 and roots[0].stability is Stability.STABLE:
+                break
+        trace = integrate(p, 0.0, vacuum_state(), 60.0, 60.0, **RELAX_TOL)
+        ref = reference_trajectory(p, 0.0, vacuum_state(), trace.t, **RELAX_TOL)
+        n_ref = ref[:, 0] ** 2 + ref[:, 1] ** 2
+        assert np.max(np.abs(trace.n_c - n_ref)) <= 1e-9 * n_ref.max()
+
+
+class TestImport:
+    def test_import_leaves_scipy_integrate_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cpasim.__file__)))
+        code = ("import sys, cpasim; "
+                "print('scipy.integrate' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSettle:
