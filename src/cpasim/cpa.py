@@ -15,7 +15,7 @@ from .model import (
     output_fields,
     soc_effective_params,
 )
-from .steady import solve_steady_states
+from .steady import build_polynomial, curve_geometry, solve_steady_states
 
 # A solver root must match the predicted photon number this tightly (relative).
 ROOT_MATCH_RTOL = 1e-8
@@ -54,6 +54,7 @@ class CPAReport:
     branch_location: BranchLocation | None
     cooperativity: float  # g^2 / (kappa gamma), the bare-cavity figure of merit
     fold_window: tuple[float, float] | None = None
+    stability: Stability | None = None  # of the solver root at the point
 
 
 def cpa_photon_number(p: SystemParams) -> float:
@@ -139,17 +140,25 @@ def cooperativity(p: SystemParams) -> float:
     return p.g ** 2 / (p.kappa * p.gamma)
 
 
-def _branch_location(p_run: SystemParams, input_intensity: float,
-                     root_stability: Stability) -> tuple[BranchLocation, tuple[float, float] | None]:
-    # Deferred import: the sweep engine uses this module for curve markers.
-    from .sweep import scan_folds
+def max_output_intensity(p_run: SystemParams, c_bar: complex) -> float:
+    """The larger of the two output intensities at intracavity field c_bar
+    under the balanced drive of ``p_run``."""
+    c_in_l, c_in_r = balanced_input_fields(p_run)
+    out_l, out_r = output_fields(c_bar, c_in_l, c_in_r, p_run)
+    return max(abs(out_l) ** 2, abs(out_r) ** 2)
 
+
+def _branch_location(p_run: SystemParams, input_intensity: float,
+                     root_stability: Stability
+                     ) -> tuple[BranchLocation, tuple[float, float] | None]:
+    """Place a root at ``input_intensity`` against the fold window of the
+    curve (folds up to 2.5x that input), with WINDOW_MARGIN on both edges."""
     span = max(2.5 * input_intensity, 1.0)
-    folds = scan_folds(p_run, span)
-    if not folds:
+    folds, _ = curve_geometry(build_polynomial(p_run), p_run.kappa)
+    xs = [x for x, _ in folds if x <= span]
+    if not xs:
         return BranchLocation.MONOSTABLE, None
-    lo = min(f[0] for f in folds)
-    hi = max(f[0] for f in folds)
+    lo, hi = min(xs), max(xs)
     inside = (lo + WINDOW_MARGIN) < input_intensity < (hi - WINDOW_MARGIN)
     stable = root_stability is Stability.STABLE
     if inside:
@@ -211,9 +220,7 @@ def verify_cpa(p: SystemParams) -> CPAReport:
             reasons=["SolverRootMismatch"], residual_out=math.nan,
             branch_location=None, cooperativity=coop)
 
-    c_in_l, c_in_r = balanced_input_fields(p_run)
-    out_l, out_r = output_fields(match.c_bar, c_in_l, c_in_r, p_run)
-    residual_out = max(abs(out_l) ** 2, abs(out_r) ** 2)
+    residual_out = max_output_intensity(p_run, match.c_bar)
     feasible = residual_out < NULLING_RTOL * intensity
 
     location, window = _branch_location(p_run, intensity, match.stability)
@@ -223,7 +230,7 @@ def verify_cpa(p: SystemParams) -> CPAReport:
         n_c_cpa=n_cpa, delta_c_required=dc_req, omega_d_cpa=omega_d,
         input_intensity=intensity, feasible=feasible, reasons=reasons,
         residual_out=residual_out, branch_location=location,
-        cooperativity=coop, fold_window=window)
+        cooperativity=coop, fold_window=window, stability=match.stability)
 
 
 def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:

@@ -39,7 +39,9 @@ class StepFailure(CpasimError):
 
 
 class MalformedCurve(CpasimError):
-    """Branch continuation over the input grid produced an inconsistent curve."""
+    """Two steady states at one input fell on the same branch, i.e. the same
+    monotone segment of the closed-form curve I(n): the solver and the curve
+    geometry disagree."""
 
 
 class ParseError(CpasimError):

@@ -21,6 +21,9 @@ from .model import (
 
 # Roots with n_c >= -EPS_ROOT are clamped to zero; more negative ones dropped.
 EPS_ROOT = 1e-12
+# Imaginary parts up to this fraction of max(1, |Re|) are rounding, not
+# complex roots.
+IMAG_RTOL = 1e-7
 # Near-coincident real roots (fold points) are merged within this radius.
 MERGE_RADIUS = 1e-8
 # Half-width of the Marginal band for the largest eigenvalue real part, per gamma.
@@ -36,9 +39,17 @@ class SelfConsistencyPolynomial:
 
     Coefficients are ascending (coeffs[k] multiplies n_c**k), degree <= 5.
     The constant term is -(a squared magnitude): <= 0 whenever omega_d > 0.
+
+    The drive enters only as a factor: coeffs = free - omega_d^2 drive, with
+    the drive-free factors ``free`` and ``drive`` kept alongside.  ``q`` is the
+    cleared denominator Q (free = n Q^2); it is None for |G| = 0, where the
+    positive Q was divided out and free = n Q.
     """
 
     coeffs: np.ndarray
+    free: np.ndarray
+    drive: np.ndarray
+    q: np.ndarray | None
 
     @property
     def degree(self) -> int:
@@ -68,6 +79,11 @@ def _poly_pieces(p: SystemParams):
     g_im = p.g_nl_mag * math.sin(p.phi)
     Q = npoly.polysub(npoly.polyadd(npoly.polymul(A, A), npoly.polymul(B, B)),
                       4.0 * p.g_nl_mag ** 2 * npoly.polymul(D, D))
+    if _at_bare_threshold(p):
+        # Q's n^2 coefficient is 4 g^4 times the bare threshold margin, and
+        # for g = 0 all of Q is D0^2 times it; the sum above leaves rounding
+        # there, which puts a spurious root near 1e15 and spoils the others
+        Q[2 if p.g > 0.0 else 0:] = 0.0
     Rp = npoly.polyadd(A, 2.0 * g_re * D)
     Rq = npoly.polysub(2.0 * g_im * D, np.atleast_1d(B))
     R = npoly.polyadd(npoly.polymul(Rp, Rp), npoly.polymul(Rq, Rq))
@@ -84,14 +100,71 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     collapses to degree 1 when additionally g = 0).
     """
     D, Q, R = _poly_pieces(p)
+    DD = npoly.polymul(D, D)
     if p.g_nl_mag == 0.0:
-        coeffs = npoly.polysub(npoly.polymulx(Q),
-                               p.omega_d ** 2 * npoly.polymul(D, D))
+        free, drive, q = npoly.polymulx(Q), DD, None
     else:
-        coeffs = npoly.polysub(npoly.polymulx(npoly.polymul(Q, Q)),
-                               p.omega_d ** 2 * npoly.polymul(R, npoly.polymul(D, D)))
+        free, drive, q = npoly.polymulx(npoly.polymul(Q, Q)), npoly.polymul(R, DD), Q
+    coeffs = npoly.polysub(free, p.omega_d ** 2 * drive)
     coeffs = np.atleast_1d(npoly.polytrim(coeffs, tol=0.0))
-    return SelfConsistencyPolynomial(coeffs=coeffs)
+    return SelfConsistencyPolynomial(coeffs=coeffs, free=free, drive=drive, q=q)
+
+
+def nonnegative_real_roots(coeffs) -> list[float]:
+    """Sorted distinct real roots n >= 0 of a polynomial (ascending
+    coefficients).  Imaginary parts within IMAG_RTOL are rounding, roots down
+    to -EPS_ROOT are clamped to 0, and roots within MERGE_RADIUS (relative)
+    merge into the lower one."""
+    candidates = sorted(
+        max(float(z.real), 0.0) for z in npoly.polyroots(coeffs)
+        if abs(z.imag) <= IMAG_RTOL * max(1.0, abs(z.real))
+        and z.real >= -EPS_ROOT)
+    merged: list[float] = []
+    for n in candidates:
+        if merged and n - merged[-1] <= MERGE_RADIUS * max(1.0, n):
+            continue
+        merged.append(n)
+    return merged
+
+
+def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
+                   ) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Folds and branch edges of the steady-state curve.
+
+    Along the curve the per-mirror input intensity is the rational function
+    I(n) = free(n) / (2 kappa drive(n)), so its turning points are the zeros
+    of W = free' drive - free drive'.  W = Q V, and the folds are the
+    positive roots of V (of W itself for |G| = 0).  The positive zeros of Q
+    are the undriven singular states, where I = 0 exactly: they are the
+    edges of a window anchored at zero input and are reported as folds at
+    input 0.0.  A fold on a zero of R is a pole of I, reported at input inf.
+
+    Returns the folds as (input_intensity, n_c) sorted by input, and the
+    sorted n_c of all of them: branch k is the open segment between edges
+    k-1 and k, on which I(n) is monotone, so a branch holds at most one
+    steady state at any input.
+    """
+    free, drive, q = poly.free, poly.drive, poly.q
+    if q is None:
+        v = npoly.polysub(npoly.polymul(npoly.polyder(free), drive),
+                          npoly.polymul(free, npoly.polyder(drive)))
+        anchored = []
+    else:
+        # free = n Q^2, so W = Q ((Q + 2 n Q') drive - n Q drive')
+        v = npoly.polysub(
+            npoly.polymul(npoly.polyadd(q, 2.0 * npoly.polymulx(npoly.polyder(q))),
+                          drive),
+            npoly.polymul(npoly.polymulx(q), npoly.polyder(drive)))
+        anchored = [(0.0, n) for n in nonnegative_real_roots(q) if n > 0.0]
+    folds = anchored
+    for n in nonnegative_real_roots(v):
+        if n == 0.0:
+            continue
+        den = 2.0 * kappa * float(npoly.polyval(n, drive))
+        folds.append((float(npoly.polyval(n, free)) / den if den > 0.0
+                      else math.inf, n))
+    edges = np.array(sorted(n for _, n in folds))
+    return sorted(folds), edges
 
 
 def self_consistency_residual(n_c: float, p: SystemParams) -> float:
@@ -120,6 +193,13 @@ def bare_threshold_margin(p: SystemParams) -> float:
     parametric-oscillation threshold (the large-n_c limit of the cleared
     denominator)."""
     return (p.kappa / 2.0) ** 2 + p.delta_c ** 2 - 4.0 * p.g_nl_mag ** 2
+
+
+def _at_bare_threshold(p: SystemParams) -> bool:
+    """True when the bare threshold margin is zero to within the rounding of
+    its terms."""
+    terms = (p.kappa / 2.0) ** 2 + p.delta_c ** 2 + 4.0 * p.g_nl_mag ** 2
+    return abs(bare_threshold_margin(p)) <= 4.0 * np.finfo(float).eps * terms
 
 
 def oracle_scan_bound(p: SystemParams) -> float:
@@ -192,12 +272,9 @@ def _warn_undriven_singular(p: SystemParams) -> None:
     # states; their amplitude is indeterminate at mean field, so they are
     # excluded exactly like driven roots that land on the singularity.
     _, q_coeffs, _ = _poly_pieces(p)
-    if len(q_coeffs) < 2:
-        return
-    zeros = [z.real for z in np.atleast_1d(npoly.polyroots(q_coeffs))
-             if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and z.real > 0.0]
+    zeros = [z for z in nonnegative_real_roots(q_coeffs) if z > 0.0]
     if zeros:
-        listed = ", ".join(f"{z:.9g}" for z in sorted(zeros))
+        listed = ", ".join(f"{z:.9g}" for z in zeros)
         warnings.warn(
             f"undriven parametric-singularity state(s) at n_c = {listed} "
             "excluded; only the vacuum is reported at zero drive",
@@ -237,25 +314,6 @@ def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
                             stability=report.stability, residual=0.0)]
 
     poly = build_polynomial(p)
-    if poly.degree < 1:
-        return []
-    raw = npoly.polyroots(poly.coeffs)
-
-    candidates = []
-    for r in raw:
-        if abs(r.imag) > 1e-7 * max(1.0, abs(r.real)):
-            continue
-        n = float(r.real)
-        if n < -EPS_ROOT:
-            continue
-        candidates.append(max(n, 0.0))
-    candidates.sort()
-
-    merged: list[float] = []
-    for n in candidates:
-        if merged and abs(n - merged[-1]) <= MERGE_RADIUS * max(1.0, abs(n)):
-            continue
-        merged.append(n)
 
     # Residual acceptance scale: the float-evaluation magnitude sum |c_k| n^k
     # (>= the |c_lead| n^deg term that dominates for large roots).  Anything
@@ -264,7 +322,7 @@ def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
     abs_coeffs = np.abs(poly.coeffs)
 
     states: list[SteadyState] = []
-    for n0 in merged:
+    for n0 in nonnegative_real_roots(poly.coeffs):
         n = _refine_root(poly, n0)
         res = float(poly(n))
         scale = max(1.0, float(npoly.polyval(n, abs_coeffs)))

@@ -1,4 +1,4 @@
-"""Branch-resolved input/output curves, fold location, bistability pattern
+"""Branch-resolved input/output curves, folds, bistability pattern
 classification, and the absorption feasibility boundary map."""
 
 from __future__ import annotations
@@ -7,36 +7,23 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .cpa import (
+    WINDOW_MARGIN,
     BranchLocation,
-    cpa_cavity_detuning,
-    cpa_input_amplitude,
-    cpa_photon_number,
     critical_coupling,
     critical_detuning,
+    max_output_intensity,
+    verify_cpa,
 )
-from .errors import Infeasible, MalformedCurve, NonPositiveBeta
-from .model import (
-    EPS_DEN,
-    Stability,
-    SystemParams,
-    balanced_input_fields,
-    drive_for_input_intensity,
-    output_fields,
-    parametric_denominator,
+from .errors import AsymmetricMirrors, Infeasible, MalformedCurve, NonPositiveBeta
+from .model import Stability, SystemParams, drive_for_input_intensity
+from .steady import (
+    IMAG_RTOL,
+    build_polynomial,
+    curve_geometry,
+    solve_steady_states,
 )
-from .steady import build_polynomial, solve_steady_states
-
-# Folds are refined to this width in input intensity.
-FOLD_TOL = 1e-8
-# A window whose lower fold sits below this is treated as anchored at zero
-# input (the fold degenerates into the undriven parametric-singularity pair).
-ANCHOR_TOL = 1e-6
-# Continuation accepts a step on an existing branch up to this fraction of
-# the local photon-number scale; larger gaps start a new branch.
-CONT_STEP_FRAC = 0.75
 
 
 class PatternClass(enum.Enum):
@@ -68,10 +55,9 @@ class CPAMarker:
 @dataclass
 class HysteresisCurve:
     points: list[CurvePoint]
-    folds: list[tuple[float, float]]  # (input_intensity, n_c) turning points
+    folds: list[tuple[float, float]]  # (input_intensity, n_c); see scan_folds
     pattern: PatternClass
     cpa_markers: list[CPAMarker]
-    continuation_ok: bool = True
 
     def window(self) -> tuple[float, float] | None:
         if not self.folds:
@@ -92,179 +78,48 @@ def _at_input(p: SystemParams, intensity: float) -> SystemParams:
     return replace(p, omega_d=drive_for_input_intensity(intensity, p))
 
 
-def _positive_roots(p: SystemParams) -> list[float]:
-    """Distinct nonnegative real roots of the self-consistency polynomial,
-    excluding parametric-singularity points; no stability work."""
-    if p.omega_d == 0.0:
-        # exact: n Q(n)^2 with singular double roots; only the vacuum counts
-        return [0.0]
-    poly = build_polynomial(p)
-    if poly.degree == 0:
-        return []
-    roots = npoly.polyroots(poly.coeffs)
-    kept: list[float] = []
-    for z in np.atleast_1d(roots):
-        if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)):
-            continue
-        n = float(z.real)
-        if n < -1e-12:
-            continue
-        n = max(n, 0.0)
-        if any(abs(n - m) <= 1e-8 * max(1.0, n) for m in kept):
-            continue
-        if abs(parametric_denominator(n, p)) < EPS_DEN * p.gamma ** 2:
-            continue
-        kept.append(n)
-    return sorted(kept)
+def scan_folds(p: SystemParams, span: float) -> list[tuple[float, float]]:
+    """All fold points (input_intensity, n_c) with input intensity at most
+    ``span``, sorted by input.  The edge of a window anchored at zero input
+    is reported at input exactly 0.0 (see ``steady.curve_geometry``)."""
+    folds, _ = curve_geometry(build_polynomial(p), p.kappa)
+    return [f for f in folds if f[0] <= span]
 
 
-def _root_count(p: SystemParams, intensity: float) -> int:
-    return len(_positive_roots(_at_input(p, intensity)))
-
-
-def _merge_pair_n(p: SystemParams, intensity: float) -> float:
-    """Photon number of the closest root pair at ``intensity`` (evaluated just
-    inside the fold, where the merging pair is nearly degenerate)."""
-    roots = _positive_roots(_at_input(p, intensity))
-    if len(roots) < 2:
-        return roots[0] if roots else 0.0
-    gaps = np.diff(roots)
-    i = int(np.argmin(gaps))
-    return 0.5 * (roots[i] + roots[i + 1])
-
-
-def _locate_folds(p: SystemParams, lo: float, hi: float, c_lo: int, c_hi: int,
-                  out: list[float]) -> None:
-    # Recursive bisection on the root-count change; handles two folds in one
-    # starting interval by splitting at the midpoint.
-    if c_lo == c_hi:
-        return
-    if hi - lo <= FOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        for _ in range(abs(c_hi - c_lo) // 2):
-            out.append(mid)
-        return
-    mid = 0.5 * (lo + hi)
-    c_mid = _root_count(p, mid)
-    _locate_folds(p, lo, mid, c_lo, c_mid, out)
-    _locate_folds(p, mid, hi, c_mid, c_hi, out)
-
-
-def scan_folds(p: SystemParams, span: float,
-               coarse_nodes: int = 241) -> list[tuple[float, float]]:
-    """All fold points (input_intensity, n_c) with input intensity in
-    [0, span].  The scan grid mixes linear and geometric spacing so windows
-    anchored near zero input are not stepped over."""
-    if span <= 0.0:
-        return []
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, span, coarse_nodes),
-        np.geomspace(1e-8, span, 121),
-    ]))
-    counts = [_root_count(p, x) for x in grid]
-    xs: list[float] = []
-    for a, b, ca, cb in zip(grid[:-1], grid[1:], counts[:-1], counts[1:]):
-        _locate_folds(p, a, b, ca, cb, xs)
-    folds: list[tuple[float, float]] = []
-    for x in sorted(xs):
-        folds.append((x, _merge_pair_n(p, _denser_side(p, x))))
-    return folds
-
-
-def _denser_side(p: SystemParams, x: float) -> float:
-    # Pick the side of a fold holding more roots (the merging pair lives there).
-    lo = max(x - FOLD_TOL, 0.0)
-    hi = x + FOLD_TOL
-    return hi if _root_count(p, hi) > _root_count(p, lo) else lo
-
-
-def _assign_branches(per_node: list[list[CurvePoint]]) -> bool:
-    """Nearest-neighbor continuation in n_c across consecutive grid nodes.
-    Mutates branch_id in place; returns False when an accepted match exceeded
-    the continuation step bound."""
-    ok = True
-    next_id = 0
-    prev: list[CurvePoint] = []
-    for pts in per_node:
-        if not prev:
-            for q in pts:
-                q.branch_id = next_id
-                next_id += 1
-            prev = pts
-            continue
-        pairs = sorted(
-            ((abs(q.n_c - r.n_c), i, j) for i, q in enumerate(pts)
-             for j, r in enumerate(prev)),
-            key=lambda t: t[0])
-        taken_new: set[int] = set()
-        taken_old: set[int] = set()
-        for dist, i, j in pairs:
-            if i in taken_new or j in taken_old:
-                continue
-            bound = CONT_STEP_FRAC * max(1.0, pts[i].n_c, prev[j].n_c)
-            if dist > bound:
-                continue
-            pts[i].branch_id = prev[j].branch_id
-            taken_new.add(i)
-            taken_old.add(j)
-        for i, q in enumerate(pts):
-            if i not in taken_new:
-                q.branch_id = next_id
-                next_id += 1
-        # a branch that neither continued nor terminated at a fold is suspect:
-        # more new starts than the root-count increase explains
-        births = len(pts) - len(taken_new)
-        deaths = len(prev) - len(taken_old)
-        if births > 0 and deaths > 0 and len(pts) == len(prev):
-            ok = False
-        prev = pts
-    return ok
-
-
-def _output_intensity(p_run: SystemParams, c_bar: complex) -> float:
-    c_in_l, c_in_r = balanced_input_fields(p_run)
-    out_l, out_r = output_fields(c_bar, c_in_l, c_in_r, p_run)
-    return max(abs(out_l) ** 2, abs(out_r) ** 2)
-
-
-def _cpa_markers(p: SystemParams, grid_lo: float, grid_hi: float,
-                 folds: list[tuple[float, float]]) -> list[CPAMarker]:
+def _cpa_markers(p: SystemParams, grid_lo: float,
+                 grid_hi: float) -> list[CPAMarker]:
+    # the operating point and placement verify_cpa reports
     try:
-        n_cpa = cpa_photon_number(p)
-    except NonPositiveBeta:
+        report = verify_cpa(p)
+    except (NonPositiveBeta, AsymmetricMirrors):
         return []
-    if n_cpa <= 0.0:
+    if (report.branch_location is None
+            or not grid_lo <= report.input_intensity <= grid_hi):
         return []
-    dc_req = cpa_cavity_detuning(p)
-    if abs(p.delta_c - dc_req) > 1e-9 * p.gamma * max(1.0, abs(dc_req) / p.gamma):
-        return []
-    try:
-        omega_d, intensity = cpa_input_amplitude(p, n_cpa)
-    except Infeasible:
-        return []
-    if not (grid_lo <= intensity <= grid_hi):
-        return []
-    p_run = replace(p, omega_d=omega_d)
-    roots = solve_steady_states(p_run)
-    match = min(roots, key=lambda s: abs(s.n_c - n_cpa), default=None)
-    if match is None or abs(match.n_c - n_cpa) > 1e-6 * max(1.0, n_cpa):
-        return []
-    out = _output_intensity(p_run, match.c_bar)
-    stable = match.stability is Stability.STABLE
-    if folds:
-        lo = min(f[0] for f in folds)
-        hi = max(f[0] for f in folds)
-        inside = lo + 1e-9 < intensity < hi - 1e-9
-        if inside:
-            branch = (BranchLocation.INSIDE_BISTABLE_STABLE if stable
-                      else BranchLocation.INSIDE_BISTABLE_UNSTABLE)
-        else:
-            branch = (BranchLocation.OUTSIDE_BISTABLE_STABLE if stable
-                      else BranchLocation.OUTSIDE_BISTABLE_UNSTABLE)
-    else:
-        branch = BranchLocation.MONOSTABLE
-    return [CPAMarker(input_intensity=intensity, output_intensity=out,
-                      branch=branch, observable=stable)]
+    return [CPAMarker(input_intensity=report.input_intensity,
+                      output_intensity=report.residual_out,
+                      branch=report.branch_location,
+                      observable=report.stability is Stability.STABLE)]
+
+
+def _branch_ids(ns: list[float], edges: np.ndarray) -> list[int] | None:
+    """Segment index of each root (ascending n_c), or None when two roots
+    share a segment.
+
+    Near a fold the merging pair is a near-double root of the polynomial,
+    which the solver resolves only to IMAG_RTOL: both members may land on
+    one side of the fold's edge.  A root that close to an edge takes the
+    lowest of its two segments not taken by the root below it.
+    """
+    ids: list[int] = []
+    for n in ns:
+        tol = IMAG_RTOL * max(1.0, n)
+        lo, hi = np.searchsorted(edges, [n - tol, n + tol])
+        k = max(int(lo), ids[-1] + 1 if ids else 0)
+        if k > hi:
+            return None
+        ids.append(k)
+    return ids
 
 
 def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
@@ -272,42 +127,39 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
 
-    Every grid node is an independent solve (safe to parallelize); the
-    continuation pass that assigns branch ids is sequential.
+    Every grid node is an independent solve.  A root's branch id is the
+    monotone segment of I(n) its photon number lies in; two roots of one
+    node on the same segment raise MalformedCurve.
     """
     grid = [float(x) for x in input_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("input_grid must be sorted ascending")
     if grid and grid[0] < 0.0:
         raise ValueError("input intensities must be >= 0")
+    if not grid:
+        return HysteresisCurve(points=[], folds=[], cpa_markers=[],
+                               pattern=PatternClass.MONOSTABLE)
 
-    per_node: list[list[CurvePoint]] = []
+    folds, edges = curve_geometry(build_polynomial(p), p.kappa)
+    points: list[CurvePoint] = []
     for intensity in grid:
         p_run = _at_input(p, intensity)
-        pts = []
-        for s in solve_steady_states(p_run):
-            pts.append(CurvePoint(
-                input_intensity=intensity, n_c=s.n_c,
-                output_intensity=_output_intensity(p_run, s.c_bar),
-                stability=s.stability, branch_id=-1))
-        per_node.append(pts)
+        states = solve_steady_states(p_run)
+        ids = _branch_ids([s.n_c for s in states], edges)
+        if ids is None:
+            raise MalformedCurve(
+                f"two steady states on one monotone segment at input "
+                f"{intensity:.9g} (n_c = {[s.n_c for s in states]}, edges "
+                f"{edges.tolist()}): solver and curve geometry disagree")
+        points += [CurvePoint(
+            input_intensity=intensity, n_c=s.n_c,
+            output_intensity=max_output_intensity(p_run, s.c_bar),
+            stability=s.stability, branch_id=k) for s, k in zip(states, ids)]
 
-    ok = _assign_branches(per_node)
-
-    folds: list[tuple[float, float]] = []
-    if grid:
-        counts = [len(pts) for pts in per_node]
-        xs: list[float] = []
-        for a, b, ca, cb in zip(grid[:-1], grid[1:], counts[:-1], counts[1:]):
-            _locate_folds(p, a, b, ca, cb, xs)
-        for x in sorted(xs):
-            folds.append((x, _merge_pair_n(p, _denser_side(p, x))))
-
-    points = [q for pts in per_node for q in pts]
-    markers = _cpa_markers(p, grid[0], grid[-1], folds) if grid else []
-    curve = HysteresisCurve(points=points, folds=folds,
-                            pattern=PatternClass.MONOSTABLE,
-                            cpa_markers=markers, continuation_ok=ok)
+    curve = HysteresisCurve(
+        points=points, folds=[f for f in folds if grid[0] <= f[0] <= grid[-1]],
+        pattern=PatternClass.MONOSTABLE,
+        cpa_markers=_cpa_markers(p, grid[0], grid[-1]))
     curve.pattern = classify_pattern(curve)
     return curve
 
@@ -322,16 +174,14 @@ def classify_pattern(curve: HysteresisCurve) -> PatternClass:
     zero input (where the lower fold degenerates into the undriven
     parametric-singularity pair) or an output inversion inside the window.
     """
-    if not curve.continuation_ok:
-        raise MalformedCurve("branch continuation failed; pattern undefined")
     win = curve.window()
     if win is None:
         return PatternClass.MONOSTABLE
     lo, hi = win
-    if lo <= ANCHOR_TOL * max(1.0, hi):
+    if lo == 0.0:
         return PatternClass.UNCONVENTIONAL_BISTABLE
     for intensity in sorted({q.input_intensity for q in curve.points}):
-        if not (lo + FOLD_TOL < intensity < hi - FOLD_TOL):
+        if not (lo + WINDOW_MARGIN < intensity < hi - WINDOW_MARGIN):
             continue
         pts = sorted((q for q in curve.points if q.input_intensity == intensity),
                      key=lambda q: q.n_c)
@@ -346,9 +196,10 @@ def follow_sweep(curve: HysteresisCurve, direction: str = "up") -> list[CurvePoi
     """Quasi-static branch following: the state selected at each grid node
     when the input intensity is ramped slowly up or down.
 
-    Stays on the current stable branch while it exists and jumps to the
-    nearest stable root when it terminates at a fold (falls back to the
-    nearest root of any stability if no stable root exists there).
+    Stays on the current branch while it is stable and jumps to the nearest
+    stable root when it is not, e.g. past the fold where it terminates
+    (falls back to the nearest root of any stability if no stable root
+    exists there).
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -357,19 +208,18 @@ def follow_sweep(curve: HysteresisCurve, direction: str = "up") -> list[CurvePoi
         by_node.setdefault(q.input_intensity, []).append(q)
     order = sorted(by_node, reverse=(direction == "down"))
     selected: list[CurvePoint] = []
-    current: float | None = None
+    current: CurvePoint | None = None
     for intensity in order:
         pts = sorted(by_node[intensity], key=lambda q: q.n_c)
         stable = [q for q in pts if q.stability is Stability.STABLE] or pts
         if current is None:
             pick = stable[0] if direction == "up" else stable[-1]
         else:
-            cont = [q for q in stable
-                    if abs(q.n_c - current) <= CONT_STEP_FRAC * max(1.0, q.n_c, current)]
-            pool = cont or stable
-            pick = min(pool, key=lambda q: abs(q.n_c - current))
+            same = [q for q in stable if q.branch_id == current.branch_id]
+            pick = same[0] if same else min(
+                stable, key=lambda q: abs(q.n_c - current.n_c))
         selected.append(pick)
-        current = pick.n_c
+        current = pick
     if direction == "down":
         selected.reverse()
     return selected

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
+from criteria import CRITERION_LINES
 from cpasim.cli import fig3_preset, fig4_preset
-
-# Collected by the acceptance tests; printed once the run is over so each
-# criterion gets a visible PASS/FAIL line even when pytest captures stdout.
-CRITERION_LINES = []
-
-
-def record_criterion(number, outcome, detail):
-    CRITERION_LINES.append((number, outcome, detail))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from criteria import record_criterion
 from oracles import (
     bisect_fold,
     bloch_norm,

@@ -118,6 +118,18 @@ class TestSweep:
         cfg = write_cfg(tmp_path, "kappa: 20\ng: 1\nomega_d: 2\n")
         assert run("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
 
+    def test_asymmetric_mirrors_at_matched_detuning(self, tmp_path, capsys):
+        # fig3c's crystal with kappa_l != kappa_r: no absorption marker, but
+        # the curve itself is fine
+        cfg = write_cfg(tmp_path, (
+            "kappa_l: 9\nkappa_r: 11\ng: 1\ndelta_tls: 4.5\ng_nl_mag: 4.99\n"
+            "phi: 3.141592653589793\ncpa_auto_detuning: true\n"
+            "input_max: 37.5\ninput_points: 31\n"))
+        assert run("sweep", "--config", cfg, "--out", str(tmp_path)) == 0
+        assert "pattern: ConventionalBistable" in capsys.readouterr().out
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert {row[4] for row in rows} == {"0", "1", "2"}
+
 
 class TestBoundary:
     CFG = "beta_min: 0.005\nbeta_max: 0.1\nbeta_points: 40\ng_fixed: 1\ndelta_tls_fixed: 4.5\n"

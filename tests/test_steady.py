@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ class TestThresholdMargin:
         for s in states:
             scale = max(1.0, s.n_c ** 5)
             assert abs(s.residual) <= 1e-6 * scale
+
+    def test_at_threshold_keeps_the_physical_roots(self):
+        # Q's n^2 coefficient, 4 g^4 times the margin, is zero here; the
+        # rounding its float sum left gave P a leading coefficient near
+        # 1e-28, a root near 1e30, and lost the two roots the oracle sees
+        p = SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                         g=1.625, g_nl_mag=0.8484231337608631)
+        p = replace(p, omega_d=math.sqrt(2.0 * p.kappa * 0.0486))
+        assert bare_threshold_margin(p) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            states = solve_steady_states(p)
+        assert len(states) == count_sign_changes(p, 100.0) == 2
+        assert build_polynomial(p).degree == 4
 
 
 class TestSolver:

@@ -4,22 +4,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpasim.cpa import BranchLocation, verify_cpa
+from cpasim.cpa import (
+    BranchLocation,
+    cpa_cavity_detuning,
+    cpa_photon_number,
+    verify_cpa,
+)
+from cpasim import sweep
 from cpasim.errors import MalformedCurve
 from cpasim.model import Stability, SystemParams
 from cpasim.steady import jacobian, solve_steady_states
 from cpasim.sweep import (
-    CurvePoint,
-    HysteresisCurve,
     PatternClass,
     _at_input,
-    _root_count,
     boundary_map,
-    classify_pattern,
     follow_sweep,
     scan_folds,
     trace_hysteresis,
 )
+
+
+def root_count(p, intensity):
+    return len(solve_steady_states(_at_input(p, intensity)))
 
 
 def quiet_trace(p, grid):
@@ -129,6 +135,15 @@ class TestCPAMarkers:
         curve = quiet_trace(p, np.linspace(0.0, 37.5, 301))
         assert curve.cpa_markers == []
 
+    def test_no_marker_for_asymmetric_mirrors(self, fig3_params):
+        # the absorption drive needs symmetric mirrors; a matched delta_c
+        # must not turn that into an error for the whole curve
+        p = replace(fig3_params[("fig3c", 4.5)], kappa_l=9.0, kappa_r=11.0)
+        p = replace(p, delta_c=cpa_cavity_detuning(p))
+        curve = quiet_trace(p, np.linspace(0.0, 37.5, 101))
+        assert curve.cpa_markers == []
+        assert curve.pattern is PatternClass.CONVENTIONAL_BISTABLE
+
 
 class TestFolds:
     def test_scan_matches_trace(self, fig3_params, conventional_curve):
@@ -157,7 +172,7 @@ class TestFolds:
             folds = scan_folds(p, 37.5)
         assert len(folds) == 2
         for x, n_fold in folds:
-            side = x - 1e-8 if _root_count(p, x - 1e-8) == 3 else x + 1e-8
+            side = x - 1e-8 if root_count(p, x - 1e-8) == 3 else x + 1e-8
             states = solve_steady_states(_at_input(p, side))
             ns = [s.n_c for s in states]
             assert len(ns) == 3
@@ -188,10 +203,10 @@ class TestFolds:
         # 1e-6 marginal band, confirming the fold is a genuine turning point
         p = fig3_params[("fig3c", 4.5)]
         lo, hi = 29.8036456, 29.8036459
-        assert _root_count(p, lo) == 3 and _root_count(p, hi) == 1
+        assert root_count(p, lo) == 3 and root_count(p, hi) == 1
         while hi - lo > 1e-11:
             mid = 0.5 * (lo + hi)
-            if _root_count(p, mid) == 3:
+            if root_count(p, mid) == 3:
                 lo = mid
             else:
                 hi = mid
@@ -202,6 +217,45 @@ class TestFolds:
         assert gaps[i] < 1e-5
         for s in (states[i], states[i + 1]):
             assert abs(max(np.linalg.eigvals(jacobian(s, p)).real)) < 1e-6
+
+
+def reproduce_span(p):
+    # the grid span of `cpasim reproduce fig3*`
+    intensity_cpa = 0.5 * p.kappa * cpa_photon_number(p)
+    folds = scan_folds(p, 2.5 * intensity_cpa)
+    return max(1.3 * intensity_cpa, 1.15 * max(x for x, _ in folds))
+
+
+class TestCoarseGrids:
+    @pytest.mark.parametrize("key", [("fig3a", 4.5), ("fig3c", 1.5)])
+    @pytest.mark.parametrize("nodes", [11, 41, 101])
+    def test_coarse_grid_gives_the_fine_curve(self, fig3_params, key, nodes):
+        p = fig3_params[key]
+        span = reproduce_span(p)
+        fine = quiet_trace(p, np.linspace(0.0, span, 301))
+        coarse = quiet_trace(p, np.linspace(0.0, span, nodes))
+        assert coarse.pattern is fine.pattern
+        assert coarse.folds == scan_folds(p, span)
+        # the middle branch shows only where a node falls inside the window;
+        # fig3a/4.5's window (0, 0.19) holds no node of these grids
+        lo, hi = coarse.window()
+        inside = any(lo < q.input_intensity < hi for q in coarse.points)
+        assert {q.branch_id for q in coarse.points} == (
+            {0, 1, 2} if inside else {0, 2})
+        assert {q.branch_id for q in fine.points} == {0, 1, 2}
+
+
+    @pytest.mark.parametrize("key", [("fig3b", 1.5), ("fig3c", 4.5)])
+    def test_nodes_on_the_folds(self, fig3_params, key):
+        # at a fold's own input the merging pair is a near-double root that
+        # the solver can place on one side of the fold's edge
+        p = fig3_params[key]
+        span = reproduce_span(p)
+        folds = [x for x, _ in scan_folds(p, span)]
+        curve = quiet_trace(p, np.union1d(np.linspace(0.0, span, 11), folds))
+        for x in folds:
+            ids = [q.branch_id for q in curve.points if q.input_intensity == x]
+            assert ids == sorted(set(ids)) and set(ids) <= {0, 1, 2}
 
 
 class TestFollowSweep:
@@ -239,14 +293,14 @@ class TestFollowSweep:
 
 
 class TestClassify:
-    def test_failed_continuation_raises(self):
-        pt = CurvePoint(input_intensity=1.0, n_c=1.0, output_intensity=1.0,
-                        stability=Stability.STABLE, branch_id=0)
-        curve = HysteresisCurve(points=[pt], folds=[], cpa_markers=[],
-                                pattern=PatternClass.MONOSTABLE,
-                                continuation_ok=False)
+    def test_two_roots_on_one_segment_raise(self, monkeypatch):
+        # a monostable curve is one monotone segment; a solver that reports
+        # each root twice puts two roots on it at every node
+        p = SystemParams(kappa_l=10.0, kappa_r=10.0, delta_c=2.0)
+        real = sweep.solve_steady_states
+        monkeypatch.setattr(sweep, "solve_steady_states", lambda q: real(q) * 2)
         with pytest.raises(MalformedCurve):
-            classify_pattern(curve)
+            trace_hysteresis(p, np.linspace(0.0, 10.0, 5))
 
     def test_conventional_needs_upper_branch_above_lower(self, fig3_params):
         # same fold structure, but the anchored-window case inverts the
