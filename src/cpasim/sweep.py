@@ -141,10 +141,9 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
         return HysteresisCurve(points=[], folds=[], cpa_markers=[],
                                pattern=PatternClass.MONOSTABLE)
 
-    poly = build_polynomial(p)
-    folds, edges = curve_geometry(poly, p.kappa)
+    folds, edges = curve_geometry(build_polynomial(p), p.kappa)
     nodes = [_at_input(p, intensity) for intensity in grid]
-    states_at = solve_steady_nodes(nodes, poly)
+    states_at = solve_steady_nodes(nodes)
     ns = np.array([s.n_c for states in states_at for s in states])
     tol = IMAG_RTOL * np.maximum(1.0, ns)
     lo = np.searchsorted(edges, ns - tol).tolist()

@@ -200,11 +200,14 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
     assert [q.n_c for q in curve.points] == [s.n_c for s in states]
 
 
-def test_a_curve_is_one_kernel_call(monkeypatch):
+@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 3), (1.0, 2)])
+def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
     # no per-node loop: the grid is one kernel call with one companion and
-    # one Jacobian eigvals; the CPA marker's own solve is left out
+    # one Jacobian eigvals, plus, for an undriven node at I = 0, one for the
+    # zeros of Q that its warning names; the CPA marker's own solve is left
+    # out
     p = fig3_preset("fig3c", 4.5)
-    grid = np.linspace(0.0, reproduce_span(p), 301)
+    grid = np.linspace(start, reproduce_span(p), 301)
     eigvals, kernel = np.linalg.eigvals, sweep.solve_steady_nodes
     counts = {"eigvals": 0}
     kernel_calls = []
@@ -213,9 +216,9 @@ def test_a_curve_is_one_kernel_call(monkeypatch):
         counts["eigvals"] += 1
         return eigvals(a)
 
-    def counting_kernel(nodes, poly=None):
+    def counting_kernel(nodes):
         before = counts["eigvals"]
-        out = kernel(nodes, poly)
+        out = kernel(nodes)
         kernel_calls.append((len(nodes), counts["eigvals"] - before))
         return out
 
@@ -227,9 +230,9 @@ def test_a_curve_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(sweep, "solve_steady_states", per_node)
     monkeypatch.setattr(sweep, "_cpa_markers", lambda *args: [])
     trace_hysteresis(p, grid)
-    assert kernel_calls == [(301, 2)]
+    assert kernel_calls == [(301, kernel_eigvals)]
     # plus the curve geometry's two: the roots of Q and of V
-    assert counts["eigvals"] == 4
+    assert counts["eigvals"] == kernel_eigvals + 2
 
 
 def here(w):

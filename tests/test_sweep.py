@@ -298,8 +298,8 @@ class TestClassify:
         # each root twice puts two roots on it at every node
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, delta_c=2.0)
         real = sweep.solve_steady_nodes
-        monkeypatch.setattr(sweep, "solve_steady_nodes", lambda nodes, poly: [
-            states * 2 for states in real(nodes, poly)])
+        monkeypatch.setattr(sweep, "solve_steady_nodes", lambda nodes: [
+            states * 2 for states in real(nodes)])
         with pytest.raises(MalformedCurve):
             trace_hysteresis(p, np.linspace(0.0, 10.0, 5))
 
