@@ -11,8 +11,7 @@ from .errors import AsymmetricMirrors, Infeasible, NonPositiveBeta, Precondition
 from .model import (
     Stability,
     SystemParams,
-    balanced_input_fields,
-    output_fields,
+    output_intensities,
     soc_effective_params,
 )
 from .steady import build_polynomial, curve_geometry, solve_steady_states
@@ -143,9 +142,7 @@ def cooperativity(p: SystemParams) -> float:
 def max_output_intensity(p_run: SystemParams, c_bar: complex) -> float:
     """The larger of the two output intensities at intracavity field c_bar
     under the balanced drive of ``p_run``."""
-    c_in_l, c_in_r = balanced_input_fields(p_run)
-    out_l, out_r = output_fields(c_bar, c_in_l, c_in_r, p_run)
-    return max(abs(out_l) ** 2, abs(out_r) ** 2)
+    return max(output_intensities(c_bar, p_run.omega_d, p_run))
 
 
 def _branch_location(p_run: SystemParams, input_intensity: float,

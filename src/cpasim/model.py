@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParametricSingularity
 
 # Guard for the parametric-oscillation denominator, in units of gamma^2.
@@ -112,9 +114,25 @@ class SteadyState:
     residual: float
 
 
-def saturation_denominator(n_c: float, p: SystemParams) -> float:
-    """D = gamma^2/4 + delta_tls^2 + 2 g^2 n_c; strictly positive."""
+def saturation_denominator(n_c, p: SystemParams):
+    """D = gamma^2/4 + delta_tls^2 + 2 g^2 n_c; strictly positive.  ``n_c``
+    may be an array."""
     return p.gamma ** 2 / 4.0 + p.delta_tls ** 2 + 2.0 * p.g ** 2 * n_c
+
+
+def dressed_cavity(n_c, p: SystemParams):
+    """(kappa0, delta0, den) at photon number ``n_c``, a float or an array:
+    the atom-dressed cavity decay and detuning and the parametric
+    denominator den = kappa0^2 + delta0^2 - 4|G|^2.
+
+    This is the one formula behind the scalar functions below and the
+    solver's mapping of all its roots at once.  Squares of n_c-dependent
+    terms are products, so a float and an array element round alike.
+    """
+    D = saturation_denominator(n_c, p)
+    kappa0 = p.kappa / 2.0 + (p.g ** 2 * p.gamma / 2.0) / D
+    delta0 = p.delta_c - p.g ** 2 * p.delta_tls / D
+    return kappa0, delta0, kappa0 * kappa0 + delta0 * delta0 - 4.0 * p.g_nl_mag ** 2
 
 
 def effective_cavity_params(n_c: float, p: SystemParams) -> EffectiveCavity:
@@ -125,9 +143,7 @@ def effective_cavity_params(n_c: float, p: SystemParams) -> EffectiveCavity:
     """
     if n_c < 0:
         raise ValueError("n_c must be nonnegative")
-    D = saturation_denominator(n_c, p)
-    kappa0 = p.kappa / 2.0 + (p.g ** 2 * p.gamma / 2.0) / D
-    delta0 = p.delta_c - p.g ** 2 * p.delta_tls / D
+    kappa0, delta0, _ = dressed_cavity(n_c, p)
     return EffectiveCavity(kappa0=kappa0, delta0=delta0)
 
 
@@ -137,8 +153,26 @@ def parametric_denominator(n_c: float, p: SystemParams) -> float:
     Vanishes at the dressed parametric-oscillation threshold, where the linear
     steady-state response diverges.
     """
-    eff = effective_cavity_params(n_c, p)
-    return eff.kappa0 ** 2 + eff.delta0 ** 2 - 4.0 * p.g_nl_mag ** 2
+    if n_c < 0:
+        raise ValueError("n_c must be nonnegative")
+    return dressed_cavity(n_c, p)[2]
+
+
+def at_singularity(den, p: SystemParams):
+    """Whether the parametric denominator ``den`` (a float, or elementwise
+    for an array) is below the guard EPS_DEN * gamma^2, where the
+    steady-state response is undefined."""
+    return abs(den) < EPS_DEN * p.gamma ** 2
+
+
+def driven_field(kappa0, delta0, den, omega_d, p: SystemParams):
+    """<c> = [(kappa0 - i delta0) + 2 G] omega_d / den from ``dressed_cavity``'s
+    terms, elementwise for arrays, in real arithmetic: a float and an array
+    element give the same bits."""
+    g_re = 2.0 * p.g_nl_mag * math.cos(p.phi)
+    g_im = 2.0 * p.g_nl_mag * math.sin(p.phi)
+    return ((kappa0 * omega_d + g_re * omega_d) / den
+            + 1j * ((g_im * omega_d - delta0 * omega_d) / den))
 
 
 def intracavity_field(n_c: float, p: SystemParams) -> complex:
@@ -151,16 +185,15 @@ def intracavity_field(n_c: float, p: SystemParams) -> complex:
     ParametricSingularity
         If the denominator magnitude is below EPS_DEN * gamma^2.
     """
-    eff = effective_cavity_params(n_c, p)
-    den = eff.kappa0 ** 2 + eff.delta0 ** 2 - 4.0 * p.g_nl_mag ** 2
-    if abs(den) < EPS_DEN * p.gamma ** 2:
+    kappa0, delta0, den = dressed_cavity(n_c, p)
+    if at_singularity(den, p):
         raise ParametricSingularity(
             f"effective denominator {den:.3e} at n_c={n_c:.6g} is below the "
             f"threshold guard; steady-state response undefined")
-    return ((eff.kappa0 - 1j * eff.delta0) * p.omega_d + 2.0 * p.g_nl * p.omega_d) / den
+    return driven_field(kappa0, delta0, den, p.omega_d, p)
 
 
-def atomic_expectations(c_bar: complex, p: SystemParams) -> tuple[complex, float]:
+def atomic_expectations(c_bar, p: SystemParams):
     """Mean atomic coherence and inversion driven by field ``c_bar``.
 
     Closed-form fixed point of the atomic mean-field equations under the
@@ -171,10 +204,16 @@ def atomic_expectations(c_bar: complex, p: SystemParams) -> tuple[complex, float
 
     Returns (<sigma_->, <sigma_z>).  The pair always satisfies the Bloch bound
     |<sigma_->|^2 + <sigma_z>^2 <= 1/4, with equality only for c_bar = 0.
+    ``c_bar`` may be an array; the arithmetic is real, so a complex and an
+    array element give the same bits.
     """
     D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
-    sigma_z = -0.5 * D0 / (D0 + 2.0 * p.g ** 2 * abs(c_bar) ** 2)
-    sigma_minus = 2j * p.g * c_bar * sigma_z / (p.gamma / 2.0 + 1j * p.delta_tls)
+    re, im = c_bar.real, c_bar.imag
+    sigma_z = -0.5 * D0 / (D0 + 2.0 * p.g ** 2 * (re * re + im * im))
+    # 2 i g / (gamma/2 + i delta_tls) = 2 g (delta_tls + i gamma/2) / D0
+    k_re, k_im = 2.0 * p.g * p.delta_tls / D0, p.g * p.gamma / D0
+    sigma_minus = ((k_re * re - k_im * im) * sigma_z
+                   + 1j * ((k_re * im + k_im * re) * sigma_z))
     return sigma_minus, sigma_z
 
 
@@ -184,6 +223,21 @@ def output_fields(c_bar: complex, c_in_l: complex, c_in_r: complex,
     out_l = math.sqrt(p.kappa_l) * c_bar - c_in_l
     out_r = math.sqrt(p.kappa_r) * c_bar - c_in_r
     return out_l, out_r
+
+
+def output_intensities(c_bar, omega_d, p: SystemParams):
+    """The output intensities |c_out|^2 at the left and right mirror (see
+    ``output_fields``) at field ``c_bar`` under the balanced drive
+    ``omega_d`` (see ``balanced_input_fields``); floats, or arrays of one
+    shape, in real arithmetic as ``driven_field``."""
+    re, im = c_bar.real, c_bar.imag
+    out = []
+    for kappa_m in (p.kappa_l, p.kappa_r):
+        root = math.sqrt(kappa_m)
+        out_re = root * re - root * omega_d / p.kappa
+        out_im = root * im
+        out.append(out_re * out_re + out_im * out_im)
+    return out[0], out[1]
 
 
 def soc_effective_params(p: SystemParams) -> tuple[float, float]:
@@ -210,15 +264,19 @@ def balanced_input_fields(p: SystemParams) -> tuple[complex, complex]:
     return c_in_l, c_in_r
 
 
-def drive_for_input_intensity(input_intensity: float, p: SystemParams) -> float:
+def drive_for_input_intensity(input_intensity, p: SystemParams):
     """Total drive amplitude giving per-mirror input intensity I = |c_in|^2.
 
     Omega_d = 2 sqrt(kappa/2) sqrt(I).  (Symmetric-mirror convention; for the
-    balanced split each mirror then carries exactly intensity I.)
+    balanced split each mirror then carries exactly intensity I.)  An array
+    of intensities gives the array of drives; numpy's square root is
+    correctly rounded, as math.sqrt is, so each drive has the same bits.
     """
-    if input_intensity < 0:
+    scalar = np.ndim(input_intensity) == 0
+    if (input_intensity < 0) if scalar else np.any(np.less(input_intensity, 0)):
         raise ValueError("input intensity must be nonnegative")
-    return 2.0 * math.sqrt(p.kappa / 2.0) * math.sqrt(input_intensity)
+    sqrt = math.sqrt if scalar else np.sqrt
+    return 2.0 * math.sqrt(p.kappa / 2.0) * sqrt(input_intensity)
 
 
 def input_intensity_for_drive(omega_d: float, p: SystemParams) -> float:

@@ -16,13 +16,15 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ParametricRegimeWarning, ParametricSingularity
+from .errors import ParametricRegimeWarning
 from .model import (
     Stability,
     SteadyState,
     SystemParams,
+    at_singularity,
     atomic_expectations,
-    intracavity_field,
+    dressed_cavity,
+    driven_field,
 )
 
 # Roots with n_c >= -EPS_ROOT are clamped to zero; more negative ones dropped.
@@ -46,16 +48,21 @@ class SelfConsistencyPolynomial:
     Coefficients are ascending (coeffs[k] multiplies n_c**k), degree <= 5.
     The constant term is -(a squared magnitude): <= 0 whenever omega_d > 0.
 
-    The drive enters only as a factor: coeffs = free - omega_d^2 drive, with
-    the drive-free factors ``free`` and ``drive`` kept alongside.  ``q`` is the
-    cleared denominator Q (free = n Q^2); it is None for |G| = 0, where the
-    positive Q was divided out and free = n Q.
+    The drive enters only as a factor: coeffs = free - omega_d^2 drive, from
+    the drive-free factors ``free`` and ``drive``, formed on first use (the
+    solver kernel and the curve geometry need only the factors).  ``q`` is
+    the cleared denominator Q (free = n Q^2); it is None for |G| = 0, where
+    the positive Q was divided out and free = n Q.
     """
 
-    coeffs: np.ndarray
     free: np.ndarray
     drive: np.ndarray
     q: np.ndarray | None
+    omega_d: float
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return _add(self.free, -(self.omega_d ** 2 * self.drive))
 
     @property
     def degree(self) -> int:
@@ -145,34 +152,35 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
         free, drive, q = _mulx(Q), DD, None
     else:
         free, drive, q = _mulx(np.convolve(Q, Q)), np.convolve(R, DD), Q
-    coeffs = _add(free, -(p.omega_d ** 2 * drive))
-    return SelfConsistencyPolynomial(coeffs=coeffs, free=free, drive=drive, q=q)
+    return SelfConsistencyPolynomial(free=free, drive=drive, q=q,
+                                     omega_d=p.omega_d)
 
 
-def _duplicates(n: np.ndarray) -> np.ndarray:
-    """Mask of the roots, in rows of ascending roots (NaN-padded at the end),
-    that lie within MERGE_RADIUS (relative) of the last root kept: a
-    near-double pair keeps its lower member."""
+def _merged(rows: np.ndarray, n: np.ndarray) -> np.ndarray | None:
+    """Mask of the roots ``n`` (grouped by ``rows``, ascending within a
+    row) that lie within MERGE_RADIUS (relative) of the last root kept in
+    their row: a near-double pair keeps its lower member.  None when no
+    two roots of a row are that close."""
     # a root can only merge into the last one kept if it is that close to
     # the root just below it, so the exact merge loop runs only where that
-    # adjacent check finds a pair.  A one-node solve masks twice; on one
-    # row the check takes ~11 us and the loop ~37 us (2-CPU Xeon, numpy
-    # 2.4), so skipping the loop saves ~10 % of a one-root solve
-    dup = np.zeros(n.shape, dtype=bool)
-    dup[:, 1:] = n[:, 1:] - n[:, :-1] <= MERGE_RADIUS * np.maximum(1.0, n[:, 1:])
-    if dup.any():
-        last = n[:, 0]
-        for k in range(1, n.shape[1]):
-            x = n[:, k]
-            dup[:, k] = x - last <= MERGE_RADIUS * np.maximum(1.0, x)
-            last = np.where(dup[:, k], last, x)
+    # adjacent check finds a pair
+    if len(n) < 2 or not np.any((rows[1:] == rows[:-1]) & (
+            n[1:] - n[:-1] <= MERGE_RADIUS * np.maximum(1.0, n[1:]))):
+        return None
+    dup = np.zeros(len(n), dtype=bool)
+    last_row = last = None
+    for k, (row, x) in enumerate(zip(rows.tolist(), n.tolist())):
+        if row == last_row and x - last <= MERGE_RADIUS * max(1.0, x):
+            dup[k] = True
+        else:
+            last_row, last = row, x
     return dup
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+def _real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The root rule: the distinct real roots n >= 0 of each row of
-    ascending coefficients (zero-padded at the top), ascending with NaN
-    where there is none, as an array of shape (rows, max(columns - 1, 1)).
+    ascending coefficients (zero-padded at the top), as the row index and
+    the root of each, grouped by row and ascending within a row.
 
     The roots of all rows of one degree come from one stacked eigvals of
     numpy.polynomial's companion matrices (Edelman & Murakami, Math. Comp.
@@ -181,10 +189,10 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     lower one.
     """
     degree = ((coeffs != 0.0) * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
-    found = np.full((len(coeffs), max(coeffs.shape[1] - 1, 1)), np.nan)
-    for d in set(degree.tolist()) - {0}:
-        rows = degree == d
-        c = coeffs[rows, :d + 1]
+    rows, roots = [], []
+    for d in sorted(set(degree.tolist()) - {0}):
+        at = np.flatnonzero(degree == d)
+        c = coeffs[at, :d + 1]
         if d == 1:
             z = -c[:, :1] / c[:, 1:]
         else:
@@ -195,17 +203,28 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
         re = z.real
         keep = ((np.abs(z.imag) <= IMAG_RTOL * np.maximum(1.0, np.abs(re)))
                 & (re >= -EPS_ROOT))
-        found[rows, :d] = np.sort(np.where(keep, np.maximum(re, 0.0), np.nan),
-                                  axis=1)
-    found[_duplicates(found)] = np.nan
-    return found
+        found = np.sort(np.where(keep, np.maximum(re, 0.0), np.nan), axis=1)
+        i, k = np.nonzero(~np.isnan(found))
+        rows.append(at[i])
+        roots.append(found[i, k])
+    if len(rows) == 1:
+        rows, roots = rows[0], roots[0]
+    else:
+        # rows of several degrees, or none: regroup by row
+        rows = np.concatenate([np.zeros(0, dtype=np.intp)] + rows)
+        order = np.argsort(rows, kind="stable")
+        rows, roots = rows[order], np.concatenate([np.zeros(0)] + roots)[order]
+    dup = _merged(rows, roots)
+    if dup is not None:
+        rows, roots = rows[~dup], roots[~dup]
+    return rows, roots
 
 
 def nonnegative_real_roots(coeffs) -> list[float]:
     """Sorted distinct real roots n >= 0 of a polynomial (ascending
     coefficients), by the solver's root rule (``_real_roots``)."""
-    row = _real_roots(np.atleast_1d(np.asarray(coeffs, dtype=float))[None, :])[0]
-    return row[~np.isnan(row)].tolist()
+    return _real_roots(
+        np.atleast_1d(np.asarray(coeffs, dtype=float))[None, :])[1].tolist()
 
 
 def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
@@ -289,8 +308,8 @@ def oracle_scan_bound(p: SystemParams) -> float:
     return max(100.0, 10.0 * p.omega_d ** 2 / (p.kappa / 2.0) ** 2)
 
 
-_STATE_ROWS = [2, 2, 3, 3, 4, 4, 4, 4]
-_STATE_COLS = [1, 4, 0, 4, 0, 1, 2, 3]
+# flat positions (5 row + column) of the Jacobian's constant entries
+_CONSTANT_AT = [0, 1, 3, 5, 6, 7, 12, 13, 17, 18, 24]
 
 
 def _jacobian_matrix(c_bar, sigma_minus, sigma_z, p: SystemParams) -> np.ndarray:
@@ -304,21 +323,21 @@ def _jacobian_matrix(c_bar, sigma_minus, sigma_z, p: SystemParams) -> np.ndarray
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
     k2 = p.kappa / 2.0
-    g = p.g
-    j = np.empty(sigma_z.shape + (5, 5))
-    j[...] = [
-        [-k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, 0.0, g, 0.0],
-        [-p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g, 0.0, 0.0],
-        [0.0, 0.0, -p.gamma / 2.0, p.delta_tls, 0.0],
-        [0.0, 0.0, -p.delta_tls, -p.gamma / 2.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -p.gamma],
-    ]
+    g, g2 = p.g, 2.0 * p.g
+    j = np.zeros(sigma_z.shape + (25,))
+    j[..., _CONSTANT_AT] = (
+        -k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, g,
+        -p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g,
+        -p.gamma / 2.0, p.delta_tls,
+        -p.delta_tls, -p.gamma / 2.0,
+        -p.gamma)
     # the entries that depend on the fixed point, each (+-2 g) times one of
     # its coordinates
-    j[..., _STATE_ROWS, _STATE_COLS] = np.stack(
-        (sigma_z, x2, sigma_z, x1, x4, x3, x2, x1), axis=-1) * np.array(
-        [-2.0 * g, -2.0 * g, 2.0 * g, 2.0 * g, -2.0 * g, 2.0 * g, 2.0 * g, -2.0 * g])
-    return j
+    for at, factor, x in ((11, -g2, sigma_z), (14, -g2, x2), (15, g2, sigma_z),
+                          (19, g2, x1), (20, -g2, x4), (21, g2, x3),
+                          (22, g2, x2), (23, -g2, x1)):
+        j[..., at] = factor * x
+    return j.reshape(sigma_z.shape + (5, 5))
 
 
 def jacobian(s: SteadyState, p: SystemParams) -> np.ndarray:
@@ -390,11 +409,13 @@ def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             f_fp = _horner(both, np.concatenate((n, n)))
             fp = f_fp[m:]
             step = f_fp[:m] / fp
+            size = np.abs(step)
             live &= fp != 0.0  # a zero derivative stops the root where it is
-            jump = live & (np.abs(step) > jump_at)
-            live &= ~jump
+            jump = live & (size > jump_at)
             n = np.where(jump, n0, np.where(live, n - step, n))
-            live &= ~(np.abs(step) < stop_at)
+            # a root that jumped or converged stops; so does a NaN step (P
+            # overflowed), whose NaN root further steps would keep
+            live &= (size <= jump_at) & (size >= stop_at)
             if not live.any():
                 break
     n = np.where((n < 0.0) | (np.abs(n - n0) > 1e-3 * scale), n0, n)
@@ -415,107 +436,107 @@ def _warn_undriven_singular(poly: SelfConsistencyPolynomial) -> None:
               RuntimeWarning)
 
 
-def solve_steady_nodes(nodes, tol_res: float = EPS_RES,
+def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
                        eps_stab: float = EPS_STAB) -> list[list[SteadyState]]:
-    """All self-consistent steady states at each of ``nodes``, parameter
-    sets that differ only in their drive omega_d; each node's list is sorted
-    by photon number.
+    """All self-consistent steady states of ``p`` at each of ``drives``, a
+    sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
+    that replaces ``p.omega_d``; each drive's list is sorted by photon
+    number.
 
     The drive enters the cleared polynomial only as P = free - omega_d^2
-    drive, so the drive-free factors are built once, from the first node.
-    The roots of every node come from one stacked companion-matrix eigvals, are
-    filtered to the real nonnegative axis and deduplicated within
-    MERGE_RADIUS, Newton-polished together, residual-checked against
-    ``tol_res`` times the polynomial scale, merged again (a state on a fold
-    is reported once), mapped to full mean-field states and classified with
-    one stacked Jacobian eigvals.  Roots at the parametric singularity
-    (denominator below the guard) are excluded with a RuntimeWarning.  An
-    undriven node has only the vacuum: its polynomial n Q^2 has exact double
-    roots at the singular states, which are excluded with a RuntimeWarning.
+    drive, so the drive-free factors are built once.  The roots of every
+    drive come from one stacked companion-matrix eigvals, are filtered to the
+    real nonnegative axis and deduplicated within MERGE_RADIUS,
+    Newton-polished together, residual-checked against ``tol_res`` times the
+    polynomial scale, and merged again (a state on a fold is reported once).
+    All kept roots are then mapped at once to full mean-field states by the
+    model's own formulas (``dressed_cavity``, ``driven_field``,
+    ``atomic_expectations``) and classified with one stacked Jacobian
+    eigvals.  Roots at the parametric singularity (denominator below the
+    guard) are excluded with a RuntimeWarning each.  An undriven node has
+    only the vacuum: its polynomial n Q^2 has exact double roots at the
+    singular states, which are excluded with a RuntimeWarning.
 
     Emits one ParametricRegimeWarning per call when the bare cavity is
     at/above the parametric threshold: the reported roots are still
     residual-verified, but branches at large n_c are typically unstable
     there.
     """
-    nodes = list(nodes)
-    if not nodes:
+    omegas = np.array(drives, dtype=float)
+    ws = omegas.tolist()
+    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
+        raise ValueError("drives must be a sequence of finite omega_d >= 0")
+    if not ws:
         return []
-    p = nodes[0]
-    if len(nodes) > 1:
-        shared = {**vars(p), "omega_d": 0.0}
-        if any({**vars(q), "omega_d": 0.0} != shared for q in nodes):
-            raise ValueError("nodes must differ only in omega_d")
     if bare_threshold_margin(p) <= 0.0:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
     poly = build_polynomial(p)
 
-    # P = free - omega_d^2 drive per node, squaring each drive as a float
-    # exactly as build_polynomial does; an undriven node's row is zero
-    w2 = np.array([q.omega_d ** 2 for q in nodes])
-    coeffs = np.zeros((len(nodes), max(len(poly.free), len(poly.drive))))
+    # P = free - omega_d^2 drive per node, squaring each drive as a Python
+    # float exactly as build_polynomial does (numpy's array square can
+    # differ by an ulp); an undriven node's row is zero
+    w2 = np.array([w ** 2 for w in ws])
+    coeffs = np.zeros((len(ws), max(len(poly.free), len(poly.drive))))
     coeffs[:, :len(poly.free)] = poly.free
     coeffs[:, :len(poly.drive)] -= w2[:, None] * poly.drive
-    undriven = [i for i, q in enumerate(nodes) if q.omega_d == 0.0]
+    undriven = [i for i, w in enumerate(ws) if w == 0.0]
     if undriven:
         coeffs[undriven] = 0.0
 
-    roots = _real_roots(coeffs)
-    at = np.nonzero(~np.isnan(roots))
-    n, res, mag = _polish(coeffs[at[0]], roots[at])
+    rows, roots = _real_roots(coeffs)
+    n, res, mag = _polish(coeffs[rows], roots)
     # residual acceptance scale: the float-evaluation magnitude
     # sum |c_k| n^k (>= the |c_lead| n^deg term that dominates for large
     # roots).  Anything smaller is below the reachable rounding floor for
     # small roots whose polynomial has large low-order coefficients.
     ok = ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
-    roots[at] = np.where(ok, n, np.nan)
-    resid = np.zeros(roots.shape)
-    resid[at] = res
+    if not ok.all():
+        rows, n, res = rows[ok], n[ok], res[ok]
     # Newton may swap a near-double pair, and it pulls both members of the
     # pair at a fold's own input to within the merge radius
-    order = (np.arange(len(nodes))[:, None], np.argsort(roots, axis=1))
-    roots, resid = roots[order], resid[order]
-    roots[_duplicates(roots)] = np.nan
+    if len(n) > 1 and np.any(rows[1:] == rows[:-1]):
+        order = np.lexsort((n, rows))
+        rows, n, res = rows[order], n[order], res[order]
+        dup = _merged(rows, n)
+        if dup is not None:
+            rows, n, res = rows[~dup], n[~dup], res[~dup]
+    if undriven:
+        # the vacuum, an undriven node's one state, after the driven ones
+        rows = np.concatenate((rows, undriven))
+        n, res = (np.concatenate((a, np.zeros(len(undriven)))) for a in (n, res))
 
-    kept: list[list[tuple]] = [[] for _ in nodes]
-    fixed_points = []  # (c_bar, sigma_minus, sigma_z) of every state kept
-    for q, row, row_res, states in zip(nodes, roots.tolist(), resid.tolist(),
-                                       kept):
-        if q.omega_d == 0.0:
-            states.append((0.0, 0.0 + 0.0j, 0.0 + 0.0j, -0.5, 0.0))
-            fixed_points.append((0.0 + 0.0j, 0.0 + 0.0j, -0.5))
-            continue
-        for n_c, r in zip(row, row_res):
-            if n_c != n_c:  # NaN: no root
-                continue
-            try:
-                c_bar = intracavity_field(n_c, q)
-            except ParametricSingularity:
-                _warn(f"root n_c={n_c:.9g} lies at the parametric singularity "
-                      "(denominator under the guard) and was excluded",
-                      RuntimeWarning)
-                continue
-            sigma_minus, sigma_z = atomic_expectations(c_bar, q)
-            states.append((n_c, c_bar, sigma_minus, sigma_z, r))
-            fixed_points.append((c_bar, sigma_minus, sigma_z))
+    w = omegas[rows]
+    kappa0, delta0, den = dressed_cavity(n, p)
+    singular = at_singularity(den, p)
+    if undriven:
+        # the vacuum is reported at any denominator: its field is 0
+        vacuum = slice(len(n) - len(undriven), None)
+        den[vacuum], singular[vacuum] = 1.0, False
+    if singular.any():
+        for n_c in n[singular].tolist():
+            _warn(f"root n_c={n_c:.9g} lies at the parametric singularity "
+                  "(denominator under the guard) and was excluded",
+                  RuntimeWarning)
+        keep = ~singular
+        rows, n, w, res = rows[keep], n[keep], w[keep], res[keep]
+        kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
     if undriven:
         _warn_undriven_singular(poly)
 
-    margins = []
-    if fixed_points:
-        c_bar, sigma_minus, sigma_z = zip(*fixed_points)
-        jacobians = _jacobian_matrix(np.array(c_bar), np.array(sigma_minus),
-                                     np.array(sigma_z), p)
-        margins = np.linalg.eigvals(jacobians).real.max(axis=1).tolist()
-    labels = iter(margins)
-    return [[SteadyState(n_c=n_c, c_bar=c_bar, sigma_minus_bar=sigma_minus,
-                         sigma_z_bar=sigma_z,
-                         stability=_stability(next(labels), eps_stab),
-                         residual=r)
-             for n_c, c_bar, sigma_minus, sigma_z, r in states]
-            for states in kept]
+    c_bar = driven_field(kappa0, delta0, den, w, p)
+    sigma_minus, sigma_z = atomic_expectations(c_bar, p)
+    margins = np.linalg.eigvals(
+        _jacobian_matrix(c_bar, sigma_minus, sigma_z, p)).real.max(axis=1)
+    states: list[list[SteadyState]] = [[] for _ in ws]
+    for row, n_c, c, sm, sz, r, margin in zip(
+            rows.tolist(), n.tolist(), c_bar.tolist(), sigma_minus.tolist(),
+            sigma_z.tolist(), res.tolist(), margins.tolist()):
+        states[row].append(SteadyState(
+            n_c=n_c, c_bar=c, sigma_minus_bar=sm, sigma_z_bar=sz,
+            stability=_stability(margin, eps_stab), residual=r))
+    return states
 
 
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
@@ -523,4 +544,5 @@ def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
     """All self-consistent steady states at ``p``, sorted by photon number:
     the one-node call of ``solve_steady_nodes``, which describes the method,
     the exclusions and the warnings."""
-    return solve_steady_nodes([p], tol_res=tol_res, eps_stab=eps_stab)[0]
+    return solve_steady_nodes(p, [p.omega_d], tol_res=tol_res,
+                              eps_stab=eps_stab)[0]

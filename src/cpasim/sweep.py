@@ -4,7 +4,10 @@ classification, and the absorption feasibility boundary map."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -13,11 +16,15 @@ from .cpa import (
     BranchLocation,
     critical_coupling,
     critical_detuning,
-    max_output_intensity,
     verify_cpa,
 )
 from .errors import AsymmetricMirrors, Infeasible, MalformedCurve, NonPositiveBeta
-from .model import Stability, SystemParams, drive_for_input_intensity
+from .model import (
+    Stability,
+    SystemParams,
+    drive_for_input_intensity,
+    output_intensities,
+)
 from .steady import (
     IMAG_RTOL,
     build_polynomial,
@@ -76,10 +83,6 @@ class BoundaryMap:
     region_mask: np.ndarray  # bool: fixed (g, delta_tls) admits absorption
 
 
-def _at_input(p: SystemParams, intensity: float) -> SystemParams:
-    return replace(p, omega_d=drive_for_input_intensity(intensity, p))
-
-
 def scan_folds(p: SystemParams, span: float) -> list[tuple[float, float]]:
     """All fold points (input_intensity, n_c) with input intensity at most
     ``span``, sorted by input.  The edge of a window anchored at zero input
@@ -128,28 +131,36 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
 
-    All grid nodes are solved by one call of ``steady.solve_steady_nodes``.
-    A root's branch id is the monotone segment of I(n) its photon number
-    lies in; two roots of one node on the same segment raise MalformedCurve.
+    All grid nodes are solved by one call of ``steady.solve_steady_nodes``,
+    and every root's output intensity comes from one array expression.  A
+    root's branch id is the monotone segment of I(n) its photon number lies
+    in; two roots of one node on the same segment raise MalformedCurve.
     """
-    grid = [float(x) for x in input_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    xs = [float(x) for x in input_grid]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("input intensities must be finite")
+    if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("input_grid must be sorted ascending")
-    if grid and grid[0] < 0.0:
+    if xs and xs[0] < 0.0:
         raise ValueError("input intensities must be >= 0")
-    if not grid:
+    if not xs:
         return HysteresisCurve(points=[], folds=[], cpa_markers=[],
                                pattern=PatternClass.MONOSTABLE)
 
     folds, edges = curve_geometry(build_polynomial(p), p.kappa)
-    nodes = [_at_input(p, intensity) for intensity in grid]
-    states_at = solve_steady_nodes(nodes)
-    ns = np.array([s.n_c for states in states_at for s in states])
+    drives = drive_for_input_intensity(np.array(xs), p)
+    states_at = solve_steady_nodes(p, drives)
+    counts = [len(states) for states in states_at]
+    flat = [s for states in states_at for s in states]
+    ns = np.array([s.n_c for s in flat])
     tol = IMAG_RTOL * np.maximum(1.0, ns)
     lo = np.searchsorted(edges, ns - tol).tolist()
     hi = np.searchsorted(edges, ns + tol).tolist()
+    outputs = np.maximum(*output_intensities(
+        np.array([s.c_bar for s in flat], dtype=complex),
+        np.repeat(drives, counts), p)).tolist()
     points: list[CurvePoint] = []
-    for intensity, p_run, states in zip(grid, nodes, states_at):
+    for intensity, states in zip(xs, states_at):
         first = len(points)
         ids = _branch_ids(lo[first:first + len(states)],
                           hi[first:first + len(states)])
@@ -159,14 +170,14 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
                 f"{intensity:.9g} (n_c = {[s.n_c for s in states]}, edges "
                 f"{edges.tolist()}): solver and curve geometry disagree")
         points += [CurvePoint(
-            input_intensity=intensity, n_c=s.n_c,
-            output_intensity=max_output_intensity(p_run, s.c_bar),
-            stability=s.stability, branch_id=k) for s, k in zip(states, ids)]
+            input_intensity=intensity, n_c=s.n_c, output_intensity=out,
+            stability=s.stability, branch_id=k)
+            for s, k, out in zip(states, ids, outputs[first:])]
 
     curve = HysteresisCurve(
-        points=points, folds=[f for f in folds if grid[0] <= f[0] <= grid[-1]],
+        points=points, folds=[f for f in folds if xs[0] <= f[0] <= xs[-1]],
         pattern=PatternClass.MONOSTABLE,
-        cpa_markers=_cpa_markers(p, grid[0], grid[-1]))
+        cpa_markers=_cpa_markers(p, xs[0], xs[-1]))
     curve.pattern = classify_pattern(curve)
     return curve
 
@@ -187,14 +198,13 @@ def classify_pattern(curve: HysteresisCurve) -> PatternClass:
     lo, hi = win
     if lo == 0.0:
         return PatternClass.UNCONVENTIONAL_BISTABLE
-    for intensity in sorted({q.input_intensity for q in curve.points}):
+    # one sorted pass groups the points by node, each node's by n_c
+    by_node = sorted(curve.points, key=attrgetter("input_intensity", "n_c"))
+    for intensity, pts in groupby(by_node, key=attrgetter("input_intensity")):
         if not (lo + WINDOW_MARGIN < intensity < hi - WINDOW_MARGIN):
             continue
-        pts = sorted((q for q in curve.points if q.input_intensity == intensity),
-                     key=lambda q: q.n_c)
-        if len(pts) < 2:
-            continue
-        if pts[-1].output_intensity <= pts[0].output_intensity:
+        pts = list(pts)
+        if len(pts) >= 2 and pts[-1].output_intensity <= pts[0].output_intensity:
             return PatternClass.UNCONVENTIONAL_BISTABLE
     return PatternClass.CONVENTIONAL_BISTABLE
 

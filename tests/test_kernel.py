@@ -1,11 +1,13 @@
 """The stacked steady-state kernel, steady.solve_steady_nodes: solving many
-drives at once changes no result, a state on a fold is reported once, a
-curve is one kernel call, and warnings come once per call, attributed to the
-caller's line."""
+drives at once changes no result, every state it maps at once equals the
+model's scalar formulas, a state on a fold is reported once, a curve is one
+kernel call with no parameter set per node, and warnings come once per
+call, attributed to the caller's line."""
 
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +16,19 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from oracles import count_sign_changes, root_scan_bound
-from test_curve_geometry import curve_params, positive_folds
+from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
 from test_sweep import reproduce_span
 from cpasim import steady, sweep
 from cpasim.cli import fig3_preset
+from cpasim.cpa import max_output_intensity
 from cpasim.errors import ParametricRegimeWarning
-from cpasim.model import SystemParams
+from cpasim.model import (
+    SystemParams,
+    atomic_expectations,
+    drive_for_input_intensity,
+    intracavity_field,
+)
 from cpasim.steady import (
     EPS_RES,
     EPS_ROOT,
@@ -31,13 +39,13 @@ from cpasim.steady import (
     solve_steady_nodes,
     solve_steady_states,
 )
-from cpasim.sweep import _at_input, scan_folds, trace_hysteresis
+from cpasim.sweep import scan_folds, trace_hysteresis
 
 FIG3 = [(tag, dtls) for tag in ("fig3a", "fig3b", "fig3c") for dtls in (4.5, 1.5)]
 
 
-def one_by_one(nodes):
-    return [solve_steady_states(q) for q in nodes]
+def one_by_one(p, drives):
+    return [solve_steady_states(replace(p, omega_d=w)) for w in drives]
 
 
 # The scalar path the kernel replaced, as the reference: numpy.polynomial's
@@ -103,12 +111,12 @@ def reference_points():
     for key in FIG3:
         p = fig3_preset(*key)
         for x in np.linspace(0.0, reproduce_span(p), 301)[1:]:
-            yield _at_input(p, x)
+            yield at_input(p, x)
         # on and beside the folds, Newton's first step can be huge there
         for x, _ in scan_folds(p, 1e5):
             if x > 0.0:
-                yield _at_input(p, x)
-                yield _at_input(p, x * (1.0 + 1e-14))
+                yield at_input(p, x)
+                yield at_input(p, x * (1.0 + 1e-14))
     rng = np.random.default_rng(7)
     for _ in range(300):
         yield random_params(rng)
@@ -139,12 +147,12 @@ def test_kernel_keeps_the_scalar_arithmetic():
 @pytest.mark.parametrize("key", FIG3)
 def test_batch_equals_one_node_calls_on_the_fig3_grids(key):
     p = fig3_preset(*key)
-    nodes = [_at_input(p, x) for x in np.linspace(0.0, reproduce_span(p), 301)]
+    drives = drive_for_input_intensity(np.linspace(0.0, reproduce_span(p), 301), p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert solve_steady_nodes(nodes) == one_by_one(nodes)
+        assert solve_steady_nodes(p, drives) == one_by_one(p, drives)
         # in any order: the zero-drive node last
-        assert solve_steady_nodes(nodes[::-1]) == one_by_one(nodes[::-1])
+        assert solve_steady_nodes(p, drives[::-1]) == one_by_one(p, drives[::-1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -165,11 +173,11 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
     top = 1.5 * max(folds, default=1.0)
     grid = np.union1d(np.linspace(0.0 if from_zero else top / count, top, count),
                       folds)
-    nodes = [_at_input(p, x) for x in grid]
+    drives = drive_for_input_intensity(grid, p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batched = solve_steady_nodes(nodes)
-        assert batched == one_by_one(nodes)
+        batched = solve_steady_nodes(p, drives)
+        assert batched == one_by_one(p, drives)
     if build_polynomial(p).degree == 0:
         assert all(states == [] for x, states in zip(grid, batched) if x > 0.0)
     # otherwise, root counts against the dense sign-change oracle, below
@@ -177,7 +185,7 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
     # count keeps a round root (the empty cavity's n = 6 at bound 12) off
     # the grid, where h = 0 would be no sign change
     elif bare_threshold_margin(p) > 0.0:
-        q = nodes[-1]
+        q = at_input(p, grid[-1])
         assert len(batched[-1]) == count_sign_changes(
             q, root_scan_bound(build_polynomial(q)), nodes=20000)
 
@@ -192,7 +200,7 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
     assert x == pytest.approx(fold_input, rel=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        states = solve_steady_states(_at_input(p, x))
+        states = solve_steady_states(at_input(p, x))
         curve = trace_hysteresis(p, [x])
     assert len(states) == 2
     assert sum(abs(s.n_c - n_fold) <= 1e-6 * n_fold for s in states) == 1
@@ -216,10 +224,10 @@ def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
         counts["eigvals"] += 1
         return eigvals(a)
 
-    def counting_kernel(nodes):
+    def counting_kernel(p, drives):
         before = counts["eigvals"]
-        out = kernel(nodes)
-        kernel_calls.append((len(nodes), counts["eigvals"] - before))
+        out = kernel(p, drives)
+        kernel_calls.append((len(drives), counts["eigvals"] - before))
         return out
 
     def per_node(*args, **kwargs):
@@ -253,14 +261,109 @@ def test_regime_warning_once_per_kernel_call_at_the_callers_line():
 
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        solve_steady_states(_at_input(p, grid[-1]))
+        solve_steady_states(at_input(p, grid[-1]))
     assert [w.category for w in seen] == [ParametricRegimeWarning]
     assert here(seen[0])
 
 
-def test_nodes_must_share_their_parameters():
+def test_a_curve_builds_no_parameter_set_per_node(monkeypatch):
+    # the grid reaches the kernel as an array of drives: the parameter sets
+    # a curve validates (verify_cpa's one at the CPA point) do not grow
+    # with the node count
     p = fig3_preset("fig3c", 4.5)
-    other = fig3_preset("fig3c", 1.5)
+    built = []
+    post_init = SystemParams.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SystemParams, "__post_init__", counting_post_init)
+    counts = []
+    for nodes in (11, 301):
+        built.clear()
+        trace_hysteresis(p, np.linspace(0.0, reproduce_span(p), nodes))
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_drives_and_grids_are_validated_at_entry(bad):
+    # a non-finite or negative entry is a ValueError at the boundary, not a
+    # numpy.linalg error from inside the stacked solve
+    p = fig3_preset("fig3c", 4.5)
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_nodes([_at_input(p, 1.0), _at_input(other, 1.0)])
-    assert solve_steady_nodes([]) == []
+        solve_steady_nodes(p, [1.0, bad])
+    with pytest.raises(ValueError, match="input"):
+        trace_hysteresis(p, [bad])
+    with pytest.raises(ValueError, match="input"):
+        trace_hysteresis(p, [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="omega_d"):
+        solve_steady_nodes(p, [[1.0]])
+    assert solve_steady_nodes(p, []) == []
+
+
+def assert_states_match_the_scalar_formulas(p, grid):
+    """Every state of the kernel and every curve point's output intensity
+    equal the model's scalar functions at that root, exactly."""
+    drives = drive_for_input_intensity(grid, p)
+    states_at = solve_steady_nodes(p, drives)
+    points = iter(trace_hysteresis(p, grid).points)
+    for w, states in zip(drives.tolist(), states_at):
+        q = replace(p, omega_d=w)
+        for s in states:
+            # the vacuum of an undriven node is reported even where the
+            # denominator at n = 0 is singular
+            assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
+            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                       s.sigma_z_bar)
+            point = next(points)
+            assert point.n_c == s.n_c
+            assert point.output_intensity == max_output_intensity(q, s.c_bar)
+    assert next(points, None) is None
+
+
+@pytest.mark.parametrize("key", FIG3)
+def test_states_match_the_scalar_formulas_on_the_fig3_grids(key):
+    p = fig3_preset(*key)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_states_match_the_scalar_formulas(
+            p, np.linspace(0.0, reproduce_span(p), 301))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(curve_params())
+@example(SystemParams(kappa_l=2.0, kappa_r=0.5, g=1.5, delta_c=1.0,
+                      delta_tls=-2.0))  # |G| = 0, kappa_l != kappa_r
+@example(SystemParams(kappa_l=2.0, kappa_r=3.0, delta_c=1.0, delta_tls=-1.0,
+                      g_nl_mag=0.4, phi=2.0))  # g = 0
+# g = 0 at the bare threshold: the denominator at n = 0 is exactly zero
+@example(SystemParams(kappa_l=1.0, kappa_r=1.0, g_nl_mag=0.5))
+@example(SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                      g=1.625, g_nl_mag=0.8484231337608631))  # bare threshold
+def test_states_match_the_scalar_formulas(p):
+    folds = [x for x, _ in positive_folds(p)]
+    grid = np.union1d(np.linspace(0.0, 1.5 * max(folds, default=1.0), 7), folds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_states_match_the_scalar_formulas(p, grid)
+
+
+def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
+    # a tiny drive pulls the pair at fig3a/4.5's undriven singular state so
+    # close to it that one polished root's denominator is under the guard
+    p = fig3_preset("fig3a", 4.5)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        states = solve_steady_nodes(p, [1e-10, 1.0])
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "parametric singularity" in str(seen[0].message) and here(seen[0])
+    assert [s.n_c < 1e-20 for s in states[0]] == [True]  # the near-vacuum root
+    for w, node in zip((1e-10, 1.0), states):
+        q = replace(p, omega_d=w)
+        for s in node:
+            assert s.c_bar == intracavity_field(s.n_c, q)
+            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                       s.sigma_z_bar)

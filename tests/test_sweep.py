@@ -15,17 +15,20 @@ from cpasim.errors import MalformedCurve
 from cpasim.model import Stability, SystemParams
 from cpasim.steady import jacobian, solve_steady_states
 from cpasim.sweep import (
+    CurvePoint,
+    HysteresisCurve,
     PatternClass,
-    _at_input,
     boundary_map,
+    classify_pattern,
     follow_sweep,
     scan_folds,
     trace_hysteresis,
 )
+from test_curve_geometry import at_input
 
 
 def root_count(p, intensity):
-    return len(solve_steady_states(_at_input(p, intensity)))
+    return len(solve_steady_states(at_input(p, intensity)))
 
 
 def quiet_trace(p, grid):
@@ -173,7 +176,7 @@ class TestFolds:
         assert len(folds) == 2
         for x, n_fold in folds:
             side = x - 1e-8 if root_count(p, x - 1e-8) == 3 else x + 1e-8
-            states = solve_steady_states(_at_input(p, side))
+            states = solve_steady_states(at_input(p, side))
             ns = [s.n_c for s in states]
             assert len(ns) == 3
             gaps = np.diff(ns)
@@ -193,7 +196,7 @@ class TestFolds:
         x, _ = folds[1]
 
         def gap_at(side):
-            ns = [s.n_c for s in solve_steady_states(_at_input(p, side))]
+            ns = [s.n_c for s in solve_steady_states(at_input(p, side))]
             return float(np.min(np.diff(ns)))
 
         assert gap_at(x - 1e-8) < 0.05 * gap_at(x - 1e-4)
@@ -210,7 +213,7 @@ class TestFolds:
                 lo = mid
             else:
                 hi = mid
-        states = solve_steady_states(_at_input(p, lo))
+        states = solve_steady_states(at_input(p, lo))
         ns = [s.n_c for s in states]
         gaps = np.diff(ns)
         i = int(np.argmin(gaps))
@@ -298,10 +301,28 @@ class TestClassify:
         # each root twice puts two roots on it at every node
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, delta_c=2.0)
         real = sweep.solve_steady_nodes
-        monkeypatch.setattr(sweep, "solve_steady_nodes", lambda nodes: [
-            states * 2 for states in real(nodes)])
+        monkeypatch.setattr(sweep, "solve_steady_nodes", lambda p, drives: [
+            states * 2 for states in real(p, drives)])
         with pytest.raises(MalformedCurve):
             trace_hysteresis(p, np.linspace(0.0, 10.0, 5))
+
+    def test_output_inversion_inside_the_window_is_unconventional(self):
+        # folds at positive input; at the interior node the largest-n_c
+        # root's output is below the smallest one's.  The points come
+        # unsorted: each node's points are compared in photon-number order
+        def point(x, n_c, out):
+            return CurvePoint(input_intensity=x, n_c=n_c, output_intensity=out,
+                              stability=Stability.STABLE, branch_id=0)
+
+        curve = HysteresisCurve(
+            points=[point(2.0, 9.0, 0.1), point(0.5, 1.0, 0.2),
+                    point(2.0, 1.0, 0.5), point(2.0, 4.0, 0.3),
+                    point(4.0, 9.0, 1.0)],
+            folds=[(1.0, 5.0), (3.0, 2.0)], pattern=PatternClass.MONOSTABLE,
+            cpa_markers=[])
+        assert classify_pattern(curve) is PatternClass.UNCONVENTIONAL_BISTABLE
+        curve.points[0] = point(2.0, 9.0, 0.6)
+        assert classify_pattern(curve) is PatternClass.CONVENTIONAL_BISTABLE
 
     def test_conventional_needs_upper_branch_above_lower(self, fig3_params):
         # same fold structure, but the anchored-window case inverts the

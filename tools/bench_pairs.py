@@ -1,0 +1,174 @@
+"""Compare two checkouts of cpasim on benchmark workloads, in alternating
+pairs, and write a JSON summary.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload fig3_sweeps --workload steady_batch \
+        --pairs 10 --seconds 25 --seed 1 --out BENCH_8.json
+
+Each tree runs its own ``bench/run.py --trace 0`` in a fresh interpreter,
+from its own root, one run at a time.  ``--workload`` may be repeated; the
+workloads run one after the other.  Pair i uses seed ``--seed + i``; the
+parent runs first in even-numbered pairs (counting from 0) and the change
+first in odd ones.  Per workload, the summary holds every run's result,
+each end-to-end metric's median and quartiles per side, the pairs each side
+won (by the metric's ``better`` direction in the change's
+``BENCHMARK.json``), the gain test (the change wins at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range), and how much worse the change's median is than the parent's, as a
+fraction, against the metric's bound.  The machine, Python, numpy and scipy
+versions and the repeat count are recorded once.  Only the standard
+library is used; both trees should be in the same bytecode state (both with
+or both without ``__pycache__``), since the set-up probe times imports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib import metadata
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=20 * seconds + 600)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited with "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["seed"] = seed
+    return result
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def version(package: str) -> str | None:
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in runs}
+        wins = {"change": 0, "parent": 0, "ties": 0}
+        for a, b in zip(values["parent"], values["change"]):
+            d = sign * (b - a)
+            wins["change" if d > 0 else "parent" if d < 0 else "ties"] += 1
+        q = {side: quartiles(v) for side, v in values.items()}
+        p_med, c_med = q["parent"][1], q["change"][1]
+        spread = q["parent"][2] - q["parent"][0]
+        worse_by = (-sign * (c_med - p_med) / abs(p_med)) if p_med else 0.0
+        metrics[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "parent": {"median": p_med, "quartiles": [q["parent"][0], q["parent"][2]],
+                       "values": values["parent"]},
+            "change": {"median": c_med, "quartiles": [q["change"][0], q["change"][2]],
+                       "values": values["change"]},
+            "wins": wins,
+            "change_over_parent": c_med / p_med if p_med else None,
+            "gain": (wins["change"] >= 0.9 * len(values["parent"])
+                     and sign * (c_med - p_med) > spread),
+            "worse_by": worse_by,
+            "within_bound": worse_by <= m["bound"],
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="root of the parent checkout")
+    ap.add_argument("--change", required=True, help="root of the changed checkout")
+    ap.add_argument("--workload", required=True, action="append")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--out", required=True, help="summary JSON to write")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    for tree in trees.values():
+        if not os.path.isfile(os.path.join(tree, "bench", "run.py")):
+            ap.error(f"no bench/run.py under {tree}")
+    with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    for workload in args.workload:
+        if workload not in [w["name"] for w in spec["workloads"]]:
+            ap.error(f"unknown workload {workload!r}")
+
+    summary = {
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "order": "parent first in even pairs (from 0), change first in odd",
+        "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
+                    "platform": platform.platform()},
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_bench(trees[side], workload, seed, args.seconds))
+            print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} "
+                  "first): " + ", ".join(
+                      f"{side} {runs[side][-1]['metrics']['work_per_s']['value']:.4g}"
+                      for side in ("parent", "change")) + " work/s", file=sys.stderr)
+        summary["workloads"][workload] = {
+            "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
+            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "attempted": {side: sum(r["attempted"] for r in rs)
+                          for side, rs in runs.items()},
+            "metrics": summarize(runs, spec),
+            "runs": runs,
+        }
+        # written after each workload, so a long comparison keeps what it has
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=1)
+            fh.write("\n")
+        for name, m in summary["workloads"][workload]["metrics"].items():
+            print(f"{workload} {name:12s} parent {m['parent']['median']:.4g} "
+                  f"[{m['parent']['quartiles'][0]:.4g}, {m['parent']['quartiles'][1]:.4g}]"
+                  f"  change {m['change']['median']:.4g} "
+                  f"[{m['change']['quartiles'][0]:.4g}, {m['change']['quartiles'][1]:.4g}]"
+                  f"  change wins {m['wins']['change']}/{args.pairs}"
+                  f"{'  GAIN' if m['gain'] else ''}"
+                  f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
