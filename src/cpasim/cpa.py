@@ -145,13 +145,13 @@ def max_output_intensity(p_run: SystemParams, c_bar: complex) -> float:
     return max(output_intensities(c_bar, p_run.omega_d, p_run))
 
 
-def _branch_location(p_run: SystemParams, input_intensity: float,
+def _branch_location(folds: list[tuple[float, float]], input_intensity: float,
                      root_stability: Stability
                      ) -> tuple[BranchLocation, tuple[float, float] | None]:
     """Place a root at ``input_intensity`` against the fold window of the
-    curve (folds up to 2.5x that input), with WINDOW_MARGIN on both edges."""
+    curve's ``folds`` (those up to 2.5x that input), with WINDOW_MARGIN on
+    both edges."""
     span = max(2.5 * input_intensity, 1.0)
-    folds, _ = curve_geometry(build_polynomial(p_run), p_run.kappa)
     xs = [x for x, _ in folds if x <= span]
     if not xs:
         return BranchLocation.MONOSTABLE, None
@@ -167,14 +167,15 @@ def _branch_location(p_run: SystemParams, input_intensity: float,
     return loc, (lo, hi)
 
 
-def verify_cpa(p: SystemParams) -> CPAReport:
-    """Assemble the operating point, check every condition, and confirm by
-    direct computation of both output fields at the solved steady state.
+def cpa_operating_point(p: SystemParams) -> CPAReport:
+    """The condition stack of ``verify_cpa``: the operating point and every
+    closed-form condition, without solving.
 
-    The conditions are treated as necessary only: feasibility is granted when
-    the solver finds the predicted root and both mean outputs vanish to
-    NULLING_RTOL times the input intensity.  ``delta_c`` is never adjusted:
-    a mismatch against the required value is reported as infeasible.
+    A report with reasons is final (infeasible, no branch location).  One
+    without reasons carries the operating drive ``omega_d_cpa`` and awaits
+    ``place_cpa`` with the steady states at that drive.  Raises
+    NonPositiveBeta when beta <= 0, and AsymmetricMirrors for a positive
+    photon number with unequal mirrors.
     """
     n_cpa = cpa_photon_number(p)  # raises NonPositiveBeta
     beta, _ = soc_effective_params(p)
@@ -198,36 +199,60 @@ def verify_cpa(p: SystemParams) -> CPAReport:
     if abs(p.delta_c - dc_req) > 1e-9 * p.gamma * max(1.0, abs(dc_req) / p.gamma):
         reasons.append("CavityDetuningMismatch")
 
-    if reasons:
-        omega_d, intensity = (cpa_input_amplitude(p, n_cpa) if n_cpa > 0
-                              else (0.0, 0.0))
-        return CPAReport(
-            n_c_cpa=n_cpa, delta_c_required=dc_req, omega_d_cpa=omega_d,
-            input_intensity=intensity, feasible=False, reasons=reasons,
-            residual_out=math.nan, branch_location=None, cooperativity=coop)
-
-    omega_d, intensity = cpa_input_amplitude(p, n_cpa)  # raises AsymmetricMirrors
-    p_run = replace(p, omega_d=omega_d)
-    roots = solve_steady_states(p_run)
-    match = min(roots, key=lambda s: abs(s.n_c - n_cpa), default=None)
-    if match is None or abs(match.n_c - n_cpa) > ROOT_MATCH_RTOL * n_cpa:
-        return CPAReport(
-            n_c_cpa=n_cpa, delta_c_required=dc_req, omega_d_cpa=omega_d,
-            input_intensity=intensity, feasible=False,
-            reasons=["SolverRootMismatch"], residual_out=math.nan,
-            branch_location=None, cooperativity=coop)
-
-    residual_out = max_output_intensity(p_run, match.c_bar)
-    feasible = residual_out < NULLING_RTOL * intensity
-
-    location, window = _branch_location(p_run, intensity, match.stability)
-    if not feasible:
-        reasons.append("OutputsNotNulled")
+    # without reasons n_cpa > 0
+    omega_d, intensity = (cpa_input_amplitude(p, n_cpa) if n_cpa > 0
+                          else (0.0, 0.0))  # raises AsymmetricMirrors
     return CPAReport(
         n_c_cpa=n_cpa, delta_c_required=dc_req, omega_d_cpa=omega_d,
-        input_intensity=intensity, feasible=feasible, reasons=reasons,
-        residual_out=residual_out, branch_location=location,
-        cooperativity=coop, fold_window=window, stability=match.stability)
+        input_intensity=intensity, feasible=False, reasons=reasons,
+        residual_out=math.nan, branch_location=None, cooperativity=coop)
+
+
+def place_cpa(point: CPAReport, p: SystemParams, states,
+              folds: list[tuple[float, float]]) -> CPAReport:
+    """Complete an operating point of ``cpa_operating_point`` (one without
+    reasons) from ``states``, the (n_c, c_bar, stability) of every steady
+    state of ``p`` at the drive ``point.omega_d_cpa``, and ``folds``, the
+    curve's folds from ``steady.curve_geometry``.
+
+    The state nearest the predicted photon number must match it to
+    ROOT_MATCH_RTOL, else the report is SolverRootMismatch.  Feasibility
+    needs both output intensities there below NULLING_RTOL times the input
+    intensity; the branch location places the state against the fold
+    window.
+    """
+    n_cpa, intensity = point.n_c_cpa, point.input_intensity
+    match = min(states, key=lambda s: abs(s[0] - n_cpa), default=None)
+    if match is None or abs(match[0] - n_cpa) > ROOT_MATCH_RTOL * n_cpa:
+        return replace(point, reasons=["SolverRootMismatch"])
+    _, c_bar, stability = match
+    residual_out = max(output_intensities(c_bar, point.omega_d_cpa, p))
+    feasible = residual_out < NULLING_RTOL * intensity
+    location, window = _branch_location(folds, intensity, stability)
+    return replace(point, feasible=feasible,
+                   reasons=[] if feasible else ["OutputsNotNulled"],
+                   residual_out=residual_out, branch_location=location,
+                   fold_window=window, stability=stability)
+
+
+def verify_cpa(p: SystemParams) -> CPAReport:
+    """Assemble the operating point, check every condition, and confirm by
+    direct computation of both output fields at the solved steady state:
+    ``cpa_operating_point``, then ``place_cpa`` with a one-node solve at the
+    operating drive and the curve's own geometry.
+
+    The conditions are treated as necessary only: feasibility is granted when
+    the solver finds the predicted root and both mean outputs vanish to
+    NULLING_RTOL times the input intensity.  ``delta_c`` is never adjusted:
+    a mismatch against the required value is reported as infeasible.
+    """
+    point = cpa_operating_point(p)
+    if point.reasons:
+        return point
+    p_run = replace(p, omega_d=point.omega_d_cpa)
+    states = [(s.n_c, s.c_bar, s.stability) for s in solve_steady_states(p_run)]
+    folds, _ = curve_geometry(build_polynomial(p), p.kappa)
+    return place_cpa(point, p, states, folds)
 
 
 def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import yaml
@@ -17,7 +18,7 @@ from .cpa import CPAReport, cpa_cavity_detuning
 from .dynamics import TimeTrace
 from .errors import IoError, ParseError, ValidationError
 from .model import SystemParams
-from .sweep import BoundaryMap, CurvePoint, HysteresisCurve
+from .sweep import BoundaryMap, HysteresisCurve
 from .steady import EPS_RES, EPS_STAB
 
 _SCALAR_KEYS = {
@@ -225,10 +226,11 @@ def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     lines: list[str] = []
     if isinstance(result, HysteresisCurve):
         lines.append("input_intensity,n_c,output_intensity,stability,branch_id")
-        pts = sorted(result.points, key=lambda q: (q.input_intensity, q.n_c))
+        pts = sorted(result.points, key=attrgetter("input_intensity", "n_c"))
         for q in pts:
             lines.append(f"{_fmt(q.input_intensity * gs)},{_fmt(q.n_c)},"
-                         f"{_fmt(q.output_intensity * gs)},{q.stability},{q.branch_id}")
+                         f"{_fmt(q.output_intensity * gs)},{q.stability.value},"
+                         f"{q.branch_id}")
     elif isinstance(result, BoundaryMap):
         lines.append("beta,g_c,delta_tls_c,feasible")
         for b, g_c, d_c, ok in zip(result.axis, result.g_c_curve,
@@ -302,11 +304,12 @@ class _Plot:
                 f'font-size="16">{title}</text>')
         self._frame(xlabel, ylabel)
 
-    def x(self, v: float) -> float:
+    # pixel coordinates of a value, or elementwise of an array of values
+    def x(self, v):
         lo, hi = self.xr
         return _ML + (v - lo) / (hi - lo) * (_W - _ML - _MR)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         lo, hi = self.yr
         return _H - _MB - (v - lo) / (hi - lo) * (_H - _MT - _MB)
 
@@ -335,7 +338,9 @@ class _Plot:
             f'transform="rotate(-90 16 {(y0 + y1) / 2:.6g})">{ylabel}</text>')
 
     def polyline(self, xs, ys, color, dash=None, width=1.6):
-        pts = " ".join(f"{self.x(a):.6g},{self.y(b):.6g}" for a, b in zip(xs, ys))
+        px = self.x(np.asarray(xs, dtype=float)).tolist()
+        py = self.y(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(px, py))
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(f'<polyline points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{width}"{d}/>')
@@ -370,32 +375,33 @@ class _Plot:
 
 
 def _svg_curve(curve: HysteresisCurve, gs: float, title) -> str:
-    pts = sorted(curve.points, key=lambda q: (q.branch_id, q.input_intensity, q.n_c))
-    xr = _axis_range([q.input_intensity * gs for q in pts] or [0.0])
-    yr = _axis_range([q.output_intensity * gs for q in pts] or [0.0])
+    pts = sorted(curve.points,
+                 key=attrgetter("branch_id", "input_intensity", "n_c"))
+    inputs = np.array([q.input_intensity for q in pts])
+    outputs = np.array([q.output_intensity for q in pts])
+    xs, ys = inputs * gs, outputs * gs
+    xr = _axis_range(xs.tolist() or [0.0])
+    yr = _axis_range(ys.tolist() or [0.0])
     plot = _Plot(xr, yr, "input intensity", "output intensity", title)
-    # branch polylines split where the stability class changes
-    by_branch: dict[int, list[CurvePoint]] = {}
-    for q in pts:
-        by_branch.setdefault(q.branch_id, []).append(q)
+    # one polyline per run of a branch's points [lo, i) of one stability; the
+    # next run of the branch starts at the run's last point
     palette = ["#1f5fa8", "#c23b22", "#2e8b57", "#8860b2", "#b8860b"]
-    for bid in sorted(by_branch):
-        seg: list[CurvePoint] = []
-        color = palette[bid % len(palette)]
-        for q in by_branch[bid] + [None]:
-            if q is not None and (not seg or q.stability is seg[-1].stability):
-                seg.append(q)
-                continue
-            if len(seg) >= 2:
-                plot.polyline([s.input_intensity * gs for s in seg],
-                              [s.output_intensity * gs for s in seg],
-                              color, _DASH[str(seg[-1].stability)])
-            seg = [seg[-1], q] if (q is not None and seg) else ([q] if q else [])
-    for f_in, f_n in curve.folds:
-        near = min(pts, key=lambda q: abs(q.input_intensity - f_in) + abs(q.n_c - f_n),
-                   default=None)
-        if near is not None:
-            plot.diamond(f_in * gs, near.output_intensity * gs, "#444444")
+    lo = 0
+    for i in range(1, len(pts) + 1):
+        same_branch = i < len(pts) and pts[i].branch_id == pts[lo].branch_id
+        if same_branch and pts[i].stability is pts[i - 1].stability:
+            continue
+        if i - lo >= 2:
+            plot.polyline(xs[lo:i], ys[lo:i],
+                          palette[pts[lo].branch_id % len(palette)],
+                          _DASH[pts[i - 1].stability.value])
+        lo = i - 1 if same_branch else i
+    if pts:
+        n_c = np.array([q.n_c for q in pts])
+        for f_in, f_n in curve.folds:
+            # the first point nearest the fold
+            near = np.argmin(np.abs(inputs - f_in) + np.abs(n_c - f_n))
+            plot.diamond(f_in * gs, pts[near].output_intensity * gs, "#444444")
     n_a = n_b = 0
     for m in curve.cpa_markers:
         if m.observable:

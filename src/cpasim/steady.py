@@ -1,8 +1,10 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
-One kernel, ``solve_steady_nodes``, solves any number of drives of one
-parameter set at once; ``solve_steady_states`` is its one-node call."""
+One kernel, ``solve_steady_columns``, solves any number of drives of one
+parameter set at once and returns the kept roots as columns;
+``solve_steady_nodes`` is their per-node view and ``solve_steady_states``
+its one-node call."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -436,12 +439,25 @@ def _warn_undriven_singular(poly: SelfConsistencyPolynomial) -> None:
               RuntimeWarning)
 
 
-def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
-                       eps_stab: float = EPS_STAB) -> list[list[SteadyState]]:
+class SteadyColumns(NamedTuple):
+    """The steady states kept by one kernel call, as columns: entry k of
+    each is one state, and the states are grouped by ``node`` (the index of
+    their drive in the call) and sorted by photon number within a node."""
+
+    node: np.ndarray  # int
+    n_c: np.ndarray
+    c_bar: np.ndarray  # complex
+    sigma_minus: np.ndarray  # complex
+    sigma_z: np.ndarray
+    residual: np.ndarray
+    stability: list[Stability]
+
+
+def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
+                         eps_stab: float = EPS_STAB) -> SteadyColumns:
     """All self-consistent steady states of ``p`` at each of ``drives``, a
     sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
-    that replaces ``p.omega_d``; each drive's list is sorted by photon
-    number.
+    that replaces ``p.omega_d``, as columns (see ``SteadyColumns``).
 
     The drive enters the cleared polynomial only as P = free - omega_d^2
     drive, so the drive-free factors are built once.  The roots of every
@@ -466,9 +482,7 @@ def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
     ws = omegas.tolist()
     if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
         raise ValueError("drives must be a sequence of finite omega_d >= 0")
-    if not ws:
-        return []
-    if bare_threshold_margin(p) <= 0.0:
+    if ws and bare_threshold_margin(p) <= 0.0:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
@@ -503,16 +517,18 @@ def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
         if dup is not None:
             rows, n, res = rows[~dup], n[~dup], res[~dup]
     if undriven:
-        # the vacuum, an undriven node's one state, after the driven ones
-        rows = np.concatenate((rows, undriven))
-        n, res = (np.concatenate((a, np.zeros(len(undriven)))) for a in (n, res))
+        # the vacuum, an undriven node's one state (its row has no roots),
+        # inserted in node order
+        at = np.searchsorted(rows, undriven)
+        rows = np.insert(rows, at, undriven)
+        n, res = np.insert(n, at, 0.0), np.insert(res, at, 0.0)
+        vacuum = at + np.arange(len(undriven))
 
     w = omegas[rows]
     kappa0, delta0, den = dressed_cavity(n, p)
     singular = at_singularity(den, p)
     if undriven:
         # the vacuum is reported at any denominator: its field is 0
-        vacuum = slice(len(n) - len(undriven), None)
         den[vacuum], singular[vacuum] = 1.0, False
     if singular.any():
         for n_c in n[singular].tolist():
@@ -529,20 +545,28 @@ def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
     margins = np.linalg.eigvals(
         _jacobian_matrix(c_bar, sigma_minus, sigma_z, p)).real.max(axis=1)
-    states: list[list[SteadyState]] = [[] for _ in ws]
-    for row, n_c, c, sm, sz, r, margin in zip(
-            rows.tolist(), n.tolist(), c_bar.tolist(), sigma_minus.tolist(),
-            sigma_z.tolist(), res.tolist(), margins.tolist()):
-        states[row].append(SteadyState(
-            n_c=n_c, c_bar=c, sigma_minus_bar=sm, sigma_z_bar=sz,
-            stability=_stability(margin, eps_stab), residual=r))
+    return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res,
+                         [_stability(m, eps_stab) for m in margins.tolist()])
+
+
+def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
+                       eps_stab: float = EPS_STAB) -> list[list[SteadyState]]:
+    """The states of ``solve_steady_columns`` (which describes the method,
+    the exclusions and the warnings) as one list per drive, sorted by
+    photon number."""
+    cols = solve_steady_columns(p, drives, tol_res=tol_res, eps_stab=eps_stab)
+    states: list[list[SteadyState]] = [[] for _ in range(len(drives))]
+    for node, *state in zip(
+            cols.node.tolist(), cols.n_c.tolist(), cols.c_bar.tolist(),
+            cols.sigma_minus.tolist(), cols.sigma_z.tolist(), cols.stability,
+            cols.residual.tolist()):
+        states[node].append(SteadyState(*state))
     return states
 
 
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
                         eps_stab: float = EPS_STAB) -> list[SteadyState]:
     """All self-consistent steady states at ``p``, sorted by photon number:
-    the one-node call of ``solve_steady_nodes``, which describes the method,
-    the exclusions and the warnings."""
+    the one-node call of ``solve_steady_nodes``."""
     return solve_steady_nodes(p, [p.omega_d], tol_res=tol_res,
                               eps_stab=eps_stab)[0]

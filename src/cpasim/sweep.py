@@ -14,9 +14,10 @@ import numpy as np
 from .cpa import (
     WINDOW_MARGIN,
     BranchLocation,
+    cpa_operating_point,
     critical_coupling,
     critical_detuning,
-    verify_cpa,
+    place_cpa,
 )
 from .errors import AsymmetricMirrors, Infeasible, MalformedCurve, NonPositiveBeta
 from .model import (
@@ -29,7 +30,7 @@ from .steady import (
     IMAG_RTOL,
     build_polynomial,
     curve_geometry,
-    solve_steady_nodes,
+    solve_steady_columns,
 )
 # not called here: the benchmark's tracer (bench/tracer.py) wraps this name
 from .steady import solve_steady_states  # noqa: F401
@@ -91,39 +92,27 @@ def scan_folds(p: SystemParams, span: float) -> list[tuple[float, float]]:
     return [f for f in folds if f[0] <= span]
 
 
-def _cpa_markers(p: SystemParams, grid_lo: float,
-                 grid_hi: float) -> list[CPAMarker]:
-    # the operating point and placement verify_cpa reports
-    try:
-        report = verify_cpa(p)
-    except (NonPositiveBeta, AsymmetricMirrors):
-        return []
-    if (report.branch_location is None
-            or not grid_lo <= report.input_intensity <= grid_hi):
-        return []
-    return [CPAMarker(input_intensity=report.input_intensity,
-                      output_intensity=report.residual_out,
-                      branch=report.branch_location,
-                      observable=report.stability is Stability.STABLE)]
-
-
-def _branch_ids(lo: list[int], hi: list[int]) -> list[int] | None:
-    """Segment index of each root of one node (ascending n_c), given the
-    range [lo, hi] of segments its photon number allows, or None when two
-    roots share a segment.
+def _branch_ids(node: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Segment index of each root, given the node of each (grouped, ascending
+    n_c within a node) and the lowest segment its photon number allows: the
+    lowest segment at or above that and above the one taken by the root
+    below it in its node, k_i = max(lo_i, k_{i-1} + 1).  The caller checks
+    k against the highest segment the root allows.
 
     Near a fold the merging pair is a near-double root of the polynomial,
     which the solver resolves only to IMAG_RTOL: both members may land on
-    one side of the fold's edge.  A root that close to an edge takes the
-    lowest of its two segments not taken by the root below it.
+    one side of the fold's edge, and the upper one then takes the next
+    segment.
     """
-    ids: list[int] = []
-    for a, b in zip(lo, hi):
-        k = max(a, ids[-1] + 1 if ids else 0)
-        if k > b:
-            return None
-        ids.append(k)
-    return ids
+    # with r the root's rank in its node, k_i = r_i + max(lo_j - r_j) over
+    # the roots j <= i of its node: one running maximum, with each node's
+    # values offset above all earlier nodes'
+    i = np.arange(len(node))
+    first = np.ones(len(node), dtype=bool)
+    first[1:] = node[1:] != node[:-1]
+    rank = i - np.maximum.accumulate(np.where(first, i, 0))
+    offset = node * (lo.max(initial=0) + len(node) + 1)
+    return rank + np.maximum.accumulate(lo - rank + offset) - offset
 
 
 def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
@@ -131,10 +120,14 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
 
-    All grid nodes are solved by one call of ``steady.solve_steady_nodes``,
-    and every root's output intensity comes from one array expression.  A
-    root's branch id is the monotone segment of I(n) its photon number lies
-    in; two roots of one node on the same segment raise MalformedCurve.
+    All grid nodes are solved by one call of ``steady.solve_steady_columns``,
+    whose columns become the curve points in one pass, and every root's
+    output intensity comes from one array expression.  A root's branch id is
+    the monotone segment of I(n) its photon number lies in; two roots of one
+    node on the same segment raise MalformedCurve.  When the CPA input
+    (``cpa.cpa_operating_point``) lies in the grid's range, its drive is one
+    more node of the same call, and ``cpa.place_cpa`` places its states
+    against the curve's folds, as ``verify_cpa`` does.
     """
     xs = [float(x) for x in input_grid]
     if not all(map(math.isfinite, xs)):
@@ -148,36 +141,49 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
                                pattern=PatternClass.MONOSTABLE)
 
     folds, edges = curve_geometry(build_polynomial(p), p.kappa)
-    drives = drive_for_input_intensity(np.array(xs), p)
-    states_at = solve_steady_nodes(p, drives)
-    counts = [len(states) for states in states_at]
-    flat = [s for states in states_at for s in states]
-    ns = np.array([s.n_c for s in flat])
-    tol = IMAG_RTOL * np.maximum(1.0, ns)
-    lo = np.searchsorted(edges, ns - tol).tolist()
-    hi = np.searchsorted(edges, ns + tol).tolist()
-    outputs = np.maximum(*output_intensities(
-        np.array([s.c_bar for s in flat], dtype=complex),
-        np.repeat(drives, counts), p)).tolist()
-    points: list[CurvePoint] = []
-    for intensity, states in zip(xs, states_at):
-        first = len(points)
-        ids = _branch_ids(lo[first:first + len(states)],
-                          hi[first:first + len(states)])
-        if ids is None:
-            raise MalformedCurve(
-                f"two steady states on one monotone segment at input "
-                f"{intensity:.9g} (n_c = {[s.n_c for s in states]}, edges "
-                f"{edges.tolist()}): solver and curve geometry disagree")
-        points += [CurvePoint(
-            input_intensity=intensity, n_c=s.n_c, output_intensity=out,
-            stability=s.stability, branch_id=k)
-            for s, k, out in zip(states, ids, outputs[first:])]
+    grid = np.array(xs)
+    drives = drive_for_input_intensity(grid, p)
+    try:
+        point = cpa_operating_point(p)
+    except (NonPositiveBeta, AsymmetricMirrors):
+        point = None
+    if point is not None and not point.reasons and (
+            xs[0] <= point.input_intensity <= xs[-1]):
+        drives = np.append(drives, point.omega_d_cpa)
+    else:
+        point = None
+    roots = solve_steady_columns(p, drives)
+    # the grid's roots, then the CPA node's
+    m = int(np.searchsorted(roots.node, len(xs)))
+    node, n = roots.node[:m], roots.n_c[:m]
+    tol = IMAG_RTOL * np.maximum(1.0, n)
+    ids = _branch_ids(node, np.searchsorted(edges, n - tol))
+    bad = np.flatnonzero(ids > np.searchsorted(edges, n + tol))
+    if bad.size:
+        at = node[bad[0]]
+        raise MalformedCurve(
+            f"two steady states on one monotone segment at input "
+            f"{xs[at]:.9g} (n_c = {n[node == at].tolist()}, edges "
+            f"{edges.tolist()}): solver and curve geometry disagree")
+    outputs = np.maximum(*output_intensities(roots.c_bar[:m], drives[node], p))
+    points = list(map(CurvePoint, grid[node].tolist(), n.tolist(),
+                      outputs.tolist(), roots.stability[:m],
+                      ids.tolist()))
 
+    markers = []
+    if point is not None:
+        placed = place_cpa(point, p, zip(
+            roots.n_c[m:].tolist(), roots.c_bar[m:].tolist(),
+            roots.stability[m:]), folds)
+        if placed.branch_location is not None:
+            markers.append(CPAMarker(
+                input_intensity=placed.input_intensity,
+                output_intensity=placed.residual_out,
+                branch=placed.branch_location,
+                observable=placed.stability is Stability.STABLE))
     curve = HysteresisCurve(
         points=points, folds=[f for f in folds if xs[0] <= f[0] <= xs[-1]],
-        pattern=PatternClass.MONOSTABLE,
-        cpa_markers=_cpa_markers(p, xs[0], xs[-1]))
+        pattern=PatternClass.MONOSTABLE, cpa_markers=markers)
     curve.pattern = classify_pattern(curve)
     return curve
 

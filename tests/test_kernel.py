@@ -19,9 +19,9 @@ from oracles import count_sign_changes, root_scan_bound
 from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
 from test_sweep import reproduce_span
-from cpasim import steady, sweep
+from cpasim import cpa, steady, sweep
 from cpasim.cli import fig3_preset
-from cpasim.cpa import max_output_intensity
+from cpasim.cpa import BranchLocation, max_output_intensity
 from cpasim.errors import ParametricRegimeWarning
 from cpasim.model import (
     SystemParams,
@@ -210,13 +210,14 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
 
 @pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 3), (1.0, 2)])
 def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
-    # no per-node loop: the grid is one kernel call with one companion and
-    # one Jacobian eigvals, plus, for an undriven node at I = 0, one for the
-    # zeros of Q that its warning names; the CPA marker's own solve is left
-    # out
+    # no per-node loop and no second solve: the grid and the CPA drive are
+    # one kernel call with one companion and one Jacobian eigvals, plus, for
+    # an undriven node at I = 0, one for the zeros of Q that its warning
+    # names.  The curve is read from the kernel's columns: no SteadyState is
+    # built
     p = fig3_preset("fig3c", 4.5)
     grid = np.linspace(start, reproduce_span(p), 301)
-    eigvals, kernel = np.linalg.eigvals, sweep.solve_steady_nodes
+    eigvals, kernel = np.linalg.eigvals, sweep.solve_steady_columns
     counts = {"eigvals": 0}
     kernel_calls = []
 
@@ -230,17 +231,22 @@ def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
         kernel_calls.append((len(drives), counts["eigvals"] - before))
         return out
 
-    def per_node(*args, **kwargs):
-        raise AssertionError("trace_hysteresis solved a node on its own")
+    def elsewhere(*args, **kwargs):
+        raise AssertionError("trace_hysteresis solved outside its kernel call")
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    monkeypatch.setattr(sweep, "solve_steady_nodes", counting_kernel)
-    monkeypatch.setattr(sweep, "solve_steady_states", per_node)
-    monkeypatch.setattr(sweep, "_cpa_markers", lambda *args: [])
-    trace_hysteresis(p, grid)
-    assert kernel_calls == [(301, kernel_eigvals)]
+    monkeypatch.setattr(sweep, "solve_steady_columns", counting_kernel)
+    for module, name in ((sweep, "solve_steady_states"),
+                         (steady, "solve_steady_states"),
+                         (steady, "solve_steady_nodes"), (steady, "SteadyState"),
+                         (cpa, "verify_cpa"), (cpa, "solve_steady_states")):
+        monkeypatch.setattr(module, name, elsewhere)
+    curve = trace_hysteresis(p, grid)
+    assert kernel_calls == [(302, kernel_eigvals)]
     # plus the curve geometry's two: the roots of Q and of V
     assert counts["eigvals"] == kernel_eigvals + 2
+    assert [m.branch for m in curve.cpa_markers] == [
+        BranchLocation.INSIDE_BISTABLE_STABLE]
 
 
 def here(w):
@@ -255,8 +261,8 @@ def test_regime_warning_once_per_kernel_call_at_the_callers_line():
         warnings.simplefilter("always")
         trace_hysteresis(p, grid)
     regime = [w for w in seen if w.category is ParametricRegimeWarning]
-    # one for the grid, one for verify_cpa's solve at the CPA point
-    assert len(regime) == 2
+    # one for the whole curve: the CPA point is a node of the same call
+    assert len(regime) == 1
     assert seen and all(here(w) for w in seen)
 
     with warnings.catch_warnings(record=True) as seen:
@@ -267,9 +273,8 @@ def test_regime_warning_once_per_kernel_call_at_the_callers_line():
 
 
 def test_a_curve_builds_no_parameter_set_per_node(monkeypatch):
-    # the grid reaches the kernel as an array of drives: the parameter sets
-    # a curve validates (verify_cpa's one at the CPA point) do not grow
-    # with the node count
+    # the grid and the CPA drive reach the kernel as an array of drives: a
+    # curve validates no parameter set at all
     p = fig3_preset("fig3c", 4.5)
     built = []
     post_init = SystemParams.__post_init__
@@ -284,7 +289,7 @@ def test_a_curve_builds_no_parameter_set_per_node(monkeypatch):
         built.clear()
         trace_hysteresis(p, np.linspace(0.0, reproduce_span(p), nodes))
         counts.append(len(built))
-    assert counts[0] == counts[1] <= 2
+    assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

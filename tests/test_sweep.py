@@ -1,8 +1,11 @@
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cpasim.cpa import (
     BranchLocation,
@@ -11,10 +14,12 @@ from cpasim.cpa import (
     verify_cpa,
 )
 from cpasim import sweep
-from cpasim.errors import MalformedCurve
+from cpasim.cli import fig3_preset
+from cpasim.errors import AsymmetricMirrors, MalformedCurve, NonPositiveBeta
 from cpasim.model import Stability, SystemParams
-from cpasim.steady import jacobian, solve_steady_states
+from cpasim.steady import SteadyColumns, jacobian, solve_steady_states
 from cpasim.sweep import (
+    CPAMarker,
     CurvePoint,
     HysteresisCurve,
     PatternClass,
@@ -24,7 +29,22 @@ from cpasim.sweep import (
     scan_folds,
     trace_hysteresis,
 )
-from test_curve_geometry import at_input
+from test_curve_geometry import at_input, curve_params
+
+
+def expected_markers(p, grid):
+    """The marker verify_cpa's report gives on a curve over ``grid``."""
+    try:
+        report = quiet_verify(p)
+    except (NonPositiveBeta, AsymmetricMirrors):
+        return []
+    if report.branch_location is None or not (
+            grid[0] <= report.input_intensity <= grid[-1]):
+        return []
+    return [CPAMarker(input_intensity=report.input_intensity,
+                      output_intensity=report.residual_out,
+                      branch=report.branch_location,
+                      observable=report.stability is Stability.STABLE)]
 
 
 def root_count(p, intensity):
@@ -35,6 +55,12 @@ def quiet_trace(p, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return trace_hysteresis(p, grid)
+
+
+def quiet_verify(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return verify_cpa(p)
 
 
 @pytest.fixture(scope="module")
@@ -108,15 +134,40 @@ class TestCPAMarkers:
         assert m.input_intensity == pytest.approx(22.5, rel=1e-12)
         assert m.output_intensity < 1e-12 * m.input_intensity
 
-    def test_marker_agrees_with_direct_verification(self, conventional_curve):
-        # curve marker and the standalone checker must land on the same point
-        p, curve = conventional_curve
-        m = curve.cpa_markers[0]
-        report = verify_cpa(p)
-        assert abs(m.input_intensity - report.input_intensity) \
-            <= 1e-10 * max(1.0, report.input_intensity)
-        assert abs(m.output_intensity - report.residual_out) \
-            <= 1e-10 * max(1.0, report.input_intensity)
+    def test_marker_agrees_with_direct_verification(self, fig3_params):
+        # the curve's marker is verify_cpa's placement, bit for bit, on
+        # every fig3 preset
+        for p in fig3_params.values():
+            grid = np.linspace(0.0, reproduce_span(p), 301)
+            curve = quiet_trace(p, grid)
+            assert curve.cpa_markers == expected_markers(p, grid)
+            assert len(curve.cpa_markers) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(curve_params(), st.floats(0.0, 0.45), st.floats(0.5, 2.0))
+    @example(fig3_preset("fig3a", 1.5), 0.0, 1.5)  # outside the window
+    @example(fig3_preset("fig3b", 4.5), 0.4, 1.5)  # unstable branch
+    @example(fig3_preset("fig3c", 4.5), 0.0, 1.0)  # the grid's last node
+    @example(fig3_preset("fig3c", 1.5), 0.0, 0.6)  # past the grid
+    # symmetric mirrors required: verify_cpa raises AsymmetricMirrors
+    @example(SystemParams(kappa_l=0.5, kappa_r=1.0, g=2.0), 0.0, 1.5)
+    # beta = kappa/2 + 2|G| cos(phi) < 0: verify_cpa raises NonPositiveBeta
+    @example(SystemParams(kappa_l=1.0, kappa_r=1.0, g=2.0, delta_c=-0.4,
+                          delta_tls=1.0, g_nl_mag=0.6, phi=math.pi), 0.0, 1.5)
+    # beta = 0 exactly
+    @example(SystemParams(kappa_l=1.0, kappa_r=1.0, g=2.0, g_nl_mag=0.5,
+                          phi=math.pi), 0.0, 1.5)
+    def test_marker_is_verify_cpas_placement(self, p, lo, hi):
+        # one marker exactly when verify_cpa places the point inside the
+        # grid's range, equal to its report; none when it raises
+        try:
+            intensity = quiet_verify(p).input_intensity
+        except (NonPositiveBeta, AsymmetricMirrors):
+            intensity = 0.0
+        scale = intensity if intensity > 0.0 else 1.0
+        grid = np.linspace(lo * scale, hi * scale, 9)
+        assert quiet_trace(p, grid).cpa_markers == expected_markers(p, grid)
 
     def test_marker_outside_window(self, anchored_curve):
         _, curve = anchored_curve
@@ -300,11 +351,31 @@ class TestClassify:
         # a monostable curve is one monotone segment; a solver that reports
         # each root twice puts two roots on it at every node
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, delta_c=2.0)
-        real = sweep.solve_steady_nodes
-        monkeypatch.setattr(sweep, "solve_steady_nodes", lambda p, drives: [
-            states * 2 for states in real(p, drives)])
+        real = sweep.solve_steady_columns
+
+        def twice(p, drives):
+            return SteadyColumns(*(np.repeat(column, 2)
+                                   for column in real(p, drives)))
+
+        monkeypatch.setattr(sweep, "solve_steady_columns", twice)
         with pytest.raises(MalformedCurve):
             trace_hysteresis(p, np.linspace(0.0, 10.0, 5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=6))
+    def test_branch_ids_take_the_lowest_free_segment(self, lows):
+        # the running-maximum form equals the rule per node, root by root:
+        # k = max(lo, k of the root below + 1); nodes may have no roots
+        node = np.array([i for i, row in enumerate(lows) for _ in row],
+                        dtype=np.intp)
+        lo = np.array([a for row in lows for a in row], dtype=np.intp)
+        expected = []
+        for row in lows:
+            k = -1
+            for a in row:
+                k = max(a, k + 1)
+                expected.append(k)
+        assert sweep._branch_ids(node, lo).tolist() == expected
 
     def test_output_inversion_inside_the_window_is_unconventional(self):
         # folds at positive input; at the interior node the largest-n_c
