@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
-import yaml
 
 from .cpa import CPAReport, cpa_cavity_detuning
 from .dynamics import TimeTrace
@@ -79,6 +78,8 @@ def parse_config(text: str) -> RunConfig:
     Unknown keys are rejected (ParseError); physical invariants are enforced
     through SystemParams and re-raised as ValidationError naming the field.
     """
+    import yaml  # here, not at module level: only a config needs it
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

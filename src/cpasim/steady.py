@@ -41,6 +41,24 @@ MERGE_RADIUS = 1e-8
 EPS_STAB = 1e-9
 # Default residual tolerance scale for solve_steady_states.
 EPS_RES = 1e-9
+# Newton polish (_polish): at most NEWTON_STEPS steps per root.
+NEWTON_STEPS = 40
+# A step longer than NEWTON_JUMP max(1, |n0|) abandons the polish: the root
+# keeps its companion-matrix value n0.
+NEWTON_JUMP = 0.1
+# A step shorter than NEWTON_STOP max(1, |n0|) ends the polish.
+NEWTON_STOP = 1e-15
+# A polished root that drifted more than NEWTON_DRIFT max(1, |n0|) from n0,
+# or went negative, keeps n0.
+NEWTON_DRIFT = 1e-3
+# A Lienard-Chipart condition within HURWITZ_RTOL of its evaluation magnitude
+# (the same expression in absolute values) is rounding: its row is labelled
+# by eigvals instead.  Against exact rational arithmetic the rounding error
+# stays below 1.2 machine epsilons of that magnitude, a margin over 3000.
+HURWITZ_RTOL = 1e-12
+# Stacks of fewer Jacobians are labelled by eigvals alone, which then costs
+# less than the test's fixed ~50 numpy calls.
+HURWITZ_MIN_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -368,6 +386,112 @@ def classify_stability(j: np.ndarray, eps_stab: float = EPS_STAB) -> StabilityRe
                            stability=_stability(margin, eps_stab), margin=margin)
 
 
+# _BINOMIAL[k, j] = C(5 - k, j - k): how the coefficient a_k of mu^(5-k)
+# spreads over the powers of mu when mu is shifted
+_BINOMIAL = np.array([[math.comb(5 - k, j - k) if j >= k else 0
+                       for j in range(6)] for k in range(6)], dtype=float)
+_POWER = np.maximum(np.arange(6) - np.arange(6)[:, None], 0)
+# 1/k of Newton's identities, for k = 1..5
+_NEWTON = 1.0 / np.arange(1.0, 6.0)[:, None, None]
+# the sign of the subtracted terms of the conditions: the two shifted
+# polynomials, then their evaluation magnitude, which adds every term
+_SIGNS = np.array([[-1.0], [-1.0], [1.0]])
+# labels by the number of shifted matrices, J - eps I and J + eps I, that
+# pass the test
+_BY_PASSES = (Stability.UNSTABLE, Stability.MARGINAL, Stability.STABLE)
+
+
+def _shift_matrix(s: float) -> np.ndarray:
+    """T with T @ a the coefficients of det(mu I - A - s I) = chi(mu - s),
+    for a those of chi(mu) = det(mu I - A), a_k multiplying mu^(5-k)."""
+    return (_BINOMIAL * (-s) ** _POWER).T
+
+
+def _hurwitz_conditions(j: np.ndarray, eps_stab: float) -> np.ndarray:
+    """The Lienard-Chipart conditions of a stack of 5x5 Jacobians, shape
+    (M, 5, 5), for J + eps I and J - eps I (Gantmacher, The Theory of
+    Matrices II, ch. XV): a monic quintic with coefficients a_1..a_5 has all
+    roots in the open left half-plane iff a_1, a_3, a_5, Delta_2 =
+    a_1 a_2 - a_3 and Delta_4 = Delta_2 (a_3 a_4 - a_2 a_5) - (a_1 a_4 - a_5)^2
+    are all positive.
+
+    Each characteristic polynomial comes from the power sums tr(J^k),
+    k <= 5, by Newton's identities, and is shifted by +-eps with one 6x6
+    matrix.  The stack is first scaled by the power of two above its largest
+    entry, exactly, and eps with it.  The same arithmetic in absolute values
+    gives each condition's magnitude, which bounds its rounding.
+
+    Returns shape (3, 5, M): the conditions (a_1, a_3, a_5, Delta_2,
+    Delta_4) of J + eps I, of J - eps I, and their magnitudes."""
+    m = len(j)
+    # the stack with rows last, scaled exactly, then its entries' magnitudes
+    e = math.frexp(max(float(j.max()), -float(j.min())))[1]
+    x = np.empty((5, 5, 2 * m))
+    np.ldexp(j.transpose(1, 2, 0), -e, out=x[..., :m])
+    np.abs(x[..., :m], out=x[..., m:])
+    sigma = math.ldexp(eps_stab, -e)
+    # the power sums tr(A^k), k = 1..5
+    x2 = np.einsum("ikm,kjm->ijm", x, x)
+    x3 = np.einsum("ikm,kjm->ijm", x2, x)
+    p = np.empty((5, 2 * m))
+    for k, power in enumerate((x, x2, x3)):
+        np.einsum("iim->m", power, out=p[k])
+    np.einsum("ijm,jim->m", x2, x2, out=p[3])
+    np.einsum("ijm,jim->m", x3, x2, out=p[4])
+    # Newton's identities, a_k = -(1/k) sum_i p_i a_(k-i), stored backwards
+    # (r[5 - k] = a_k); the magnitudes add the same terms
+    p[:, :m] *= -1.0
+    w = p * _NEWTON
+    r = np.empty((6, 2 * m))
+    r[5] = 1.0
+    for k in range(1, 6):
+        np.einsum("ir,ir->r", w[k - 1, :k], r[6 - k:], out=r[5 - k])
+    a = r[::-1].reshape(6, 2, m).transpose(1, 0, 2)  # (values or magnitudes, k, row)
+    # J + eps I, J - eps I, and the magnitudes, shifted with every term positive
+    minus = _shift_matrix(-sigma)
+    shift = np.stack((_shift_matrix(sigma), minus, minus))
+    _, a1, a2, a3, a4, a5 = (shift @ a[[0, 0, 1]]).transpose(1, 0, 2)
+    d2 = a1 * a2 + _SIGNS * a3
+    d4 = d2 * (a3 * a4 + _SIGNS * (a2 * a5)) + _SIGNS * (a1 * a4 + _SIGNS * a5) ** 2
+    return np.stack((a1, a3, a5, d2, d4), axis=1)
+
+
+def _hurwitz_test(j: np.ndarray, eps_stab: float
+                  ) -> tuple[list[Stability], np.ndarray]:
+    """Stability labels of a non-empty stack of Jacobians from
+    ``_hurwitz_conditions``: J + eps I passes iff max Re lambda < -eps
+    (Stable), J - eps I fails iff max Re lambda > eps (Unstable, up to
+    equality), and Marginal otherwise: the rule of ``_stability``.
+
+    A test passes when every condition exceeds HURWITZ_RTOL times its
+    magnitude and fails when one is below minus that; otherwise it is
+    undecided, and so is a row whose two tests contradict each other.
+    Returns the labels and the mask of undecided rows, whose labels are
+    meaningless."""
+    cond = _hurwitz_conditions(j, eps_stab)
+    bound = HURWITZ_RTOL * cond[2]
+    passed = (cond[:2] > bound).all(axis=1)
+    failed = (cond[:2] < -bound).any(axis=1)
+    undecided = ~(passed | failed).all(axis=0) | (passed[0] & ~passed[1])
+    return [_BY_PASSES[k] for k in passed.sum(axis=0).tolist()], undecided
+
+
+def _stability_labels(j: np.ndarray, eps_stab: float) -> list[Stability]:
+    """The ``_stability`` label of each Jacobian of a stack, shape (M, 5, 5):
+    from ``_hurwitz_test``, with a stacked eigvals for its undecided rows,
+    or for the whole stack when it has fewer than HURWITZ_MIN_ROWS rows."""
+    if len(j) < HURWITZ_MIN_ROWS:
+        margins = np.linalg.eigvals(j).real.max(axis=1)
+        return [_stability(m, eps_stab) for m in margins.tolist()]
+    labels, undecided = _hurwitz_test(j, eps_stab)
+    if undecided.any():
+        at = np.flatnonzero(undecided)
+        margins = np.linalg.eigvals(j[at]).real.max(axis=1)
+        for k, margin in zip(at.tolist(), margins.tolist()):
+            labels[k] = _stability(margin, eps_stab)
+    return labels
+
+
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
@@ -404,11 +528,11 @@ def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     both[:m] = c
     both[m:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
     scale = np.maximum(1.0, np.abs(n0))
-    jump_at, stop_at = 0.1 * scale, 1e-15 * scale
+    jump_at, stop_at = NEWTON_JUMP * scale, NEWTON_STOP * scale
     n = n0
     live = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(40):
+        for _ in range(NEWTON_STEPS):
             f_fp = _horner(both, np.concatenate((n, n)))
             fp = f_fp[m:]
             step = f_fp[:m] / fp
@@ -421,7 +545,7 @@ def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             live &= (size <= jump_at) & (size >= stop_at)
             if not live.any():
                 break
-    n = np.where((n < 0.0) | (np.abs(n - n0) > 1e-3 * scale), n0, n)
+    n = np.where((n < 0.0) | (np.abs(n - n0) > NEWTON_DRIFT * scale), n0, n)
     both[m:] = np.abs(c)
     p_mag = _horner(both, np.concatenate((n, n)))
     return n, p_mag[:m], p_mag[m:]
@@ -467,11 +591,12 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
     polynomial scale, and merged again (a state on a fold is reported once).
     All kept roots are then mapped at once to full mean-field states by the
     model's own formulas (``dressed_cavity``, ``driven_field``,
-    ``atomic_expectations``) and classified with one stacked Jacobian
-    eigvals.  Roots at the parametric singularity (denominator below the
-    guard) are excluded with a RuntimeWarning each.  An undriven node has
-    only the vacuum: its polynomial n Q^2 has exact double roots at the
-    singular states, which are excluded with a RuntimeWarning.
+    ``atomic_expectations``) and labelled from their stacked Jacobians by
+    ``_stability_labels``.  Roots at the parametric singularity
+    (denominator below the guard) are excluded with a RuntimeWarning each.
+    An undriven node has only the vacuum: its polynomial n Q^2 has exact
+    double roots at the singular states, which are excluded with a
+    RuntimeWarning.
 
     Emits one ParametricRegimeWarning per call when the bare cavity is
     at/above the parametric threshold: the reported roots are still
@@ -543,10 +668,9 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
 
     c_bar = driven_field(kappa0, delta0, den, w, p)
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
-    margins = np.linalg.eigvals(
-        _jacobian_matrix(c_bar, sigma_minus, sigma_z, p)).real.max(axis=1)
-    return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res,
-                         [_stability(m, eps_stab) for m in margins.tolist()])
+    labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p),
+                               eps_stab)
+    return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels)
 
 
 def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,

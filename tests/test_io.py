@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import cpasim
 from cpasim.cpa import verify_cpa
 from cpasim.dynamics import integrate, vacuum_state
 from cpasim.errors import IoError, ParseError, ValidationError
@@ -25,6 +29,17 @@ def small_curve(p=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return trace_hysteresis(p, np.linspace(0.0, 5.0, 21))
+
+
+def test_import_leaves_yaml_out():
+    # yaml is imported by parse_config, its only user, so `import cpasim`
+    # does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cpasim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cpasim; print('yaml' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestParseConfig:

@@ -1,13 +1,15 @@
 """The stacked steady-state kernel, steady.solve_steady_nodes: solving many
 drives at once changes no result, every state it maps at once equals the
 model's scalar formulas, a state on a fold is reported once, a curve is one
-kernel call with no parameter set per node, and warnings come once per
-call, attributed to the caller's line."""
+kernel call with no parameter set per node, warnings come once per call,
+attributed to the caller's line, and the Lienard-Chipart stability labels
+equal classify_stability's."""
 
 import math
 import os
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cpasim.cli import fig3_preset
 from cpasim.cpa import BranchLocation, max_output_intensity
 from cpasim.errors import ParametricRegimeWarning
 from cpasim.model import (
+    Stability,
     SystemParams,
     atomic_expectations,
     drive_for_input_intensity,
@@ -32,10 +35,15 @@ from cpasim.model import (
 from cpasim.steady import (
     EPS_RES,
     EPS_ROOT,
+    EPS_STAB,
+    HURWITZ_MIN_ROWS,
+    HURWITZ_RTOL,
     IMAG_RTOL,
     MERGE_RADIUS,
     bare_threshold_margin,
     build_polynomial,
+    classify_stability,
+    jacobian,
     solve_steady_nodes,
     solve_steady_states,
 )
@@ -208,13 +216,14 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
     assert [q.n_c for q in curve.points] == [s.n_c for s in states]
 
 
-@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 3), (1.0, 2)])
+@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 2), (1.0, 1)])
 def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
     # no per-node loop and no second solve: the grid and the CPA drive are
-    # one kernel call with one companion and one Jacobian eigvals, plus, for
-    # an undriven node at I = 0, one for the zeros of Q that its warning
-    # names.  The curve is read from the kernel's columns: no SteadyState is
-    # built
+    # one kernel call with one companion eigvals, plus, for an undriven node
+    # at I = 0, one for the zeros of Q that its warning names.  The stability
+    # labels take none: no Jacobian of this curve is undecided by the
+    # Lienard-Chipart test.  The curve is read from the kernel's columns: no
+    # SteadyState is built
     p = fig3_preset("fig3c", 4.5)
     grid = np.linspace(start, reproduce_span(p), 301)
     eigvals, kernel = np.linalg.eigvals, sweep.solve_steady_columns
@@ -372,3 +381,113 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
             assert s.c_bar == intracavity_field(s.n_c, q)
             assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
                                                        s.sigma_z_bar)
+
+
+# Stability labels: the kernel's Lienard-Chipart test of each Jacobian's
+# characteristic polynomial against classify_stability's eigenvalues
+
+def states_and_jacobians(p, grid):
+    """The kernel's states over ``grid`` and the stack of their Jacobians."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        states = [s for node in solve_steady_nodes(
+            p, drive_for_input_intensity(grid, p)) for s in node]
+    return states, np.array([jacobian(s, p) for s in states]).reshape(-1, 5, 5)
+
+
+def fold_grid(p, nodes):
+    """``nodes`` inputs from 0, plus nodes on and beside every positive fold."""
+    folds = [x for x, _ in positive_folds(p)]
+    beside = [x * f for x in folds for f in (1.0 - 1e-9, 1.0 + 1e-14, 1.0 + 1e-9)]
+    return np.union1d(np.linspace(0.0, 1.5 * max(folds, default=1.0), nodes),
+                      folds + beside)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(curve_params())
+@example(fig3_preset("fig3c", 4.5))
+@example(fig3_preset("fig3b", 1.5))  # above the bare threshold
+@example(SystemParams(kappa_l=2.0, kappa_r=0.5, g=1.5, delta_c=1.0,
+                      delta_tls=-2.0))  # |G| = 0, kappa_l != kappa_r
+@example(SystemParams(kappa_l=2.0, kappa_r=3.0, delta_c=1.0, delta_tls=-1.0,
+                      g_nl_mag=0.4, phi=2.0))  # g = 0
+@example(SystemParams(kappa_l=1.0, kappa_r=2.5, g=2.0, delta_c=0.5,
+                      delta_tls=1.0, g_nl_mag=1.0, phi=3.0))  # above, asymmetric
+@example(SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                      g=1.625, g_nl_mag=0.8484231337608631))  # bare threshold
+def test_kernel_labels_equal_classify_stability(p):
+    states, j = states_and_jacobians(p, fold_grid(p, 30))
+    expected = [classify_stability(jk).stability for jk in j]
+    assert [s.stability for s in states] == expected
+    # the test alone, whatever the stack's size: every row it decides gets
+    # the eigenvalues' label
+    if len(j):
+        labels, undecided = steady._hurwitz_test(j, EPS_STAB)
+        assert [a for a, u in zip(labels, undecided) if not u] == [
+            b for b, u in zip(expected, undecided) if not u]
+
+
+@pytest.mark.parametrize("rows", [3, HURWITZ_MIN_ROWS])
+def test_labels_at_the_edges_of_the_marginal_band(rows):
+    # a leading eigenvalue at -2 eps, 0 and +2 eps: Stable, Marginal and
+    # Unstable, decided by the test itself and by the whole labelling, on a
+    # stack of a few rows (eigvals) and of HURWITZ_MIN_ROWS (the test)
+    lead = np.array([-2.0, 0.0, 2.0]) * EPS_STAB
+    j = np.zeros((rows, 5, 5))
+    j[:, range(5), range(5)] = [-1.0, -2.0, -3.0, -4.0, 0.0]
+    j[:, 4, 4] = np.resize(lead, rows)
+    expected = np.resize(np.array([Stability.STABLE, Stability.MARGINAL,
+                                   Stability.UNSTABLE]), rows).tolist()
+    assert steady._stability_labels(j, EPS_STAB) == expected
+    labels, undecided = steady._hurwitz_test(j, EPS_STAB)
+    assert labels == expected and not undecided.any()
+
+
+def exact_conditions(a, shift):
+    """a_1, a_3, a_5, Delta_2, Delta_4 of a + shift I, in rationals, from
+    the Faddeev-LeVerrier recursion: no power sums."""
+    a = [[Fraction(float(a[i, k])) + (Fraction(shift) if i == k else 0)
+          for k in range(5)] for i in range(5)]
+    m, coeffs = [[Fraction(0)] * 5 for _ in range(5)], [Fraction(1)]
+    for k in range(1, 6):
+        m = [[sum(a[i][l] * m[l][c] for l in range(5)) + (coeffs[-1] if i == c else 0)
+              for c in range(5)] for i in range(5)]
+        coeffs.append(-sum(a[i][l] * m[l][i] for i in range(5) for l in range(5)) / k)
+    _, a1, a2, a3, a4, a5 = coeffs
+    d2 = a1 * a2 - a3
+    return [a1, a3, a5, d2, d2 * (a3 * a4 - a2 * a5) - (a1 * a4 - a5) ** 2]
+
+
+def test_condition_rounding_stays_far_inside_its_bound():
+    # the conditions of the scaled, shifted matrices against exact rational
+    # arithmetic, on fig3c/4.5's Jacobians with nodes on its folds: the
+    # rounding stays below 4 machine epsilons of the magnitude, far inside
+    # HURWITZ_RTOL
+    p = fig3_preset("fig3c", 4.5)
+    _, j = states_and_jacobians(p, fold_grid(p, 12))
+    cond = steady._hurwitz_conditions(j, EPS_STAB)
+    e = math.frexp(np.abs(j).max())[1]
+    sigma = math.ldexp(EPS_STAB, -e)
+    worst = 0.0
+    for row in range(len(j)):
+        a = np.ldexp(j[row], -e)
+        for test, shift in ((0, sigma), (1, -sigma)):
+            exact = exact_conditions(a, shift)
+            for k in range(5):
+                error = abs(Fraction(float(cond[test, k, row])) - exact[k])
+                worst = max(worst, float(error) / float(cond[2, k, row]))
+    assert worst < 4.0 * np.finfo(float).eps < HURWITZ_RTOL / 1000.0
+
+
+def test_contradicting_tests_leave_the_row_to_eigvals(monkeypatch):
+    # J + eps I passing while J - eps I fails is impossible in exact
+    # arithmetic; where the conditions say so, the row is undecided and the
+    # eigenvalues label it
+    j = np.zeros((HURWITZ_MIN_ROWS, 5, 5))
+    j[:, range(5), range(5)] = [-1.0, -2.0, -3.0, -4.0, -5.0]
+    cond = np.ones((3, 5, len(j)))
+    cond[1, 4] = -1.0  # Delta_4 of J - eps I
+    monkeypatch.setattr(steady, "_hurwitz_conditions", lambda j, eps: cond)
+    assert steady._hurwitz_test(j, EPS_STAB)[1].all()
+    assert steady._stability_labels(j, EPS_STAB) == [Stability.STABLE] * len(j)

@@ -437,3 +437,34 @@ class TestBoundaryMap:
             boundary_map(1.0, 1.0, 1.0, [0.1, 0.05])
         with pytest.raises(ValueError):
             boundary_map(1.0, 1.0, 1.0, [-0.1, 0.05])
+
+
+
+# Standing failures (ROADMAP item 5).  At the required cavity detuning with
+# g^2 delta_tls = 0, Q and R share the factor A + 2 Re(G) D, so its positive
+# zero is no singular state.  The curve geometry still reports it as an
+# anchored window edge, and the solver returns a spurious state beside it,
+# so trace_hysteresis finds two states on one segment.
+def at_required_detuning(**params):
+    p = SystemParams(**params)
+    return replace(p, delta_c=cpa_cavity_detuning(p))
+
+
+@pytest.mark.xfail(strict=True, raises=MalformedCurve,
+                   reason="Q and R share a factor at g^2 delta_tls = 0")
+@pytest.mark.parametrize("p, top, shared_zero", [
+    # the solver reports a spurious Stable n_c = 3.32993 at input 0.75
+    (at_required_detuning(kappa_l=0.3046875, kappa_r=0.3046875, g=1.0,
+                          g_nl_mag=0.1904296875, phi=3.0), 1.0, 3.3299272637365687),
+    (at_required_detuning(kappa_l=1.0, kappa_r=1.0, g=2.0, g_nl_mag=0.6,
+                          phi=math.pi), 1.5, 1.21875),
+])
+def test_a_shared_q_r_factor_is_no_window_edge(p, top, shared_zero):
+    grid = np.linspace(0.0, top, 9)
+    curve = quiet_trace(p, grid)
+    assert all(abs(n - shared_zero) > 1e-6 for _, n in curve.folds)
+    for x in grid[1:]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            states = solve_steady_states(at_input(p, x))
+        assert all(abs(s.n_c - shared_zero) > 1e-3 for s in states)

@@ -19,6 +19,11 @@ fraction, against the metric's bound.  The machine, Python, numpy and scipy
 versions and the repeat count are recorded once.  Only the standard
 library is used; both trees should be in the same bytecode state (both with
 or both without ``__pycache__``), since the set-up probe times imports.
+
+Exit status: 0 when the change passes, 1 when any run is incorrect, the
+change fails a larger share of its operations than the parent, or a
+metric's median is worse than the parent's by more than its bound (OUTSIDE
+BOUND); each reason is printed to standard error.  2 for usage errors.
 """
 
 from __future__ import annotations
@@ -101,6 +106,26 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
     return metrics
 
 
+def failures(summary: dict) -> list[str]:
+    """Why a summary fails the comparison (empty when it passes): an
+    incorrect run, a larger share of failed operations in the change, or a
+    metric outside its bound."""
+    reasons = []
+    for workload, w in summary["workloads"].items():
+        if not w["all_correct"]:
+            reasons.append(f"{workload}: a run is incorrect")
+        share = {side: w["failed"][side] / max(1, w["attempted"][side])
+                 for side in ("parent", "change")}
+        if share["change"] > share["parent"]:
+            reasons.append(f"{workload}: the change fails {share['change']:.3g} "
+                           f"of its operations, the parent {share['parent']:.3g}")
+        for name, m in w["metrics"].items():
+            if not m["within_bound"]:
+                reasons.append(f"{workload}: {name} OUTSIDE BOUND, worse by "
+                               f"{m['worse_by']:.3g} (bound {m['bound']})")
+    return reasons
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="root of the parent checkout")
@@ -167,7 +192,10 @@ def main(argv=None) -> int:
                   f"  change wins {m['wins']['change']}/{args.pairs}"
                   f"{'  GAIN' if m['gain'] else ''}"
                   f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}")
-    return 0
+    reasons = failures(summary)
+    for reason in reasons:
+        print(f"FAIL {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
