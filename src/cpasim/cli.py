@@ -32,7 +32,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .io import RunConfig, emit_csv, emit_svg, parse_config
+from .io import RunConfig, check_positive, emit_csv, emit_svg, parse_config
 from .model import SystemParams
 from .steady import solve_steady_states
 from .sweep import boundary_map, scan_folds, trace_hysteresis
@@ -62,16 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true",
                         help="write CSV output (default when --svg absent)")
     common.add_argument("--svg", action="store_true", help="write SVG plots")
-    common.add_argument("--tol-res", type=float, default=None,
-                        help="residual acceptance tolerance override")
-    common.add_argument("--tol-stab", type=float, default=None,
-                        help="stability margin tolerance override")
     common.add_argument("--gamma", type=float, default=1.0,
                         help="physical linewidth for unit rescaling on output")
 
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("steady", parents=[common],
-                   help="steady-state roots and stability at one parameter point")
+    steady = sub.add_parser("steady", parents=[common], help="steady-state "
+                            "roots and stability at one parameter point")
+    steady.add_argument("--tol-res", type=float, default=None,
+                        help="residual acceptance tolerance override")
+    steady.add_argument("--tol-stab", type=float, default=None,
+                        help="stability margin tolerance override")
     sub.add_parser("cpa", parents=[common],
                    help="perfect-absorption operating point and feasibility")
     sub.add_parser("sweep", parents=[common],
@@ -96,12 +96,7 @@ def _load_config(args, required: bool = True) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read config {args.config}: {exc}") from exc
-    cfg = parse_config(text)
-    if args.tol_res is not None:
-        cfg.tol_res = args.tol_res
-    if args.tol_stab is not None:
-        cfg.tol_stab = args.tol_stab
-    return cfg
+    return parse_config(text)
 
 
 def _params(cfg: RunConfig) -> SystemParams:
@@ -110,17 +105,13 @@ def _params(cfg: RunConfig) -> SystemParams:
     return cfg.params
 
 
-def _want_csv(args) -> bool:
-    return args.csv or not args.svg
-
-
 def _path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
 def _emit(args, result, stem: str, title: str | None = None) -> None:
-    if _want_csv(args):
+    if args.csv or not args.svg:
         path = _path(args, stem + ".csv")
         emit_csv(result, path, gamma_scale=args.gamma)
         print(f"wrote {path}")
@@ -132,8 +123,9 @@ def _emit(args, result, stem: str, title: str | None = None) -> None:
 
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
-    roots = solve_steady_states(_params(cfg), tol_res=cfg.tol_res,
-                                eps_stab=cfg.tol_stab)
+    # a flag overrides its config key; main has checked it is positive
+    roots = solve_steady_states(_params(cfg), tol_res=args.tol_res or cfg.tol_res,
+                                eps_stab=args.tol_stab or cfg.tol_stab)
     print("n_c  stability  residual")
     for s in roots:
         print(f"{s.n_c:.12g}  {s.stability}  {s.residual:.3e}")
@@ -268,6 +260,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("gamma", "tol_res", "tol_stab"):  # the config keys' rule
+            if getattr(args, flag, None) is not None:
+                check_positive("--" + flag.replace("_", "-"), getattr(args, flag))
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,12 @@ NULLING_RTOL = 1e-12
 WINDOW_MARGIN = 1e-9
 # beta values are considered shared when they differ by at most this (per gamma).
 BETA_MATCH_ATOL = 1e-12
+# delta_c matches the required detuning within this times max(gamma, |it|).
+DETUNING_MATCH_RTOL = 1e-9
+# A critical-detuning radicand down to -RADICAND_ATOL gamma^2 is rounding: 0.
+RADICAND_ATOL = 1e-15
+# Operating points agree to this, relative, in cpa_invariance_check.
+INVARIANCE_RTOL = 1e-12
 
 
 class BranchLocation(enum.Enum):
@@ -110,7 +116,7 @@ def critical_detuning(g: float, beta: float, gamma: float) -> float:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     radicand = 0.5 * (g ** 2 * gamma / beta - gamma ** 2 / 2.0)
-    if radicand < -1e-15 * gamma ** 2:
+    if radicand < -RADICAND_ATOL * gamma ** 2:
         raise Infeasible(
             f"coupling g = {g:.6g} is below the zero-detuning critical value "
             f"sqrt(beta gamma / 2) = {math.sqrt(0.5 * beta * gamma):.6g}")
@@ -196,7 +202,8 @@ def cpa_operating_point(p: SystemParams) -> CPAReport:
             reasons.append("CouplingBelowCritical")
     if n_cpa <= 0.0:
         reasons.append("NonPositivePhotonNumber")
-    if abs(p.delta_c - dc_req) > 1e-9 * p.gamma * max(1.0, abs(dc_req) / p.gamma):
+    if abs(p.delta_c - dc_req) > (DETUNING_MATCH_RTOL * p.gamma
+                                  * max(1.0, abs(dc_req) / p.gamma)):
         reasons.append("CavityDetuningMismatch")
 
     # without reasons n_cpa > 0
@@ -258,7 +265,7 @@ def verify_cpa(p: SystemParams) -> CPAReport:
 def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:
     """True iff the two parameter sets, differing only in the crystal settings
     (|G|, phi) at equal beta, predict the same operating point (photon number
-    and input intensity) to 1e-12 relative.
+    and input intensity) to INVARIANCE_RTOL relative.
 
     The required cavity detuning is allowed to differ (it tracks 2|G|sin(phi));
     only the location in the input/output plane is invariant.
@@ -279,11 +286,11 @@ def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:
     def rel(a: float, b: float) -> float:
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
-    if rel(n1, n2) > 1e-12:
+    if rel(n1, n2) > INVARIANCE_RTOL:
         return False
     if n1 > 0.0 and n2 > 0.0:
         _, i1 = cpa_input_amplitude(p1, n1)
         _, i2 = cpa_input_amplitude(p2, n2)
-        if rel(i1, i2) > 1e-12:
+        if rel(i1, i2) > INVARIANCE_RTOL:
             return False
     return True

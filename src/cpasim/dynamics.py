@@ -30,6 +30,8 @@ DIVERGENCE_BOUND = 1e9
 # is nowhere near diverging; the divergence cutoff above is what ends a
 # runaway.
 MAX_STEPS = 10 ** 9
+# t_end / sample_dt up to this below an integer k counts as k sample steps.
+SAMPLE_COUNT_SLACK = 1e-9
 # dop853's IDID return codes (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 STOP_REASONS = {
     2: f"state magnitude passed {DIVERGENCE_BOUND:.0e}",
@@ -170,7 +172,7 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     if initial.shape != (5,):
         raise ValueError("initial state must be a 5-vector")
 
-    n_samples = int(math.floor(t_end / sample_dt + 1e-9)) + 1
+    n_samples = int(math.floor(t_end / sample_dt + SAMPLE_COUNT_SLACK)) + 1
     t_eval = np.minimum(np.arange(n_samples) * sample_dt, t_end)
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)

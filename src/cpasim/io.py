@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -72,6 +71,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def check_positive(name: str, value: float) -> None:
+    """The rule for a positive config key, or the flag that overrides one."""
+    _require(0.0 < value < math.inf, f"{name} must be positive and finite, got {value!r}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML mapping into a RunConfig.
 
@@ -95,13 +99,13 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
 
-    def number(key):
-        v = doc[key]
+    def number(key, v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"key '{key}' must be a number, got {v!r}")
+        _require(math.isfinite(v), f"key '{key}' must be finite, got {v!r}")
         return float(v)
 
-    vals = {k: number(k) for k in _SCALAR_KEYS if k in doc}
+    vals = {k: number(k, doc[k]) for k in _SCALAR_KEYS if k in doc}
     for k in _INT_KEYS:
         if k in doc:
             v = doc[k]
@@ -112,10 +116,9 @@ def parse_config(text: str) -> RunConfig:
     for k in _LIST_KEYS:
         if k in doc:
             v = doc[k]
-            if not isinstance(v, list) or not v or any(
-                    isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+            if not isinstance(v, list) or not v:
                 raise ParseError(f"key '{k}' must be a non-empty list of numbers")
-            vals[k] = [float(x) for x in v]
+            vals[k] = [number(k, x) for x in v]
     if "cpa_auto_detuning" in doc:
         v = doc["cpa_auto_detuning"]
         if not isinstance(v, bool):
@@ -130,8 +133,10 @@ def parse_config(text: str) -> RunConfig:
     _require(not (auto and "delta_c" in vals),
              "delta_c and cpa_auto_detuning are mutually exclusive")
 
+    for k in ("gamma", "t_end", "sample_dt", "tol_res", "tol_stab"):
+        if k in vals:
+            check_positive(k, vals[k])
     gamma = vals.get("gamma", 1.0)
-    _require(gamma > 0.0 and math.isfinite(gamma), "gamma must be positive")
 
     if "kappa" in vals:
         kl = kr = vals["kappa"] / 2.0
@@ -166,26 +171,15 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(str(exc)) from exc
 
     if "initial_state" in vals:
-        st = vals["initial_state"]
-        _require(len(st) == 5 and all(math.isfinite(x) for x in st),
-                 "initial_state must be 5 finite numbers")
-    if "input_min" in vals or "input_max" in vals:
-        _require(vals.get("input_min", 0.0) >= 0.0, "input_min must be >= 0")
-        if "input_max" in vals:
-            _require(vals["input_max"] > vals.get("input_min", 0.0),
-                     "input_max must exceed input_min")
+        _require(len(vals["initial_state"]) == 5, "initial_state must be 5 numbers")
+    _require(vals.get("input_min", 0.0) >= 0.0, "input_min must be >= 0")
+    _require(vals.get("input_max", math.inf) > vals.get("input_min", 0.0),
+             "input_max must exceed input_min")
     if "beta_min" in vals or "beta_max" in vals:
         _require(vals.get("beta_min", 0.0) > 0.0, "beta_min must be positive")
         if "beta_max" in vals and "beta_min" in vals:
             _require(vals["beta_max"] > vals["beta_min"],
                      "beta_max must exceed beta_min")
-    if "t_end" in vals:
-        _require(vals["t_end"] > 0.0, "t_end must be positive")
-    if "sample_dt" in vals:
-        _require(vals["sample_dt"] > 0.0, "sample_dt must be positive")
-    for k in ("tol_res", "tol_stab"):
-        if k in vals:
-            _require(vals[k] > 0.0, f"{k} must be positive")
 
     return RunConfig(
         params=params,
@@ -227,11 +221,13 @@ def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     lines: list[str] = []
     if isinstance(result, HysteresisCurve):
         lines.append("input_intensity,n_c,output_intensity,stability,branch_id")
-        pts = sorted(result.points, key=attrgetter("input_intensity", "n_c"))
-        for q in pts:
-            lines.append(f"{_fmt(q.input_intensity * gs)},{_fmt(q.n_c)},"
-                         f"{_fmt(q.output_intensity * gs)},{q.stability.value},"
-                         f"{q.branch_id}")
+        # the curve's rows are in the schema's order already
+        lines += map(",".join, zip(
+            map(_fmt, (result.input_intensity * gs).tolist()),
+            map(_fmt, result.n_c.tolist()),
+            map(_fmt, (result.output_intensity * gs).tolist()),
+            [s.value for s in result.stability.tolist()],
+            map(str, result.branch_id.tolist())))
     elif isinstance(result, BoundaryMap):
         lines.append("beta,g_c,delta_tls_c,feasible")
         for b, g_c, d_c, ok in zip(result.axis, result.g_c_curve,
@@ -376,33 +372,33 @@ class _Plot:
 
 
 def _svg_curve(curve: HysteresisCurve, gs: float, title) -> str:
-    pts = sorted(curve.points,
-                 key=attrgetter("branch_id", "input_intensity", "n_c"))
-    inputs = np.array([q.input_intensity for q in pts])
-    outputs = np.array([q.output_intensity for q in pts])
+    # branch by branch, each in the curve's row order (input, then n_c)
+    order = np.argsort(curve.branch_id, kind="stable")
+    branch, stability = curve.branch_id[order], curve.stability[order]
+    inputs, n_c = curve.input_intensity[order], curve.n_c[order]
+    outputs = curve.output_intensity[order]
     xs, ys = inputs * gs, outputs * gs
     xr = _axis_range(xs.tolist() or [0.0])
     yr = _axis_range(ys.tolist() or [0.0])
     plot = _Plot(xr, yr, "input intensity", "output intensity", title)
-    # one polyline per run of a branch's points [lo, i) of one stability; the
-    # next run of the branch starts at the run's last point
+    # one polyline per run [lo, i) of a branch's points of one stability; a
+    # run that ends at a change of stability passes its last point on to the
+    # next run of the branch
     palette = ["#1f5fa8", "#c23b22", "#2e8b57", "#8860b2", "#b8860b"]
-    lo = 0
-    for i in range(1, len(pts) + 1):
-        same_branch = i < len(pts) and pts[i].branch_id == pts[lo].branch_id
-        if same_branch and pts[i].stability is pts[i - 1].stability:
-            continue
+    ends = np.flatnonzero((branch[1:] != branch[:-1])
+                          | (stability[1:] != stability[:-1])) + 1
+    lo, size = 0, len(branch)
+    for i in ends.tolist() + [size]:
         if i - lo >= 2:
             plot.polyline(xs[lo:i], ys[lo:i],
-                          palette[pts[lo].branch_id % len(palette)],
-                          _DASH[pts[i - 1].stability.value])
-        lo = i - 1 if same_branch else i
-    if pts:
-        n_c = np.array([q.n_c for q in pts])
+                          palette[int(branch[lo]) % len(palette)],
+                          _DASH[stability[i - 1].value])
+        lo = i - 1 if i < size and branch[i] == branch[i - 1] else i
+    if size:
         for f_in, f_n in curve.folds:
             # the first point nearest the fold
             near = np.argmin(np.abs(inputs - f_in) + np.abs(n_c - f_n))
-            plot.diamond(f_in * gs, pts[near].output_intensity * gs, "#444444")
+            plot.diamond(f_in * gs, outputs[near] * gs, "#444444")
     n_a = n_b = 0
     for m in curve.cpa_markers:
         if m.observable:
@@ -421,18 +417,10 @@ def _svg_boundary(result: BoundaryMap, gs: float, title) -> str:
     xr = _axis_range(xs)
     yr = _axis_range(list(result.g_c_curve * gs) + list(result.delta_c_curve * gs))
     plot = _Plot(xr, yr, "beta", "critical coupling / critical detuning", title)
-    # shaded feasible region: contiguous runs of the mask
-    i = 0
-    mask = result.region_mask
-    while i < len(mask):
-        if mask[i]:
-            j = i
-            while j + 1 < len(mask) and mask[j + 1]:
-                j += 1
-            plot.rect_band(xs[i], xs[j], "#add8e6", 0.35)
-            i = j + 1
-        else:
-            i += 1
+    # shaded feasible region: each run [i, j) of the mask
+    edges = np.flatnonzero(np.diff(result.region_mask, prepend=False, append=False))
+    for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        plot.rect_band(xs[i], xs[j - 1], "#add8e6", 0.35)
     plot.polyline(xs, result.g_c_curve * gs, "#1f5fa8")
     plot.polyline(xs, result.delta_c_curve * gs, "#c23b22")
     plot.text(_ML + 10, _MT + 18, "critical coupling", "#1f5fa8")

@@ -3,8 +3,7 @@ root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One kernel, ``solve_steady_columns``, solves any number of drives of one
 parameter set at once and returns the kept roots as columns;
-``solve_steady_nodes`` is their per-node view and ``solve_steady_states``
-its one-node call."""
+``solve_steady_states`` is its one-node call."""
 
 from __future__ import annotations
 
@@ -551,18 +550,6 @@ def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return n, p_mag[:m], p_mag[m:]
 
 
-def _warn_undriven_singular(poly: SelfConsistencyPolynomial) -> None:
-    # Positive zeros of Q are the undriven parametric-oscillation boundary
-    # states; their amplitude is indeterminate at mean field, so they are
-    # excluded exactly like driven roots that land on the singularity.
-    zeros = poly.singular_states
-    if zeros:
-        listed = ", ".join(f"{z:.9g}" for z in zeros)
-        _warn(f"undriven parametric-singularity state(s) at n_c = {listed} "
-              "excluded; only the vacuum is reported at zero drive",
-              RuntimeWarning)
-
-
 class SteadyColumns(NamedTuple):
     """The steady states kept by one kernel call, as columns: entry k of
     each is one state, and the states are grouped by ``node`` (the index of
@@ -663,8 +650,14 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
         keep = ~singular
         rows, n, w, res = rows[keep], n[keep], w[keep], res[keep]
         kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
-    if undriven:
-        _warn_undriven_singular(poly)
+    if undriven and poly.singular_states:
+        # positive zeros of Q are the undriven parametric-oscillation
+        # boundary states; their amplitude is indeterminate at mean field, so
+        # they are excluded like driven roots at the singularity
+        listed = ", ".join(f"{z:.9g}" for z in poly.singular_states)
+        _warn(f"undriven parametric-singularity state(s) at n_c = {listed} "
+              "excluded; only the vacuum is reported at zero drive",
+              RuntimeWarning)
 
     c_bar = driven_field(kappa0, delta0, den, w, p)
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
@@ -673,24 +666,12 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels)
 
 
-def solve_steady_nodes(p: SystemParams, drives, tol_res: float = EPS_RES,
-                       eps_stab: float = EPS_STAB) -> list[list[SteadyState]]:
-    """The states of ``solve_steady_columns`` (which describes the method,
-    the exclusions and the warnings) as one list per drive, sorted by
-    photon number."""
-    cols = solve_steady_columns(p, drives, tol_res=tol_res, eps_stab=eps_stab)
-    states: list[list[SteadyState]] = [[] for _ in range(len(drives))]
-    for node, *state in zip(
-            cols.node.tolist(), cols.n_c.tolist(), cols.c_bar.tolist(),
-            cols.sigma_minus.tolist(), cols.sigma_z.tolist(), cols.stability,
-            cols.residual.tolist()):
-        states[node].append(SteadyState(*state))
-    return states
-
-
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
                         eps_stab: float = EPS_STAB) -> list[SteadyState]:
     """All self-consistent steady states at ``p``, sorted by photon number:
-    the one-node call of ``solve_steady_nodes``."""
-    return solve_steady_nodes(p, [p.omega_d], tol_res=tol_res,
-                              eps_stab=eps_stab)[0]
+    the one-node call of ``solve_steady_columns``, one SteadyState per row."""
+    cols = solve_steady_columns(p, [p.omega_d], tol_res=tol_res,
+                                eps_stab=eps_stab)
+    return list(map(SteadyState, cols.n_c.tolist(), cols.c_bar.tolist(),
+                    cols.sigma_minus.tolist(), cols.sigma_z.tolist(),
+                    cols.stability, cols.residual.tolist()))

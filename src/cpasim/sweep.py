@@ -6,8 +6,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -62,18 +61,59 @@ class CPAMarker:
     observable: bool  # markers on unstable branches cannot be seen in a sweep
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HysteresisCurve:
-    points: list[CurvePoint]
+    """A branch-resolved input/output curve as columns, one row per steady
+    state.  The constructor sets the row order every reader relies on: by
+    input intensity, then photon number, by one stable sort."""
+
+    input_intensity: np.ndarray
+    n_c: np.ndarray
+    output_intensity: np.ndarray
+    stability: np.ndarray  # of Stability (object)
+    branch_id: np.ndarray  # int
     folds: list[tuple[float, float]]  # (input_intensity, n_c); see scan_folds
     pattern: PatternClass
     cpa_markers: list[CPAMarker]
+
+    def __post_init__(self) -> None:
+        # on an ascending grid this is the kernel's own order already
+        order = np.lexsort((self.n_c, self.input_intensity))
+        self.input_intensity = np.asarray(self.input_intensity, float)[order]
+        self.n_c = np.asarray(self.n_c, float)[order]
+        self.output_intensity = np.asarray(self.output_intensity, float)[order]
+        self.stability = np.asarray(self.stability, object)[order]
+        self.branch_id = np.asarray(self.branch_id, np.intp)[order]
+
+    def _rows(self, at) -> list[CurvePoint]:
+        """The rows ``at`` (indices or a slice) as CurvePoints."""
+        return list(map(CurvePoint, self.input_intensity[at].tolist(),
+                        self.n_c[at].tolist(), self.output_intensity[at].tolist(),
+                        self.stability[at].tolist(), self.branch_id[at].tolist()))
+
+    def __repr__(self) -> str:
+        # the columns as lists: every digit, and quicker than numpy's repr
+        cols = ", ".join(repr(getattr(self, name).tolist()) for name in (
+            "input_intensity", "n_c", "output_intensity", "stability", "branch_id"))
+        return (f"HysteresisCurve({cols}, folds={self.folds!r}, "
+                f"pattern={self.pattern!r}, cpa_markers={self.cpa_markers!r})")
+
+    @cached_property
+    def points(self) -> list[CurvePoint]:
+        """Every row as a CurvePoint, built once, on first access."""
+        return self._rows(slice(None))
 
     def window(self) -> tuple[float, float] | None:
         if not self.folds:
             return None
         xs = [f[0] for f in self.folds]
         return min(xs), max(xs)
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of each run of equal entries of ``x``."""
+    start = np.flatnonzero(np.r_[True, x[1:] != x[:-1]][:len(x)])
+    return start, np.append(start[1:], len(x))
 
 
 @dataclass
@@ -107,10 +147,8 @@ def _branch_ids(node: np.ndarray, lo: np.ndarray) -> np.ndarray:
     # with r the root's rank in its node, k_i = r_i + max(lo_j - r_j) over
     # the roots j <= i of its node: one running maximum, with each node's
     # values offset above all earlier nodes'
-    i = np.arange(len(node))
-    first = np.ones(len(node), dtype=bool)
-    first[1:] = node[1:] != node[:-1]
-    rank = i - np.maximum.accumulate(np.where(first, i, 0))
+    start, stop = _runs(node)
+    rank = np.arange(len(node)) - np.repeat(start, stop - start)
     offset = node * (lo.max(initial=0) + len(node) + 1)
     return rank + np.maximum.accumulate(lo - rank + offset) - offset
 
@@ -121,8 +159,8 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     absorption markers.
 
     All grid nodes are solved by one call of ``steady.solve_steady_columns``,
-    whose columns become the curve points in one pass, and every root's
-    output intensity comes from one array expression.  A root's branch id is
+    whose columns become the curve's columns, and every root's output
+    intensity comes from one array expression.  A root's branch id is
     the monotone segment of I(n) its photon number lies in; two roots of one
     node on the same segment raise MalformedCurve.  When the CPA input
     (``cpa.cpa_operating_point``) lies in the grid's range, its drive is one
@@ -137,8 +175,8 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     if xs and xs[0] < 0.0:
         raise ValueError("input intensities must be >= 0")
     if not xs:
-        return HysteresisCurve(points=[], folds=[], cpa_markers=[],
-                               pattern=PatternClass.MONOSTABLE)
+        return HysteresisCurve([], [], [], [], [], folds=[],
+                               pattern=PatternClass.MONOSTABLE, cpa_markers=[])
 
     folds, edges = curve_geometry(build_polynomial(p), p.kappa)
     grid = np.array(xs)
@@ -166,9 +204,6 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
             f"{xs[at]:.9g} (n_c = {n[node == at].tolist()}, edges "
             f"{edges.tolist()}): solver and curve geometry disagree")
     outputs = np.maximum(*output_intensities(roots.c_bar[:m], drives[node], p))
-    points = list(map(CurvePoint, grid[node].tolist(), n.tolist(),
-                      outputs.tolist(), roots.stability[:m],
-                      ids.tolist()))
 
     markers = []
     if point is not None:
@@ -182,7 +217,8 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
                 branch=placed.branch_location,
                 observable=placed.stability is Stability.STABLE))
     curve = HysteresisCurve(
-        points=points, folds=[f for f in folds if xs[0] <= f[0] <= xs[-1]],
+        grid[node], n, outputs, roots.stability[:m], ids,
+        folds=[f for f in folds if xs[0] <= f[0] <= xs[-1]],
         pattern=PatternClass.MONOSTABLE, cpa_markers=markers)
     curve.pattern = classify_pattern(curve)
     return curve
@@ -204,15 +240,13 @@ def classify_pattern(curve: HysteresisCurve) -> PatternClass:
     lo, hi = win
     if lo == 0.0:
         return PatternClass.UNCONVENTIONAL_BISTABLE
-    # one sorted pass groups the points by node, each node's by n_c
-    by_node = sorted(curve.points, key=attrgetter("input_intensity", "n_c"))
-    for intensity, pts in groupby(by_node, key=attrgetter("input_intensity")):
-        if not (lo + WINDOW_MARGIN < intensity < hi - WINDOW_MARGIN):
-            continue
-        pts = list(pts)
-        if len(pts) >= 2 and pts[-1].output_intensity <= pts[0].output_intensity:
-            return PatternClass.UNCONVENTIONAL_BISTABLE
-    return PatternClass.CONVENTIONAL_BISTABLE
+    # each input's first and last row: its lowest and highest n_c
+    first, stop = _runs(curve.input_intensity)
+    x, out = curve.input_intensity[first], curve.output_intensity
+    inverted = ((lo + WINDOW_MARGIN < x) & (x < hi - WINDOW_MARGIN)
+                & (stop - first > 1) & (out[stop - 1] <= out[first]))
+    return (PatternClass.UNCONVENTIONAL_BISTABLE if inverted.any()
+            else PatternClass.CONVENTIONAL_BISTABLE)
 
 
 def follow_sweep(curve: HysteresisCurve, direction: str = "up") -> list[CurvePoint]:
@@ -226,26 +260,21 @@ def follow_sweep(curve: HysteresisCurve, direction: str = "up") -> list[CurvePoi
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    by_node: dict[float, list[CurvePoint]] = {}
-    for q in curve.points:
-        by_node.setdefault(q.input_intensity, []).append(q)
-    order = sorted(by_node, reverse=(direction == "down"))
-    selected: list[CurvePoint] = []
-    current: CurvePoint | None = None
-    for intensity in order:
-        pts = sorted(by_node[intensity], key=lambda q: q.n_c)
-        stable = [q for q in pts if q.stability is Stability.STABLE] or pts
-        if current is None:
-            pick = stable[0] if direction == "up" else stable[-1]
-        else:
-            same = [q for q in stable if q.branch_id == current.branch_id]
-            pick = same[0] if same else min(
-                stable, key=lambda q: abs(q.n_c - current.n_c))
-        selected.append(pick)
-        current = pick
-    if direction == "down":
-        selected.reverse()
-    return selected
+    step = 1 if direction == "up" else -1
+    start, stop = _runs(curve.input_intensity)
+    n, ids = curve.n_c.tolist(), curve.branch_id.tolist()
+    stable = (curve.stability == Stability.STABLE).tolist()
+    picks: list[int] = []
+    for a, b in list(zip(start.tolist(), stop.tolist()))[::step]:
+        rows = [k for k in range(a, b) if stable[k]] or list(range(a, b))
+        if not picks:
+            picks.append(rows[0] if step > 0 else rows[-1])
+            continue
+        current = picks[-1]
+        same = [k for k in rows if ids[k] == ids[current]]
+        picks.append(same[0] if same else min(
+            rows, key=lambda k: abs(n[k] - n[current])))
+    return curve._rows(picks[::step])
 
 
 def boundary_map(gamma: float, g_fixed: float, delta_tls_fixed: float,
@@ -257,10 +286,6 @@ def boundary_map(gamma: float, g_fixed: float, delta_tls_fixed: float,
     the critical detuning; infeasible nodes report a critical detuning of 0.
     """
     betas = np.asarray([float(b) for b in beta_grid])
-    if betas.size == 0:
-        return BoundaryMap(axis=betas, g_c_curve=betas.copy(),
-                           delta_c_curve=betas.copy(),
-                           region_mask=np.zeros(0, dtype=bool))
     if np.any(betas <= 0.0):
         raise ValueError("beta grid must be strictly positive")
     if np.any(np.diff(betas) < 0.0):

@@ -71,6 +71,70 @@ class TestSteady:
         assert run("steady", "--config", str(tmp_path / "nope.yaml")) == 2
 
 
+class TestOverrides:
+    # fig3c/4.5 at its absorption drive: three roots, Stable, Unstable, Stable
+    AT_CPA = CPA_AUTO + "omega_d: 30\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-stab", "-1"), ("--tol-stab", "nan"), ("--tol-stab", "0"),
+        ("--tol-res", "-0.5"), ("--tol-res", "inf"), ("--tol-res", "nan")])
+    def test_steady_tolerances_must_be_positive_and_finite(
+            self, tmp_path, capsys, flag, value):
+        # --tol-stab -1 used to label the unstable middle root Stable, and
+        # nan all three roots Marginal
+        cfg = write_cfg(tmp_path, self.AT_CPA)
+        assert run("steady", "--config", cfg, flag, value) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "positive and finite" in captured.err
+        assert captured.out == ""
+
+    def test_steady_tolerances_apply(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.AT_CPA)
+        assert run("steady", "--config", cfg) == 0
+        labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert labels == ["Stable", "Unstable", "Stable"]
+        # a marginal band wider than every eigenvalue
+        assert run("steady", "--config", cfg, "--tol-stab", "1e3") == 0
+        labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert labels == ["Marginal"] * 3
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    def test_gamma_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, MONOSTABLE)
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out), "--svg",
+                   "--gamma", value) == 2
+        assert "--gamma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep"], ["cpa"], ["boundary"],
+                                         ["evolve"], ["reproduce", "fig2"]])
+    @pytest.mark.parametrize("flag", ["--tol-res", "--tol-stab"])
+    def test_only_steady_takes_the_tolerances(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "1e-9"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", MONOSTABLE + "t_end: .inf\n"),
+        ("boundary", "beta_min: 0.005\nbeta_max: .inf\ng_fixed: 1\n"
+                     "delta_tls_fixed: 4.5\n"),
+        ("evolve", MONOSTABLE + "t_end: 2\ndeltas: [.nan]\n"),
+        ("sweep", MONOSTABLE.replace("input_max: 5", "input_max: .inf")),
+    ], ids=["t_end", "beta_max", "deltas", "input_max"])
+    def test_non_finite_config_numbers_are_exit_2(self, tmp_path, capsys,
+                                                  command, text):
+        # these printed a raw conversion error, wrote a CSV of NaN betas,
+        # failed the integration (exit 4) and leaked a numpy RuntimeWarning
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCpa:
     def test_feasible_point(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CPA_AUTO)

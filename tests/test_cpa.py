@@ -4,11 +4,14 @@ from dataclasses import replace
 import pytest
 
 from cpasim.cpa import (
+    DETUNING_MATCH_RTOL,
+    RADICAND_ATOL,
     BranchLocation,
     cooperativity,
     cpa_cavity_detuning,
     cpa_input_amplitude,
     cpa_invariance_check,
+    cpa_operating_point,
     cpa_photon_number,
     critical_coupling,
     critical_detuning,
@@ -91,6 +94,15 @@ class TestCriticalBoundary:
     def test_critical_detuning_boundary_is_exact_zero(self):
         assert critical_detuning(0.5, 0.5, 1.0) == 0.0
 
+    def test_radicand_rounding_at_the_boundary_is_zero(self):
+        # radicand = g^2 - 1/4 at beta = 1/2, gamma = 1
+        at_boundary = 0.5 - 0.25 * RADICAND_ATOL
+        below = 0.5 - 2.0 * RADICAND_ATOL
+        assert -RADICAND_ATOL < at_boundary ** 2 - 0.25 < 0.0
+        assert critical_detuning(at_boundary, 0.5, 1.0) == 0.0
+        with pytest.raises(Infeasible):
+            critical_detuning(below, 0.5, 1.0)
+
     def test_critical_detuning_below_boundary_raises(self):
         with pytest.raises(Infeasible):
             critical_detuning(0.4, 0.5, 1.0)
@@ -118,6 +130,16 @@ class TestVerify:
         report = verify_cpa(p)
         assert not report.feasible
         assert "CavityDetuningMismatch" in report.reasons
+
+    def test_cavity_detuning_matches_within_its_tolerance(self, fig3_params):
+        p = fig3_params[("fig3c", 4.5)]
+        required = cpa_cavity_detuning(p)
+        tol = DETUNING_MATCH_RTOL * max(p.gamma, abs(required))
+        for offset, mismatch in ((0.5, False), (-0.5, False), (2.0, True),
+                                 (-2.0, True)):
+            q = replace(p, delta_c=required + offset * tol)
+            assert ("CavityDetuningMismatch" in cpa_operating_point(q).reasons
+                    ) is mismatch
 
     def test_weak_coupling_failure_reasons(self):
         phi = math.pi

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cpasim
+from cpasim import io
 from cpasim.cpa import verify_cpa
 from cpasim.dynamics import integrate, vacuum_state
 from cpasim.errors import IoError, ParseError, ValidationError
@@ -20,7 +21,7 @@ from cpasim.io import (
     read_csv,
 )
 from cpasim.model import SystemParams
-from cpasim.sweep import boundary_map, trace_hysteresis
+from cpasim.sweep import BoundaryMap, boundary_map, trace_hysteresis
 
 
 def small_curve(p=None):
@@ -91,6 +92,13 @@ class TestParseConfig:
         for text, exc in cases:
             with pytest.raises(exc):
                 parse_config(text)
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize("key", sorted(io._SCALAR_KEYS | io._LIST_KEYS))
+    def test_non_finite_numbers_are_rejected(self, key, value):
+        entry = f"[0, 0, 0, 0, {value}]" if key in io._LIST_KEYS else value
+        with pytest.raises(ValidationError, match=f"key '{key}' must .*finite"):
+            parse_config(f"{key}: {entry}\n")
 
     def test_yaml_error_carries_location(self):
         with pytest.raises(ParseError, match="line"):
@@ -230,6 +238,23 @@ class TestSVG:
         text = path.read_text()
         ET.fromstring(text)
         assert "#add8e6" in text
+
+    def test_boundary_svg_shades_each_feasible_run(self, tmp_path):
+        # runs [0, 1], [3] and [6, 8] of the mask: a band from the run's
+        # first beta to its last
+        axis = np.linspace(0.01, 0.09, 9)
+        mask = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
+        bm = BoundaryMap(axis=axis, g_c_curve=axis, delta_c_curve=axis,
+                         region_mask=mask)
+        path = tmp_path / "bm.svg"
+        emit_svg(bm, path)
+        bands = [r for r in ET.fromstring(path.read_text()).iter()
+                 if r.get("fill") == "#add8e6"]
+        px = (axis - axis[0]) / (axis[-1] - axis[0])  # fractions of the axis
+        widths = [float(r.get("width")) for r in bands]
+        assert len(bands) == 3 and widths[1] == 0.0
+        assert widths[0] / widths[2] == pytest.approx(
+            (px[1] - px[0]) / (px[8] - px[6]), rel=1e-5)
 
     def test_trace_svg(self, tmp_path):
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, omega_d=2.0)

@@ -1,4 +1,4 @@
-"""The stacked steady-state kernel, steady.solve_steady_nodes: solving many
+"""The stacked steady-state kernel, steady.solve_steady_columns: solving many
 drives at once changes no result, every state it maps at once equals the
 model's scalar formulas, a state on a fold is reported once, a curve is one
 kernel call with no parameter set per node, warnings come once per call,
@@ -27,6 +27,7 @@ from cpasim.cpa import BranchLocation, max_output_intensity
 from cpasim.errors import ParametricRegimeWarning
 from cpasim.model import (
     Stability,
+    SteadyState,
     SystemParams,
     atomic_expectations,
     drive_for_input_intensity,
@@ -40,11 +41,12 @@ from cpasim.steady import (
     HURWITZ_RTOL,
     IMAG_RTOL,
     MERGE_RADIUS,
+    SteadyColumns,
     bare_threshold_margin,
     build_polynomial,
     classify_stability,
     jacobian,
-    solve_steady_nodes,
+    solve_steady_columns,
     solve_steady_states,
 )
 from cpasim.sweep import scan_folds, trace_hysteresis
@@ -52,8 +54,32 @@ from cpasim.sweep import scan_folds, trace_hysteresis
 FIG3 = [(tag, dtls) for tag in ("fig3a", "fig3b", "fig3c") for dtls in (4.5, 1.5)]
 
 
+def states_of(cols):
+    """The kernel's rows as SteadyStates, in column order."""
+    return list(map(SteadyState, cols.n_c.tolist(), cols.c_bar.tolist(),
+                    cols.sigma_minus.tolist(), cols.sigma_z.tolist(),
+                    cols.stability, cols.residual.tolist()))
+
+
 def one_by_one(p, drives):
-    return [solve_steady_states(replace(p, omega_d=w)) for w in drives]
+    """One solve_steady_states call per drive, stacked as the columns the
+    kernel must give for all the drives at once."""
+    node, states = [], []
+    for k, w in enumerate(drives):
+        found = solve_steady_states(replace(p, omega_d=w))
+        node += [k] * len(found)
+        states += found
+    return SteadyColumns(
+        np.array(node, dtype=np.intp), np.array([s.n_c for s in states]),
+        np.array([s.c_bar for s in states], dtype=complex),
+        np.array([s.sigma_minus_bar for s in states], dtype=complex),
+        np.array([s.sigma_z_bar for s in states]),
+        np.array([s.residual for s in states]), [s.stability for s in states])
+
+
+def assert_same_columns(a, b):
+    assert a.node.tolist() == b.node.tolist()
+    assert states_of(a) == states_of(b)
 
 
 # The scalar path the kernel replaced, as the reference: numpy.polynomial's
@@ -158,9 +184,10 @@ def test_batch_equals_one_node_calls_on_the_fig3_grids(key):
     drives = drive_for_input_intensity(np.linspace(0.0, reproduce_span(p), 301), p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert solve_steady_nodes(p, drives) == one_by_one(p, drives)
+        assert_same_columns(solve_steady_columns(p, drives), one_by_one(p, drives))
         # in any order: the zero-drive node last
-        assert solve_steady_nodes(p, drives[::-1]) == one_by_one(p, drives[::-1])
+        assert_same_columns(solve_steady_columns(p, drives[::-1]),
+                            one_by_one(p, drives[::-1]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -184,17 +211,17 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
     drives = drive_for_input_intensity(grid, p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batched = solve_steady_nodes(p, drives)
-        assert batched == one_by_one(p, drives)
+        batched = solve_steady_columns(p, drives)
+        assert_same_columns(batched, one_by_one(p, drives))
     if build_polynomial(p).degree == 0:
-        assert all(states == [] for x, states in zip(grid, batched) if x > 0.0)
+        assert not grid[batched.node].any()  # states only where x = 0
     # otherwise, root counts against the dense sign-change oracle, below
     # threshold and away from the folds' near-double roots.  An even node
     # count keeps a round root (the empty cavity's n = 6 at bound 12) off
     # the grid, where h = 0 would be no sign change
     elif bare_threshold_margin(p) > 0.0:
         q = at_input(p, grid[-1])
-        assert len(batched[-1]) == count_sign_changes(
+        assert np.count_nonzero(batched.node == len(grid) - 1) == count_sign_changes(
             q, root_scan_bound(build_polynomial(q)), nodes=20000)
 
 
@@ -247,7 +274,7 @@ def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
     monkeypatch.setattr(sweep, "solve_steady_columns", counting_kernel)
     for module, name in ((sweep, "solve_steady_states"),
                          (steady, "solve_steady_states"),
-                         (steady, "solve_steady_nodes"), (steady, "SteadyState"),
+                         (steady, "SteadyState"),
                          (cpa, "verify_cpa"), (cpa, "solve_steady_states")):
         monkeypatch.setattr(module, name, elsewhere)
     curve = trace_hysteresis(p, grid)
@@ -307,34 +334,33 @@ def test_drives_and_grids_are_validated_at_entry(bad):
     # numpy.linalg error from inside the stacked solve
     p = fig3_preset("fig3c", 4.5)
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_nodes(p, [1.0, bad])
+        solve_steady_columns(p, [1.0, bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [0.0, 1.0, bad])
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_nodes(p, [[1.0]])
-    assert solve_steady_nodes(p, []) == []
+        solve_steady_columns(p, [[1.0]])
+    assert solve_steady_columns(p, []).n_c.size == 0
 
 
 def assert_states_match_the_scalar_formulas(p, grid):
     """Every state of the kernel and every curve point's output intensity
     equal the model's scalar functions at that root, exactly."""
-    drives = drive_for_input_intensity(grid, p)
-    states_at = solve_steady_nodes(p, drives)
-    points = iter(trace_hysteresis(p, grid).points)
-    for w, states in zip(drives.tolist(), states_at):
+    drives = drive_for_input_intensity(grid, p).tolist()
+    cols = solve_steady_columns(p, drives)
+    points = trace_hysteresis(p, grid).points
+    assert len(points) == len(cols.n_c)
+    for node, s, point in zip(cols.node.tolist(), states_of(cols), points):
+        w = drives[node]
         q = replace(p, omega_d=w)
-        for s in states:
-            # the vacuum of an undriven node is reported even where the
-            # denominator at n = 0 is singular
-            assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
-            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
-                                                       s.sigma_z_bar)
-            point = next(points)
-            assert point.n_c == s.n_c
-            assert point.output_intensity == max_output_intensity(q, s.c_bar)
-    assert next(points, None) is None
+        # the vacuum of an undriven node is reported even where the
+        # denominator at n = 0 is singular
+        assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
+        assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                   s.sigma_z_bar)
+        assert point.n_c == s.n_c
+        assert point.output_intensity == max_output_intensity(q, s.c_bar)
 
 
 @pytest.mark.parametrize("key", FIG3)
@@ -371,16 +397,16 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
     p = fig3_preset("fig3a", 4.5)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        states = solve_steady_nodes(p, [1e-10, 1.0])
+        cols = solve_steady_columns(p, [1e-10, 1.0])
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "parametric singularity" in str(seen[0].message) and here(seen[0])
-    assert [s.n_c < 1e-20 for s in states[0]] == [True]  # the near-vacuum root
-    for w, node in zip((1e-10, 1.0), states):
-        q = replace(p, omega_d=w)
-        for s in node:
-            assert s.c_bar == intracavity_field(s.n_c, q)
-            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
-                                                       s.sigma_z_bar)
+    # the near-vacuum root
+    assert (cols.n_c[cols.node == 0] < 1e-20).tolist() == [True]
+    for node, s in zip(cols.node.tolist(), states_of(cols)):
+        q = replace(p, omega_d=(1e-10, 1.0)[node])
+        assert s.c_bar == intracavity_field(s.n_c, q)
+        assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                   s.sigma_z_bar)
 
 
 # Stability labels: the kernel's Lienard-Chipart test of each Jacobian's
@@ -390,8 +416,8 @@ def states_and_jacobians(p, grid):
     """The kernel's states over ``grid`` and the stack of their Jacobians."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        states = [s for node in solve_steady_nodes(
-            p, drive_for_input_intensity(grid, p)) for s in node]
+        states = states_of(solve_steady_columns(
+            p, drive_for_input_intensity(grid, p)))
     return states, np.array([jacobian(s, p) for s in states]).reshape(-1, 5, 5)
 
 

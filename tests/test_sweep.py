@@ -20,7 +20,6 @@ from cpasim.model import Stability, SystemParams
 from cpasim.steady import SteadyColumns, jacobian, solve_steady_states
 from cpasim.sweep import (
     CPAMarker,
-    CurvePoint,
     HysteresisCurve,
     PatternClass,
     boundary_map,
@@ -378,22 +377,21 @@ class TestClassify:
         assert sweep._branch_ids(node, lo).tolist() == expected
 
     def test_output_inversion_inside_the_window_is_unconventional(self):
-        # folds at positive input; at the interior node the largest-n_c
-        # root's output is below the smallest one's.  The points come
-        # unsorted: each node's points are compared in photon-number order
-        def point(x, n_c, out):
-            return CurvePoint(input_intensity=x, n_c=n_c, output_intensity=out,
-                              stability=Stability.STABLE, branch_id=0)
+        # folds at positive input; at the interior node 2.0 the largest-n_c
+        # root's output is below the smallest one's.  The rows come
+        # unsorted: each node's rows are compared in photon-number order.
+        # The interior node 2.5 has one root, which compares with nothing
+        def curve(top_output):
+            return HysteresisCurve(
+                input_intensity=[2.0, 0.5, 2.0, 2.5, 2.0, 4.0],
+                n_c=[9.0, 1.0, 1.0, 3.0, 4.0, 9.0],
+                output_intensity=[top_output, 0.2, 0.5, 0.9, 0.3, 1.0],
+                stability=[Stability.STABLE] * 6, branch_id=[0] * 6,
+                folds=[(1.0, 5.0), (3.0, 2.0)], pattern=PatternClass.MONOSTABLE,
+                cpa_markers=[])
 
-        curve = HysteresisCurve(
-            points=[point(2.0, 9.0, 0.1), point(0.5, 1.0, 0.2),
-                    point(2.0, 1.0, 0.5), point(2.0, 4.0, 0.3),
-                    point(4.0, 9.0, 1.0)],
-            folds=[(1.0, 5.0), (3.0, 2.0)], pattern=PatternClass.MONOSTABLE,
-            cpa_markers=[])
-        assert classify_pattern(curve) is PatternClass.UNCONVENTIONAL_BISTABLE
-        curve.points[0] = point(2.0, 9.0, 0.6)
-        assert classify_pattern(curve) is PatternClass.CONVENTIONAL_BISTABLE
+        assert classify_pattern(curve(0.1)) is PatternClass.UNCONVENTIONAL_BISTABLE
+        assert classify_pattern(curve(0.6)) is PatternClass.CONVENTIONAL_BISTABLE
 
     def test_conventional_needs_upper_branch_above_lower(self, fig3_params):
         # same fold structure, but the anchored-window case inverts the
