@@ -5,8 +5,10 @@ parameter sets for the boundary map, the three hysteresis configurations,
 and the time-evolution panels).  All inputs are in units of the atomic
 linewidth; --gamma rescales emitted files to physical units.
 
-Exit codes: 0 success, 2 validation/parse error, 3 infeasible absorption
-request, 4 numerical failure.
+Exit codes: 0 success, 2 validation/parse error (inputs are checked where
+they enter), 3 infeasible absorption request, 4 numerical failure (any
+other error from the computation, a ValueError from numpy or scipy
+included).
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady states, bistability, and perfect-absorption "
                     "operating points of a driven cavity with a two-level "
                     "atom and a pumped nonlinear crystal.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML parameter file")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="YAML parameter file")
+    # the commands that write files
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--csv", action="store_true",
                         help="write CSV output (default when --svg absent)")
@@ -66,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="physical linewidth for unit rescaling on output")
 
     sub = ap.add_subparsers(dest="command", required=True)
-    steady = sub.add_parser("steady", parents=[common], help="steady-state "
-                            "roots and stability at one parameter point")
+    steady = sub.add_parser("steady", parents=[config], help="steady-state "
+                            "roots and stability at one parameter point "
+                            "(printed; no files)")
     steady.add_argument("--tol-res", type=float, default=None,
                         help="residual acceptance tolerance override")
     steady.add_argument("--tol-stab", type=float, default=None,
@@ -119,6 +124,17 @@ def _emit(args, result, stem: str, title: str | None = None) -> None:
         path = _path(args, stem + ".svg")
         emit_svg(result, path, gamma_scale=args.gamma, title=title)
         print(f"wrote {path}")
+
+
+def _evolution_times(cfg: RunConfig, t_end: float, sample_dt: float
+                     ) -> tuple[float, float]:
+    """The end time and sample spacing of a run, the config's over the
+    defaults given, checked where they enter: 0 < sample_dt <= t_end."""
+    t_end = cfg.t_end if cfg.t_end is not None else t_end
+    dt = cfg.sample_dt if cfg.sample_dt is not None else sample_dt
+    if not 0.0 < dt <= t_end:
+        raise ValidationError(f"sample_dt = {dt:g} must lie in (0, t_end = {t_end:g}]")
+    return t_end, dt
 
 
 def _cmd_steady(args) -> int:
@@ -177,11 +193,11 @@ def _cmd_evolve(args) -> int:
     if cfg.t_end is None:
         raise ValidationError("evolve requires t_end")
     deltas = cfg.deltas or [0.0]
-    dt = cfg.sample_dt if cfg.sample_dt is not None else cfg.t_end / 2000.0
+    t_end, dt = _evolution_times(cfg, cfg.t_end, cfg.t_end / 2000.0)
     init = (np.asarray(cfg.initial_state) if cfg.initial_state is not None
             else vacuum_state())
     for delta in deltas:
-        trace = integrate(p, delta, init, cfg.t_end, dt,
+        trace = integrate(p, delta, init, t_end, dt,
                           rtol=EVOLVE_RTOL, atol=EVOLVE_ATOL)
         print(f"delta={delta:g}: final n_c={trace.n_c[-1]:.6g}, "
               f"final out={trace.out_intensity[-1]:.6g}")
@@ -234,8 +250,7 @@ def _cmd_reproduce(args) -> int:
     cfg = _load_config(args, required=False)
     p = cfg.params if cfg.params is not None else fig4_preset()
     deltas = cfg.deltas or list(FIG4_DELTAS)
-    t_end = cfg.t_end if cfg.t_end is not None else 600.0
-    dt = cfg.sample_dt if cfg.sample_dt is not None else 0.1
+    t_end, dt = _evolution_times(cfg, 600.0, 0.1)
     init = (np.asarray(cfg.initial_state) if cfg.initial_state is not None
             else vacuum_state())
     for delta in deltas:
@@ -264,14 +279,16 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) is not None:
                 check_positive("--" + flag.replace("_", "-"), getattr(args, flag))
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonPositiveBeta, Infeasible, AsymmetricMirrors) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (StepFailure, ParametricSingularity, MalformedCurve, IoError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, ValueError) as exc:
+        # a ValueError from inside numpy, scipy or the library: the inputs
+        # were checked where they entered, so it is no config error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

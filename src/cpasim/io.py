@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .cpa import CPAReport, cpa_cavity_detuning
 from .dynamics import TimeTrace
 from .errors import IoError, ParseError, ValidationError
-from .model import SystemParams
+from .model import Stability, SystemParams
 from .sweep import BoundaryMap, HysteresisCurve
 from .steady import EPS_RES, EPS_STAB
 
@@ -202,6 +203,10 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+# each label's CSV text, looked up without the enum's value descriptor
+_LABELS = {s: s.value for s in Stability}
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -220,14 +225,15 @@ def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     gs = float(gamma_scale)
     lines: list[str] = []
     if isinstance(result, HysteresisCurve):
-        lines.append("input_intensity,n_c,output_intensity,stability,branch_id")
-        # the curve's rows are in the schema's order already
-        lines += map(",".join, zip(
-            map(_fmt, (result.input_intensity * gs).tolist()),
-            map(_fmt, result.n_c.tolist()),
-            map(_fmt, (result.output_intensity * gs).tolist()),
-            [s.value for s in result.stability.tolist()],
-            map(str, result.branch_id.tolist())))
+        # the curve's rows are in the schema's order already: one %-format
+        # over all of them, whose %.17g is _fmt's
+        rows = zip((result.input_intensity * gs).tolist(), result.n_c.tolist(),
+                   (result.output_intensity * gs).tolist(),
+                   map(_LABELS.__getitem__, result.stability.tolist()),
+                   result.branch_id.tolist())
+        lines.append("input_intensity,n_c,output_intensity,stability,branch_id"
+                     + "\n%.17g,%.17g,%.17g,%s,%d" * len(result.n_c)
+                     % tuple(chain.from_iterable(rows)))
     elif isinstance(result, BoundaryMap):
         lines.append("beta,g_c,delta_tls_c,feasible")
         for b, g_c, d_c, ok in zip(result.axis, result.g_c_curve,

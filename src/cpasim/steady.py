@@ -1,9 +1,11 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
-One kernel, ``solve_steady_columns``, solves any number of drives of one
-parameter set at once and returns the kept roots as columns;
-``solve_steady_states`` is its one-node call."""
+Two root stages solve any number of drives of one parameter set at once and
+share one states stage, which returns the kept states as columns:
+``solve_steady_columns`` by the companion matrix (``solve_steady_states`` is
+its one-node call), and ``solve_curve_columns``, for a curve, bracketed on
+the monotone segments of its geometry."""
 
 from __future__ import annotations
 
@@ -50,6 +52,14 @@ NEWTON_STOP = 1e-15
 # A polished root that drifted more than NEWTON_DRIFT max(1, |n0|) from n0,
 # or went negative, keeps n0.
 NEWTON_DRIFT = 1e-3
+# The curve's bracketed roots (_segment_roots): I(n) is tabulated at
+# SEGMENT_TABLE cosine-spaced points per monotone segment for a starting
+# bracket, and a root's Newton stops at |P| <= ROUNDING_FLOOR eps sum |c_k| n^k,
+# on a step shorter than NEWTON_STOP max(1, n), or after BRACKET_STEPS steps.
+SEGMENT_TABLE = 48
+ROUNDING_FLOOR = 4.0
+BRACKET_STEPS = 100
+_COSINE = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, SEGMENT_TABLE))
 # A Lienard-Chipart condition within HURWITZ_RTOL of its evaluation magnitude
 # (the same expression in absolute values) is rounding: its row is labelled
 # by eigvals instead.  Against exact rational arithmetic the rounding error
@@ -135,7 +145,10 @@ def _poly_pieces(p: SystemParams):
     Q = A^2 + B^2 - 4|G|^2 D^2               (cleared denominator)
     R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2  (cleared numerator magnitude^2)
 
-    Returns D^2, Q and R.
+    Returns D^2, Q and R, and A - 2 Re(G) D when Q and R share the factor
+    A + 2 Re(G) D (else None): that is when 2 Im(G) D - B vanishes to within
+    the rounding of its terms, so that R = (A + 2 Re(G) D)^2 and
+    Q = (A - 2 Re(G) D)(A + 2 Re(G) D).
     """
     D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
     D = _trim(np.array([D0, 2.0 * p.g ** 2]))
@@ -143,19 +156,34 @@ def _poly_pieces(p: SystemParams):
     B = _add(p.delta_c * D, np.array([-p.g ** 2 * p.delta_tls]))
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    DD = np.convolve(D, D)
-    Q = _add(_add(np.convolve(A, A), np.convolve(B, B)),
-             -(4.0 * p.g_nl_mag ** 2 * DD))
-    if _at_bare_threshold(p):
-        # Q's n^2 coefficient is 4 g^4 times the bare threshold margin, and
-        # for g = 0 all of Q is D0^2 times it; the sum above leaves rounding
-        # there, which puts a spurious root near 1e15 and spoils the others
-        Q[2 if p.g > 0.0 else 0:] = 0.0
-        Q = _trim(Q)
+    AA, DD = np.convolve(A, A), np.convolve(D, D)
+    GDD = 4.0 * p.g_nl_mag ** 2 * DD
+    Q = _add(_add(AA, np.convolve(B, B)), -GDD)
+    # a coefficient of Q within the rounding of its terms is zero (A >= 0 and
+    # A, D have one length, so its terms are A^2 + GDD plus |B|^2).  Its n^2
+    # coefficient is 4 g^4 times the bare threshold margin, and for g = 0 all
+    # of Q is D0^2 times it; rounding left there puts a spurious root near
+    # 1e15 and spoils the others.  At the threshold its n coefficient,
+    # 4 g^4 (kappa gamma / 4 - delta_c delta_tls), and Q(0) can vanish too
+    eps = 4.0 * np.finfo(float).eps
+    terms = AA + GDD
+    terms[:2 * len(B) - 1] += np.convolve(np.abs(B), np.abs(B))
+    small = np.abs(Q) <= eps * terms[:len(Q)]
+    if small.any():
+        Q = _trim(np.where(small, 0.0, Q))
     Rp = _add(A, 2.0 * g_re * D)
     Rq = _add(2.0 * g_im * D, -B)
     R = _add(np.convolve(Rp, Rp), np.convolve(Rq, Rq))
-    return DD, Q, R
+    # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
+    terms = [abs(2.0 * g_im * d) + abs(p.delta_c * d) for d in D.tolist()]
+    terms[0] += p.g ** 2 * abs(p.delta_tls)
+    if any(abs(r) > eps * t for r, t in zip(Rq.tolist(), terms)):
+        return DD, Q, R, None
+    # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
+    # threshold, where rounding left in it would put a spurious root near 1e15
+    q = A - 2.0 * g_re * D
+    q[np.abs(q) <= eps * (np.abs(A) + np.abs(2.0 * g_re * D))] = 0.0
+    return DD, Q, R, _trim(q)
 
 
 def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
@@ -165,11 +193,15 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     For |G| = 0 exactly, R == Q and Q = A^2 + B^2 > 0 carries no roots, so the
     positive factor Q is divided out and the classic bistability cubic
     C(n) = n Q(n) - omega_d^2 D(n)^2 is returned instead (degree <= 3; it
-    collapses to degree 1 when additionally g = 0).
+    collapses to degree 1 when additionally g = 0).  When Q and R share the
+    factor A + 2 Re(G) D (see ``_poly_pieces``), its square is divided out:
+    P(n) = n (A - 2 Re(G) D)^2 - omega_d^2 D^2, with Q = A - 2 Re(G) D.
     """
-    DD, Q, R = _poly_pieces(p)
+    DD, Q, R, q_shared = _poly_pieces(p)
     if p.g_nl_mag == 0.0:
         free, drive, q = _mulx(Q), DD, None
+    elif q_shared is not None:
+        free, drive, q = _mulx(np.convolve(q_shared, q_shared)), DD, q_shared
     else:
         free, drive, q = _mulx(np.convolve(Q, Q)), np.convolve(R, DD), Q
     return SelfConsistencyPolynomial(free=free, drive=drive, q=q,
@@ -206,7 +238,9 @@ def _real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numpy.polynomial's companion matrices (Edelman & Murakami, Math. Comp.
     64, 1995).  Imaginary parts within IMAG_RTOL are rounding, roots down to
     -EPS_ROOT are clamped to 0, and roots within MERGE_RADIUS merge into the
-    lower one.
+    lower one.  One-node solves and the curve geometry take their roots
+    from here; a curve's own roots are bracketed on the geometry's monotone
+    segments instead (``_segment_roots``).
     """
     degree = ((coeffs != 0.0) * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
     rows, roots = [], []
@@ -313,13 +347,6 @@ def bare_threshold_margin(p: SystemParams) -> float:
     parametric-oscillation threshold (the large-n_c limit of the cleared
     denominator)."""
     return (p.kappa / 2.0) ** 2 + p.delta_c ** 2 - 4.0 * p.g_nl_mag ** 2
-
-
-def _at_bare_threshold(p: SystemParams) -> bool:
-    """True when the bare threshold margin is zero to within the rounding of
-    its terms."""
-    terms = (p.kappa / 2.0) ** 2 + p.delta_c ** 2 + 4.0 * p.g_nl_mag ** 2
-    return abs(bare_threshold_margin(p)) <= 4.0 * np.finfo(float).eps * terms
 
 
 def oracle_scan_bound(p: SystemParams) -> float:
@@ -553,7 +580,10 @@ def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 class SteadyColumns(NamedTuple):
     """The steady states kept by one kernel call, as columns: entry k of
     each is one state, and the states are grouped by ``node`` (the index of
-    their drive in the call) and sorted by photon number within a node."""
+    their drive in the call) and sorted by photon number within a node.
+    ``segment`` is each state's monotone segment of the curve (its branch)
+    from a curve solve, -1 at its one-node drives; None from the companion
+    solve."""
 
     node: np.ndarray  # int
     n_c: np.ndarray
@@ -562,84 +592,221 @@ class SteadyColumns(NamedTuple):
     sigma_z: np.ndarray
     residual: np.ndarray
     stability: list[Stability]
+    segment: np.ndarray | None = None  # int
 
 
-def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
-                         eps_stab: float = EPS_STAB) -> SteadyColumns:
-    """All self-consistent steady states of ``p`` at each of ``drives``, a
-    sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
-    that replaces ``p.omega_d``, as columns (see ``SteadyColumns``).
-
-    The drive enters the cleared polynomial only as P = free - omega_d^2
-    drive, so the drive-free factors are built once.  The roots of every
-    drive come from one stacked companion-matrix eigvals, are filtered to the
-    real nonnegative axis and deduplicated within MERGE_RADIUS,
-    Newton-polished together, residual-checked against ``tol_res`` times the
-    polynomial scale, and merged again (a state on a fold is reported once).
-    All kept roots are then mapped at once to full mean-field states by the
-    model's own formulas (``dressed_cavity``, ``driven_field``,
-    ``atomic_expectations``) and labelled from their stacked Jacobians by
-    ``_stability_labels``.  Roots at the parametric singularity
-    (denominator below the guard) are excluded with a RuntimeWarning each.
-    An undriven node has only the vacuum: its polynomial n Q^2 has exact
-    double roots at the singular states, which are excluded with a
-    RuntimeWarning.
-
-    Emits one ParametricRegimeWarning per call when the bare cavity is
-    at/above the parametric threshold: the reported roots are still
-    residual-verified, but branches at large n_c are typically unstable
-    there.
-    """
+def _drives(p: SystemParams, drives) -> np.ndarray:
+    """The validated drive array, with the regime warning of a non-empty
+    call above the bare threshold."""
     omegas = np.array(drives, dtype=float)
-    ws = omegas.tolist()
-    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
+    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in omegas.tolist()):
         raise ValueError("drives must be a sequence of finite omega_d >= 0")
-    if ws and bare_threshold_margin(p) <= 0.0:
+    if len(omegas) and bare_threshold_margin(p) <= 0.0:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
-    poly = build_polynomial(p)
+    return omegas
 
-    # P = free - omega_d^2 drive per node, squaring each drive as a Python
-    # float exactly as build_polynomial does (numpy's array square can
-    # differ by an ulp); an undriven node's row is zero
-    w2 = np.array([w ** 2 for w in ws])
-    coeffs = np.zeros((len(ws), max(len(poly.free), len(poly.drive))))
+
+def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: np.ndarray) -> np.ndarray:
+    """P = free - omega_d^2 drive, one row per drive, squaring each drive as
+    a Python float exactly as build_polynomial does (numpy's array square
+    can differ by an ulp); an undriven node's row is zero."""
+    w2 = [w ** 2 for w in omegas.tolist()]
+    coeffs = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
     coeffs[:, :len(poly.free)] = poly.free
-    coeffs[:, :len(poly.drive)] -= w2[:, None] * poly.drive
-    undriven = [i for i, w in enumerate(ws) if w == 0.0]
-    if undriven:
-        coeffs[undriven] = 0.0
+    coeffs[:, :len(poly.drive)] -= np.array(w2)[:, None] * poly.drive
+    if 0.0 in w2:
+        coeffs[omegas == 0.0] = 0.0
+    return coeffs
 
+
+def _accepted(res: np.ndarray, mag: np.ndarray, tol_res: float) -> np.ndarray:
+    """The residual rule: |P| within tol_res (at least EPS_RES) times the
+    float-evaluation magnitude sum |c_k| n^k, floored at 1 (>= the
+    |c_lead| n^deg term that dominates for large roots).  Anything smaller
+    is below the reachable rounding floor for small roots whose polynomial
+    has large low-order coefficients."""
+    return ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
+
+
+def _root_bounds(c: np.ndarray) -> np.ndarray:
+    """Fujiwara's bound 2 max_i |c_(d-i) / c_d|^(1/i) on the root moduli of
+    each row of ascending coefficients ``c`` (zero-padded to degree d), from
+    its own coefficients; inf for a row whose c_d is zero (its drive puts I
+    exactly at the limit of the last segment, which holds no root of it)."""
+    c = c[:, :len(_trim(np.abs(c).max(axis=0, initial=0.0)))]
+    lead = np.abs(c[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.abs(c[:, :-1]) / lead[:, None]) ** (
+            1.0 / np.arange(c.shape[1] - 1, 0, -1))
+    return np.where(lead > 0.0, 2.0 * ratio.max(axis=1, initial=0.0), np.inf)
+
+
+def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      below: np.ndarray) -> np.ndarray:
+    """The root of each row of ``c`` in (lo, hi), from n, where P has the
+    sign ``below`` under the root: Newton's steps, bisecting the bracket
+    whenever a step leaves it, all rows at once.  A row stops at
+    |P| <= ROUNDING_FLOOR eps sum |c_k| n^k, on a step shorter than
+    NEWTON_STOP max(1, n), or after BRACKET_STEPS steps."""
+    n = n.copy()
+    m = len(n)
+    # P, P' and sum |c_k| n^k in one evaluation, P' coefficients zero-padded
+    rows = np.zeros((3, m, c.shape[1]))
+    rows[0] = c
+    rows[1, :, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
+    rows[2] = np.abs(c)
+    rows = rows.reshape(3 * m, c.shape[1])
+    live, at = np.arange(m), n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(BRACKET_STEPS):
+            f, fp, mag = _horner(rows, np.tile(at, 3)).reshape(3, -1)
+            up = np.sign(f) == below
+            lo, hi = np.where(up, at, lo), np.where(up, hi, at)
+            step = at - f / fp
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            small = np.abs(f) <= ROUNDING_FLOOR * np.finfo(float).eps * mag
+            done = small | (np.abs(step - at) <= NEWTON_STOP * np.maximum(1.0, at))
+            at = np.where(small, at, step)
+            if done.any():
+                n[live[done]] = at[done]
+                go = ~done
+                if not go.any():
+                    return n
+                live, at, lo, hi, below = live[go], at[go], lo[go], hi[go], below[go]
+                rows = rows.reshape(3, -1, c.shape[1])[:, go].reshape(-1, c.shape[1])
+    n[live] = at
+    return n
+
+
+def _companion_roots(coeffs: np.ndarray, tol_res: float):
+    """The roots of each row of ``coeffs`` by the companion matrix
+    (``_real_roots``), Newton-polished together, residual-checked
+    (``_accepted``) and merged again: Newton may swap a near-double pair,
+    and it pulls both members of the pair at a fold's own input to within
+    the merge radius, so a state on a fold is reported once.  Returns each
+    root's row, the root and P there."""
     rows, roots = _real_roots(coeffs)
     n, res, mag = _polish(coeffs[rows], roots)
-    # residual acceptance scale: the float-evaluation magnitude
-    # sum |c_k| n^k (>= the |c_lead| n^deg term that dominates for large
-    # roots).  Anything smaller is below the reachable rounding floor for
-    # small roots whose polynomial has large low-order coefficients.
-    ok = ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
+    ok = _accepted(res, mag, tol_res)
     if not ok.all():
         rows, n, res = rows[ok], n[ok], res[ok]
-    # Newton may swap a near-double pair, and it pulls both members of the
-    # pair at a fold's own input to within the merge radius
     if len(n) > 1 and np.any(rows[1:] == rows[:-1]):
         order = np.lexsort((n, rows))
         rows, n, res = rows[order], n[order], res[order]
         dup = _merged(rows, n)
         if dup is not None:
             rows, n, res = rows[~dup], n[~dup], res[~dup]
-    if undriven:
+    return rows, n, res
+
+
+def _segment_roots(poly: SelfConsistencyPolynomial, folds, kappa: float,
+                   x: np.ndarray, coeffs: np.ndarray):
+    """The roots of row i of ``coeffs``, P = free - omega_d^2 drive at the
+    driven input x[i] > 0, on the monotone segments of
+    I(n) = free / (2 kappa drive) between the curve's edges (the n of
+    ``folds``, from ``curve_geometry``).
+
+    Segment s is (e_(s-1), e_s], from n = 0, and the last one runs up to
+    Fujiwara's bound of each row's own roots.  It holds one root at input x
+    iff x lies between I at its ends, the lower end excluded; I at the edges
+    are the folds' own inputs.  Each (node, segment) pair starts at the linear
+    interpolation of I in its cell of a table of SEGMENT_TABLE points, and
+    all pairs run one ``_bracketed_newton``.  A node whose near-double pair
+    at an edge the companion root rule reports once (a real pair within
+    MERGE_RADIUS, or a complex one within IMAG_RTOL, by P's local quadratic
+    there; a node on the fold's input among them) takes the edge state
+    itself, on the segment below the edge.
+
+    Returns the node (an index into x), root, segment, P there and P's
+    float-evaluation magnitude there, grouped by node and ascending in n."""
+    by_n = sorted(folds, key=lambda f: f[1])
+    edges = np.array([n for _, n in by_n])
+    at_edges = np.array([i for i, _ in by_n])
+    lo_n = np.append(0.0, edges)
+    bounds = _root_bounds(coeffs)
+    hi_n = np.append(edges, max(bounds[bounds < math.inf].max(initial=0.0),
+                                2.0 * lo_n[-1], 1.0))
+    n_tab = lo_n[:, None] + (hi_n - lo_n)[:, None] * _COSINE
+    n_tab[:, -1] = hi_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = npoly.polyval(n_tab, poly.free) / (
+            2.0 * kappa * npoly.polyval(n_tab, poly.drive))
+    table[:, 0] = np.append(0.0, at_edges)
+    table[:-1, -1] = at_edges
+    rising = np.sign(table[:, -1] - table[:, 0])
+    # each pair's cell: the number of table entries below its input, along
+    # the segment's direction (none on a flat segment)
+    cell = np.zeros((len(x), len(lo_n)), dtype=np.intp)
+    for k in np.flatnonzero(np.abs(rising) == 1.0).tolist():
+        cell[:, k] = np.searchsorted(rising[k] * table[k], rising[k] * x)
+    has = (cell > 0) & (cell < SEGMENT_TABLE)
+
+    # the near-double pairs at the edges: (n - e)^2 from P's local quadratic,
+    # P(e) + P''(e) (n - e)^2 / 2 = 2 kappa drive(e) (I(e) - x) + ..., with
+    # P'' at the edge's own input
+    free2, drive2 = npoly.polyder(poly.free, 2), npoly.polyder(poly.drive, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = (2.0 * kappa * npoly.polyval(edges, poly.drive) * (x[:, None] - at_edges)
+              / (0.5 * (npoly.polyval(edges, free2)
+                        - 2.0 * kappa * at_edges * npoly.polyval(edges, drive2))))
+        scale = np.maximum(1.0, edges)
+        once = (x[:, None] == at_edges) | np.where(
+            t2 >= 0.0, 2.0 * np.sqrt(t2) <= MERGE_RADIUS * scale,
+            np.sqrt(-t2) <= IMAG_RTOL * scale)
+    once &= at_edges < math.inf
+    has[:, :-1] &= ~once
+    has[:, 1:] &= ~once
+
+    node, seg = np.nonzero(has)
+    k = cell[node, seg]
+    lo, hi = n_tab[seg, k - 1], n_tab[seg, k]
+    # on the last segment each row's own bound caps its cell: the table runs
+    # to the largest, which a row with a far smaller root cannot bisect down
+    # from in BRACKET_STEPS
+    hi = np.where(seg == len(edges), np.minimum(hi, np.maximum(bounds[node], lo)), hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (x[node] - table[seg, k - 1]) / (table[seg, k] - table[seg, k - 1])
+    n = lo + np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5) * (hi - lo)
+    c = coeffs[node]
+    n = _bracketed_newton(c, n, lo, hi, -rising[seg])
+
+    # the edge states, then P and its magnitude at every root
+    i, j = np.nonzero(once)
+    node, seg = np.append(node, i), np.append(seg, j)
+    n, c = np.append(n, edges[j]), np.concatenate((c, coeffs[i]))
+    order = np.lexsort((seg, node))
+    node, seg, n, c = node[order], seg[order], n[order], c[order]
+    m = len(n)
+    both = np.concatenate((c, np.abs(c)))
+    p_mag = _horner(both, np.concatenate((n, n)))
+    return node, n, seg, p_mag[:m], p_mag[m:]
+
+
+def _states(p: SystemParams, poly: SelfConsistencyPolynomial, omegas: np.ndarray,
+            rows: np.ndarray, n: np.ndarray, res: np.ndarray, eps_stab: float,
+            segment: np.ndarray | None = None) -> SteadyColumns:
+    """The states stage shared by both solves, from the residual-accepted
+    roots ``n`` of the driven nodes (``rows``, grouped) and P there: the
+    vacuum at every undriven node, the roots at the parametric singularity
+    excluded, and the fields and stability labels of all kept roots at
+    once."""
+    undriven = (omegas == 0.0).nonzero()[0]
+    if undriven.size:
         # the vacuum, an undriven node's one state (its row has no roots),
-        # inserted in node order
+        # inserted in node order, on the lowest segment
         at = np.searchsorted(rows, undriven)
         rows = np.insert(rows, at, undriven)
         n, res = np.insert(n, at, 0.0), np.insert(res, at, 0.0)
+        if segment is not None:
+            segment = np.insert(segment, at, 0)
         vacuum = at + np.arange(len(undriven))
 
     w = omegas[rows]
     kappa0, delta0, den = dressed_cavity(n, p)
     singular = at_singularity(den, p)
-    if undriven:
+    if undriven.size:
         # the vacuum is reported at any denominator: its field is 0
         den[vacuum], singular[vacuum] = 1.0, False
     if singular.any():
@@ -650,7 +817,9 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
         keep = ~singular
         rows, n, w, res = rows[keep], n[keep], w[keep], res[keep]
         kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
-    if undriven and poly.singular_states:
+        if segment is not None:
+            segment = segment[keep]
+    if undriven.size and poly.singular_states:
         # positive zeros of Q are the undriven parametric-oscillation
         # boundary states; their amplitude is indeterminate at mean field, so
         # they are excluded like driven roots at the singularity
@@ -663,7 +832,72 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
     labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p),
                                eps_stab)
-    return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels)
+    return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
+
+
+def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
+                         eps_stab: float = EPS_STAB) -> SteadyColumns:
+    """All self-consistent steady states of ``p`` at each of ``drives``, a
+    sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
+    that replaces ``p.omega_d``, as columns (see ``SteadyColumns``).
+
+    This is the companion-matrix solve, for drives with no curve geometry
+    at hand (one-node solves); ``solve_curve_columns`` solves a curve on its
+    monotone segments instead.  The drive enters the cleared polynomial only
+    as P = free - omega_d^2 drive, so the drive-free factors are built once.
+    The roots of every drive come from one stacked companion-matrix eigvals
+    (``_real_roots``), are Newton-polished together, residual-checked against
+    ``tol_res`` times the polynomial scale, and merged again (a state on a
+    fold is reported once).  The states stage (``_states``) then maps all
+    kept roots at once to full mean-field states by the model's own formulas
+    (``dressed_cavity``, ``driven_field``, ``atomic_expectations``) and labels
+    them from their stacked Jacobians by ``_stability_labels``.  Roots at the
+    parametric singularity (denominator below the guard) are excluded with a
+    RuntimeWarning each.  An undriven node has only the vacuum: its
+    polynomial n Q^2 has exact double roots at the singular states, which are
+    excluded with a RuntimeWarning.
+
+    Emits one ParametricRegimeWarning per call when the bare cavity is
+    at/above the parametric threshold: the reported roots are still
+    residual-verified, but branches at large n_c are typically unstable
+    there.
+    """
+    omegas = _drives(p, drives)
+    poly = build_polynomial(p)
+    rows, n, res = _companion_roots(_node_polynomials(poly, omegas), tol_res)
+    return _states(p, poly, omegas, rows, n, res, eps_stab)
+
+
+def solve_curve_columns(p: SystemParams, poly: SelfConsistencyPolynomial, folds,
+                        inputs, drives, one_node_drives=(), tol_res: float = EPS_RES,
+                        eps_stab: float = EPS_STAB) -> SteadyColumns:
+    """The steady states of a curve at per-mirror inputs ``inputs``, driven
+    by ``drives`` (one amplitude each, validated as in
+    ``solve_steady_columns``), then at ``one_node_drives``, as columns with
+    each state's segment (-1 for the one-node drives).
+
+    ``poly`` is ``build_polynomial(p)`` and ``folds`` its ``curve_geometry``
+    folds, which the curve already has.  The curve's roots are bracketed on
+    the geometry's monotone segments (``_segment_roots``), with no
+    eigen-solve; a segment holds at most one state at any input, so the
+    branch id is the segment itself.  A one-node drive is solved by the
+    companion matrix, as ``solve_steady_columns`` solves it, so its states
+    are that call's bit for bit.  The residual rule and the states stage are
+    the same."""
+    omegas = _drives(p, np.append(drives, one_node_drives))
+    m = len(omegas) - len(one_node_drives)
+    driven = np.flatnonzero(omegas[:m] > 0.0)
+    node, n, seg, res, mag = _segment_roots(
+        poly, folds, p.kappa, np.asarray(inputs, dtype=float)[driven],
+        _node_polynomials(poly, omegas[driven]))
+    ok = _accepted(res, mag, tol_res)
+    rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
+    if m < len(omegas):
+        more, n_more, res_more = _companion_roots(
+            _node_polynomials(poly, omegas[m:]), tol_res)
+        rows, n = np.append(rows, more + m), np.append(n, n_more)
+        res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
+    return _states(p, poly, omegas, rows, n, res, eps_stab, seg)
 
 
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,

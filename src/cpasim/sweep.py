@@ -25,12 +25,7 @@ from .model import (
     drive_for_input_intensity,
     output_intensities,
 )
-from .steady import (
-    IMAG_RTOL,
-    build_polynomial,
-    curve_geometry,
-    solve_steady_columns,
-)
+from .steady import build_polynomial, curve_geometry, solve_curve_columns
 # not called here: the benchmark's tracer (bench/tracer.py) wraps this name
 from .steady import solve_steady_states  # noqa: F401
 
@@ -132,40 +127,20 @@ def scan_folds(p: SystemParams, span: float) -> list[tuple[float, float]]:
     return [f for f in folds if f[0] <= span]
 
 
-def _branch_ids(node: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Segment index of each root, given the node of each (grouped, ascending
-    n_c within a node) and the lowest segment its photon number allows: the
-    lowest segment at or above that and above the one taken by the root
-    below it in its node, k_i = max(lo_i, k_{i-1} + 1).  The caller checks
-    k against the highest segment the root allows.
-
-    Near a fold the merging pair is a near-double root of the polynomial,
-    which the solver resolves only to IMAG_RTOL: both members may land on
-    one side of the fold's edge, and the upper one then takes the next
-    segment.
-    """
-    # with r the root's rank in its node, k_i = r_i + max(lo_j - r_j) over
-    # the roots j <= i of its node: one running maximum, with each node's
-    # values offset above all earlier nodes'
-    start, stop = _runs(node)
-    rank = np.arange(len(node)) - np.repeat(start, stop - start)
-    offset = node * (lo.max(initial=0) + len(node) + 1)
-    return rank + np.maximum.accumulate(lo - rank + offset) - offset
-
-
 def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     """Solve all steady branches over an ascending grid of input intensities
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
 
-    All grid nodes are solved by one call of ``steady.solve_steady_columns``,
-    whose columns become the curve's columns, and every root's output
-    intensity comes from one array expression.  A root's branch id is
-    the monotone segment of I(n) its photon number lies in; two roots of one
-    node on the same segment raise MalformedCurve.  When the CPA input
-    (``cpa.cpa_operating_point``) lies in the grid's range, its drive is one
-    more node of the same call, and ``cpa.place_cpa`` places its states
-    against the curve's folds, as ``verify_cpa`` does.
+    All grid nodes are solved by one call of ``steady.solve_curve_columns``
+    on the curve's own polynomial and folds, whose columns become the
+    curve's columns, and every root's output intensity comes from one array
+    expression.  A root's branch id is the monotone segment of I(n) it was
+    found on; two roots of one node on the same segment raise MalformedCurve.
+    When the CPA input (``cpa.cpa_operating_point``) lies in the grid's
+    range, its drive is one more node of the same call, solved as
+    ``verify_cpa``'s one-node solve is, and ``cpa.place_cpa`` places its
+    states against the curve's folds, as ``verify_cpa`` does.
     """
     xs = [float(x) for x in input_grid]
     if not all(map(math.isfinite, xs)):
@@ -178,31 +153,29 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
         return HysteresisCurve([], [], [], [], [], folds=[],
                                pattern=PatternClass.MONOSTABLE, cpa_markers=[])
 
-    folds, edges = curve_geometry(build_polynomial(p), p.kappa)
+    poly = build_polynomial(p)
+    folds, _ = curve_geometry(poly, p.kappa)
     grid = np.array(xs)
     drives = drive_for_input_intensity(grid, p)
     try:
         point = cpa_operating_point(p)
     except (NonPositiveBeta, AsymmetricMirrors):
         point = None
-    if point is not None and not point.reasons and (
+    if point is None or point.reasons or not (
             xs[0] <= point.input_intensity <= xs[-1]):
-        drives = np.append(drives, point.omega_d_cpa)
-    else:
         point = None
-    roots = solve_steady_columns(p, drives)
+    roots = solve_curve_columns(p, poly, folds, grid, drives,
+                                [] if point is None else [point.omega_d_cpa])
     # the grid's roots, then the CPA node's
     m = int(np.searchsorted(roots.node, len(xs)))
-    node, n = roots.node[:m], roots.n_c[:m]
-    tol = IMAG_RTOL * np.maximum(1.0, n)
-    ids = _branch_ids(node, np.searchsorted(edges, n - tol))
-    bad = np.flatnonzero(ids > np.searchsorted(edges, n + tol))
+    node, n, ids = roots.node[:m], roots.n_c[:m], roots.segment[:m]
+    bad = np.flatnonzero((node[1:] == node[:-1]) & (ids[1:] <= ids[:-1]))
     if bad.size:
         at = node[bad[0]]
         raise MalformedCurve(
             f"two steady states on one monotone segment at input "
-            f"{xs[at]:.9g} (n_c = {n[node == at].tolist()}, edges "
-            f"{edges.tolist()}): solver and curve geometry disagree")
+            f"{xs[at]:.9g} (n_c = {n[node == at].tolist()}, segments "
+            f"{ids[node == at].tolist()})")
     outputs = np.maximum(*output_intensities(roots.c_bar[:m], drives[node], p))
 
     markers = []

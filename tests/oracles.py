@@ -49,7 +49,57 @@ def count_sign_changes(p, n_max, nodes=20001):
     # refine cells that did NOT flip but dip toward zero: a close pair hides there
     dx = grid[1] - grid[0]
     near = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) < dx * 1e3
-    for i in np.nonzero(near & ~flip)[0]:
+    return changes + _refined_changes(p, grid, np.nonzero(near & ~flip)[0])
+
+
+def count_sign_changes_wide(p, n_max, nodes=20000):
+    """``count_sign_changes`` on the union of a uniform and a geometric grid
+    over [0, n_max], so that roots spread over many decades (a tail root
+    near 1/I at the bare threshold beside a close pair at a weak drive) each
+    get cells of their own scale, with nodes clustered about each pole of h
+    (``_around_singularities``).  The refinement pass takes the cells on
+    both sides of each node where |h| has a local minimum and neither cell
+    flips: a close pair inside one cell shows there."""
+    grid = np.union1d(np.linspace(0.0, n_max, nodes),
+                      np.geomspace(1e-15 * n_max, n_max, nodes))
+    grid = np.union1d(grid, _around_singularities(p, grid))
+    with np.errstate(divide="ignore", invalid="ignore"):  # h at a pole
+        vals = balance_mismatch(grid, p)
+    flip = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    size = np.concatenate(([np.inf], np.abs(vals), [np.inf]))
+    dip = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] < size[2:]))
+    cells = np.union1d(dip - 1, dip)
+    cells = cells[(cells >= 0) & (cells < len(flip))]
+    return int(np.count_nonzero(flip)) + _refined_changes(p, grid, cells[~flip[cells]])
+
+
+def _around_singularities(p, grid):
+    """Nodes clustered geometrically, down to 1e-15 relative, about each
+    zero of the parametric denominator t on ``grid``, each bisected to
+    rounding: h has a pole there, and a weak drive puts a pair of roots
+    hugging it, one on each side."""
+    t = field_gain_pieces(grid, p)[2]
+    offsets = np.geomspace(1e-15, 1e-2, 400)
+    nodes = []
+    for i in np.flatnonzero(np.sign(t[:-1]) * np.sign(t[1:]) < 0):
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if np.sign(field_gain_pieces(mid, p)[2]) == np.sign(t[i]):
+                lo = mid
+            else:
+                hi = mid
+        nodes.append(lo * (1.0 - offsets))
+        nodes.append(hi * (1.0 + offsets))
+    return np.concatenate([np.zeros(0)] + nodes)
+
+
+def _refined_changes(p, grid, cells):
+    """Sign changes of h inside each of ``cells`` on 401 points."""
+    changes = 0
+    for i in cells:
         sub = np.linspace(grid[i], grid[i + 1], 401)
         sv = balance_mismatch(sub, p)
         changes += int(np.count_nonzero(np.sign(sv[:-1]) * np.sign(sv[1:]) < 0))

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from cpasim import cli
 from cpasim.cli import FIG4_DELTAS, build_parser, fig3_preset, fig4_preset, main
 from cpasim.cpa import cpa_cavity_detuning, cpa_photon_number
 from cpasim.io import read_csv
@@ -115,6 +116,16 @@ class TestOverrides:
             main([*command, flag, "1e-9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--gamma", "2"], ["--out", "x"],
+                                      ["--csv"], ["--svg"]])
+    def test_steady_writes_no_file_and_takes_no_file_flags(self, tmp_path, argv):
+        # steady prints its roots; the flags of the file-writing commands
+        # did nothing there (--gamma 5 printed the same bytes)
+        cfg = write_cfg(tmp_path, self.AT_CPA)
+        with pytest.raises(SystemExit) as exc:
+            main(["steady", "--config", cfg, *argv])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("command, text", [
         ("evolve", MONOSTABLE + "t_end: .inf\n"),
         ("boundary", "beta_min: 0.005\nbeta_max: .inf\ng_fixed: 1\n"
@@ -195,6 +206,20 @@ class TestSweep:
         assert {row[4] for row in rows} == {"0", "1", "2"}
 
 
+class TestExitCodes:
+    def test_a_value_error_from_the_computation_is_exit_4(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # any ValueError past the checked inputs (numpy, scipy, the library)
+        # is a numerical failure, not a config error
+        def failing(p, grid):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(cli, "trace_hysteresis", failing)
+        cfg = write_cfg(tmp_path, MONOSTABLE)
+        assert run("sweep", "--config", cfg, "--out", str(tmp_path)) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+
 class TestBoundary:
     CFG = "beta_min: 0.005\nbeta_max: 0.1\nbeta_points: 40\ng_fixed: 1\ndelta_tls_fixed: 4.5\n"
 
@@ -233,6 +258,20 @@ class TestEvolve:
     def test_t_end_required(self, tmp_path):
         cfg = write_cfg(tmp_path, MONOSTABLE)
         assert run("evolve", "--config", cfg, "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", MONOSTABLE + "t_end: 2\nsample_dt: 3\n"),
+        ("reproduce", "t_end: 0.05\n"),  # the default sample_dt is 0.1
+    ])
+    def test_sample_spacing_past_the_end_is_exit_2(self, tmp_path, capsys,
+                                                   command, text):
+        # checked where it enters, as a config error, before integrating
+        cfg = write_cfg(tmp_path, text)
+        argv = [command, *(["fig4"] if command == "reproduce" else []),
+                "--config", cfg, "--out", str(tmp_path / "out")]
+        assert run(*argv) == 2
+        assert "sample_dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_run_is_exit_4(self, tmp_path, capsys):
         # pure parametric gain far above threshold: the field blows up and

@@ -93,11 +93,26 @@ def reference_polynomial(p):
     B = P.polyadd(p.delta_c * D, [-p.g ** 2 * p.delta_tls])
     Q = P.polysub(P.polyadd(P.polymul(A, A), P.polymul(B, B)),
                   4.0 * p.g_nl_mag ** 2 * P.polymul(D, D))
-    if steady._at_bare_threshold(p):
-        Q[2 if p.g > 0.0 else 0:] = 0.0
+    # a coefficient of Q within the rounding of its terms is zero
+    eps = 4.0 * np.finfo(float).eps
+    q_terms = P.polyadd(P.polyadd(P.polymul(np.abs(A), np.abs(A)),
+                                  P.polymul(np.abs(B), np.abs(B))),
+                        4.0 * p.g_nl_mag ** 2 * P.polymul(D, D))
+    Q[np.abs(Q) <= eps * q_terms[:len(Q)]] = 0.0
     DD = P.polymul(D, D)
+    g_re = 2.0 * p.g_nl_mag * math.cos(p.phi)
+    g_im = 2.0 * p.g_nl_mag * math.sin(p.phi)
+    # Q and R share the factor A + 2 Re(G) D where 2 Im(G) D - B vanishes to
+    # within the rounding of its terms; its square is divided out
+    rq = P.polysub(g_im * D, B)
+    rq_terms = np.abs(g_im * D) + np.abs(p.delta_c * D) + [p.g ** 2 * abs(p.delta_tls), 0.0]
     if p.g_nl_mag == 0.0:
         free, drive = P.polymulx(Q), DD
+    elif np.all(np.abs(np.pad(rq, (0, 2 - len(rq)))) <= eps * rq_terms):
+        q = P.polysub(A, g_re * D)
+        q_terms = np.abs(A) + np.abs(g_re * D)[:len(A)]
+        q[np.abs(q) <= eps * q_terms[:len(q)]] = 0.0
+        free, drive = P.polymulx(P.polymul(q, q)), DD
     else:
         Rp = P.polyadd(A, 2.0 * p.g_nl_mag * math.cos(p.phi) * D)
         Rq = P.polysub(2.0 * p.g_nl_mag * math.sin(p.phi) * D, B)
@@ -229,7 +244,9 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
                                              (("fig3c", 4.5), 29.8036457363407)])
 def test_state_on_a_fold_is_reported_once(key, fold_input):
     # Newton pulls both members of the near-double pair at a fold's own
-    # input to within the merge radius; they used to be reported twice
+    # input to within the merge radius; they used to be reported twice.  A
+    # curve takes the edge state itself there: the fold's own photon number,
+    # which the companion root matches to the double root's sqrt(eps)
     p = fig3_preset(*key)
     x, n_fold = max(scan_folds(p, 2.0 * fold_input))
     assert x == pytest.approx(fold_input, rel=1e-12)
@@ -240,49 +257,144 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
     assert len(states) == 2
     assert sum(abs(s.n_c - n_fold) <= 1e-6 * n_fold for s in states) == 1
     assert np.diff([s.n_c for s in states])[0] > MERGE_RADIUS * states[1].n_c
-    assert [q.n_c for q in curve.points] == [s.n_c for s in states]
+    assert n_fold in curve.n_c.tolist()
+    assert curve.n_c.tolist() == pytest.approx([s.n_c for s in states], rel=1e-7)
 
 
-@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 2), (1.0, 1)])
-def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
-    # no per-node loop and no second solve: the grid and the CPA drive are
-    # one kernel call with one companion eigvals, plus, for an undriven node
-    # at I = 0, one for the zeros of Q that its warning names.  The stability
-    # labels take none: no Jacobian of this curve is undecided by the
-    # Lienard-Chipart test.  The curve is read from the kernel's columns: no
-    # SteadyState is built
-    p = fig3_preset("fig3c", 4.5)
-    grid = np.linspace(start, reproduce_span(p), 301)
-    eigvals, kernel = np.linalg.eigvals, sweep.solve_steady_columns
-    counts = {"eigvals": 0}
-    kernel_calls = []
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(curve_params())
+@example(fig3_preset("fig3a", 4.5))  # a window anchored at zero input
+@example(fig3_preset("fig3b", 1.5))  # above the bare threshold
+@example(fig3_preset("fig3c", 4.5))
+@example(SystemParams(kappa_l=2.0, kappa_r=0.5, g=1.5, delta_c=1.0,
+                      delta_tls=-2.0))  # |G| = 0, kappa_l != kappa_r
+@example(SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                      g=1.625, g_nl_mag=0.8484231337608631))  # bare threshold
+# g = 0 at the bare threshold: I(n) = 0 everywhere, no root at any drive
+@example(SystemParams(kappa_l=1.0, kappa_r=1.0, g_nl_mag=0.5))
+def test_a_curve_has_the_one_node_solves_state_counts(p):
+    # the curve's bracketed roots against one-node solve_steady_states (the
+    # companion matrix) at every node: a grid from zero input, nodes on and
+    # 1e-9 and 1e-14 beside every positive fold, and the CPA node.  They may
+    # differ by one state only in the near-double pair at a fold, within
+    # 2e-14 of its input: on it, where the curve takes the edge state once
+    # by definition and the companion resolves the pair by the rounding of
+    # omega_d^2, or just beside it, where the pair lies at the companion's
+    # own MERGE_RADIUS or IMAG_RTOL threshold and its eigenvalues' rounding
+    # decides.  The companion places a near-double root only to
+    # sqrt(eps cond), up to 1.2e-6 relative on the examples seen
+    folds = positive_folds(p)
+    nodes = [x * f for x, _ in folds
+             for f in (1.0 - 1e-9, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 1.0 + 1e-9)]
+    point = cpa.cpa_operating_point(p) if p.kappa_l == p.kappa_r and (
+        cpa.soc_effective_params(p)[0] > 0.0) else None
+    if point is not None and not point.reasons:
+        nodes.append(point.input_intensity)
+    grid = np.union1d(np.linspace(0.0, 1.5 * max((x for x, _ in folds), default=1.0),
+                                  25), nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = trace_hysteresis(p, grid)
+        for x in grid.tolist():
+            ns = curve.n_c[curve.input_intensity == x].tolist()
+            ref = [s.n_c for s in solve_steady_states(at_input(p, x))]
+            if len(ns) == len(ref):
+                continue
+            assert abs(len(ns) - len(ref)) == 1
+            (e,) = [n for y, n in folds if abs(x - y) <= 2e-14 * y]
+            pair = 1e-4 * e
+            assert [n for n in ns if abs(n - e) > pair] == pytest.approx(
+                [n for n in ref if abs(n - e) > pair], rel=1e-12)
+
+
+def test_a_newton_step_that_leaves_its_bracket_bisects():
+    # P = (n - 1)(n - 2)(n - 3) on (1.5, 2.5): Newton's first step from 1.5
+    # lands on the root 3, outside the bracket; the bisection keeps the
+    # root on its own segment
+    c = np.array([[-6.0, 11.0, -6.0, 1.0]] * 2)
+    n = steady._bracketed_newton(c, np.array([1.5, 2.5]), np.array([1.5, 1.5]),
+                                 np.array([2.5, 2.5]), np.array([1.0, 1.0]))
+    assert n.tolist() == [2.0, 2.0]
+
+
+def test_each_row_caps_the_last_segment_by_its_own_root_bound():
+    # at the bare threshold with the shared Q/R factor divided out, I(n)
+    # falls to zero on the last segment, so a tiny input's roots reach out
+    # near 1/I: its Fujiwara bound, and the segment's table, run to 1e38.
+    # The root near n = 67 at the other input is reached only inside its
+    # own row's bound
+    p = SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                     g=1.625, g_nl_mag=0.8484231337608631)
+    grid = [1e-40, 1.37e-4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = trace_hysteresis(p, grid)
+        for x in grid:
+            ref = [s.n_c for s in solve_steady_states(at_input(p, x))]
+            assert curve.n_c[curve.input_intensity == x].tolist() == pytest.approx(
+                ref, rel=1e-12)
+    assert len(curve.n_c) == 3
+
+
+def counting_curve_solve(monkeypatch):
+    """Count the curve kernel's calls, with the shape of every eigvals stack
+    inside each, and of eigvals stacks in all; any solve outside the kernel
+    fails.  The curve is read from the kernel's columns: no SteadyState is
+    built."""
+    eigvals, kernel = np.linalg.eigvals, sweep.solve_curve_columns
+    shapes, kernel_calls = [], []
 
     def counting_eigvals(a):
-        counts["eigvals"] += 1
+        shapes.append(np.shape(a))
         return eigvals(a)
 
-    def counting_kernel(p, drives):
-        before = counts["eigvals"]
-        out = kernel(p, drives)
-        kernel_calls.append((len(drives), counts["eigvals"] - before))
+    def counting_kernel(p, poly, folds, inputs, drives, one_node_drives=()):
+        before = len(shapes)
+        out = kernel(p, poly, folds, inputs, drives, one_node_drives)
+        kernel_calls.append((len(drives), len(one_node_drives), shapes[before:]))
         return out
 
     def elsewhere(*args, **kwargs):
         raise AssertionError("trace_hysteresis solved outside its kernel call")
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    monkeypatch.setattr(sweep, "solve_steady_columns", counting_kernel)
+    monkeypatch.setattr(sweep, "solve_curve_columns", counting_kernel)
     for module, name in ((sweep, "solve_steady_states"),
                          (steady, "solve_steady_states"),
                          (steady, "SteadyState"),
                          (cpa, "verify_cpa"), (cpa, "solve_steady_states")):
         monkeypatch.setattr(module, name, elsewhere)
+    return shapes, kernel_calls
+
+
+@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 1), (1.0, 1)])
+def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
+    # no per-node loop and no second solve: the grid and the CPA drive are
+    # one kernel call.  The grid's roots are bracketed on the curve's
+    # segments with no eigen-solve; the one eigvals is the CPA node's
+    # one-node companion matrix.  The undriven node at I = 0 reuses the
+    # zeros of Q the geometry found, and the stability labels take none: no
+    # Jacobian of this curve is undecided by the Lienard-Chipart test
+    p = fig3_preset("fig3c", 4.5)
+    grid = np.linspace(start, reproduce_span(p), 301)
+    shapes, kernel_calls = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, grid)
-    assert kernel_calls == [(302, kernel_eigvals)]
+    assert kernel_calls == [(301, 1, [(1, 5, 5)] * kernel_eigvals)]
     # plus the curve geometry's two: the roots of Q and of V
-    assert counts["eigvals"] == kernel_eigvals + 2
+    assert len(shapes) == kernel_eigvals + 2
     assert [m.branch for m in curve.cpa_markers] == [
         BranchLocation.INSIDE_BISTABLE_STABLE]
+
+
+def test_a_curve_solve_makes_no_eigen_solve(monkeypatch):
+    # below the CPA input the kernel has no one-node drive: no eigvals at all
+    p = fig3_preset("fig3c", 4.5)
+    shapes, kernel_calls = counting_curve_solve(monkeypatch)
+    curve = trace_hysteresis(p, np.linspace(0.0, 20.0, 301))
+    assert kernel_calls == [(301, 0, [])]
+    assert len(shapes) == 2 and curve.cpa_markers == []
+    assert set(curve.branch_id.tolist()) == {0, 1, 2}
 
 
 def here(w):
@@ -345,13 +457,12 @@ def test_drives_and_grids_are_validated_at_entry(bad):
 
 
 def assert_states_match_the_scalar_formulas(p, grid):
-    """Every state of the kernel and every curve point's output intensity
-    equal the model's scalar functions at that root, exactly."""
+    """Every state of the kernel, and every curve point's field and output
+    intensity at its own photon number, equal the model's scalar functions,
+    exactly."""
     drives = drive_for_input_intensity(grid, p).tolist()
     cols = solve_steady_columns(p, drives)
-    points = trace_hysteresis(p, grid).points
-    assert len(points) == len(cols.n_c)
-    for node, s, point in zip(cols.node.tolist(), states_of(cols), points):
+    for node, s in zip(cols.node.tolist(), states_of(cols)):
         w = drives[node]
         q = replace(p, omega_d=w)
         # the vacuum of an undriven node is reported even where the
@@ -359,8 +470,10 @@ def assert_states_match_the_scalar_formulas(p, grid):
         assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
         assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
                                                    s.sigma_z_bar)
-        assert point.n_c == s.n_c
-        assert point.output_intensity == max_output_intensity(q, s.c_bar)
+    for point in trace_hysteresis(p, grid).points:
+        q = replace(p, omega_d=drive_for_input_intensity(point.input_intensity, p))
+        c_bar = intracavity_field(point.n_c, q) if q.omega_d > 0.0 else 0j
+        assert point.output_intensity == max_output_intensity(q, c_bar)
 
 
 @pytest.mark.parametrize("key", FIG3)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cpasim.errors import ParametricRegimeWarning
 from cpasim.model import Stability, SystemParams
@@ -12,6 +14,7 @@ from cpasim.steady import (
     bare_threshold_margin,
     build_polynomial,
     classify_stability,
+    curve_geometry,
     jacobian,
     oracle_scan_bound,
     self_consistency_residual,
@@ -20,10 +23,14 @@ from cpasim.steady import (
 
 from oracles import (
     balance_mismatch,
+    bisect_fold,
     count_sign_changes,
+    count_sign_changes_wide,
     field_gain_pieces,
     numerical_jacobian,
+    root_scan_bound,
 )
+from test_curve_geometry import at_input, isolated
 from test_model import random_params
 
 
@@ -105,7 +112,9 @@ class TestThresholdMargin:
             warnings.simplefilter("ignore")
             states = solve_steady_states(p)
         assert len(states) == count_sign_changes(p, 100.0) == 2
-        assert build_polynomial(p).degree == 4
+        # delta_c = delta_tls = phi = 0: Q and R share the factor
+        # A + 2|G| D, whose square is divided out of the degree-4 P
+        assert build_polynomial(p).degree == 2
 
 
 class TestSolver:
@@ -188,6 +197,64 @@ class TestSolver:
         assert [str(s.stability) for s in states] == \
             ["Stable", "Unstable", "Stable"]
         assert states[0].n_c == pytest.approx(2.25, abs=1e-9)
+
+
+@st.composite
+def edge_regime_params(draw):
+    """Parameter sets at or below the bare threshold, biased toward the
+    solver's edge regimes: |G| = 0, g = 0, a vanishing drive, the bare
+    threshold itself and kappa_l != kappa_r."""
+    kappa_l = draw(st.floats(0.3, 6.0))
+    kappa_r = draw(st.one_of(st.floats(0.3, 6.0), st.just(kappa_l)))
+    delta_c = draw(st.floats(-3.0, 3.0))
+    threshold = 0.5 * math.hypot(0.5 * (kappa_l + kappa_r), delta_c)
+    return SystemParams(
+        kappa_l=kappa_l, kappa_r=kappa_r,
+        g=draw(st.one_of(st.just(0.0), st.floats(0.3, 4.0))),
+        delta_c=delta_c, delta_tls=draw(st.floats(-3.0, 3.0)),
+        g_nl_mag=threshold * draw(st.one_of(st.just(0.0), st.just(1.0),
+                                            st.floats(0.3, 0.999))),
+        phi=draw(st.floats(0.0, 2.0 * math.pi)),
+        omega_d=draw(st.one_of(st.floats(1e-6, 1e-2), st.floats(0.1, 10.0))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_regime_params())
+@example(SystemParams(kappa_l=2.0, kappa_r=0.5, g=1.5, delta_c=1.0,
+                      delta_tls=-2.0, omega_d=1e-6))  # |G| = 0, asymmetric
+@example(SystemParams(kappa_l=2.0, kappa_r=3.0, delta_c=1.0, delta_tls=-1.0,
+                      g_nl_mag=0.4, phi=2.0, omega_d=2.0))  # g = 0
+@example(SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                      g=1.625, g_nl_mag=0.8484231337608631,
+                      omega_d=0.6))  # bare threshold, shared Q/R factor
+def test_solver_against_the_dense_oracles(p):
+    # the root count against the sign changes of the closed-form balance
+    # mismatch up to Fujiwara's bound, every root's residual against its
+    # bound, and the curve's folds against the dense-grid bisection
+    poly = build_polynomial(p)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        states = solve_steady_states(p)
+    abs_coeffs = np.abs(poly.coeffs)
+    for s in states:
+        assert abs(s.residual) <= EPS_RES * max(1.0, float(
+            np.polynomial.polynomial.polyval(s.n_c, abs_coeffs)))
+    if poly.degree == 0:
+        assert states == []
+    elif not any(w.category is RuntimeWarning for w in seen):
+        # no root excluded at the parametric singularity
+        assert len(states) == count_sign_changes_wide(p, root_scan_bound(poly))
+    folds, edges = curve_geometry(poly, p.kappa)
+    for x, n in folds:
+        # a relative bracket that holds this fold alone (a cusp's two folds
+        # can lie 1e-7 apart), and a photon-number window that holds only
+        # its two segments' states: none nearer another edge
+        w = 1e-4 * x
+        half = min([0.5 * n] + [0.5 * abs(n - e) for e in edges.tolist() if e != n])
+        if 0.0 < x < math.inf and isolated(x, folds, w):
+            assert abs(bisect_fold(lambda i: at_input(p, i), x - w, x + w,
+                                   n - half, n + half, tol=1e-9) - x) <= 1e-6
 
 
 class TestStability:

@@ -350,31 +350,15 @@ class TestClassify:
         # a monostable curve is one monotone segment; a solver that reports
         # each root twice puts two roots on it at every node
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, delta_c=2.0)
-        real = sweep.solve_steady_columns
+        real = sweep.solve_curve_columns
 
-        def twice(p, drives):
+        def twice(*args):
             return SteadyColumns(*(np.repeat(column, 2)
-                                   for column in real(p, drives)))
+                                   for column in real(*args)))
 
-        monkeypatch.setattr(sweep, "solve_steady_columns", twice)
+        monkeypatch.setattr(sweep, "solve_curve_columns", twice)
         with pytest.raises(MalformedCurve):
             trace_hysteresis(p, np.linspace(0.0, 10.0, 5))
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=6))
-    def test_branch_ids_take_the_lowest_free_segment(self, lows):
-        # the running-maximum form equals the rule per node, root by root:
-        # k = max(lo, k of the root below + 1); nodes may have no roots
-        node = np.array([i for i, row in enumerate(lows) for _ in row],
-                        dtype=np.intp)
-        lo = np.array([a for row in lows for a in row], dtype=np.intp)
-        expected = []
-        for row in lows:
-            k = -1
-            for a in row:
-                k = max(a, k + 1)
-                expected.append(k)
-        assert sweep._branch_ids(node, lo).tolist() == expected
 
     def test_output_inversion_inside_the_window_is_unconventional(self):
         # folds at positive input; at the interior node 2.0 the largest-n_c
@@ -438,20 +422,17 @@ class TestBoundaryMap:
 
 
 
-# Standing failures (ROADMAP item 5).  At the required cavity detuning with
-# g^2 delta_tls = 0, Q and R share the factor A + 2 Re(G) D, so its positive
-# zero is no singular state.  The curve geometry still reports it as an
-# anchored window edge, and the solver returns a spurious state beside it,
-# so trace_hysteresis finds two states on one segment.
+# At the required cavity detuning with g^2 delta_tls = 0, Q and R share the
+# factor A + 2 Re(G) D, so its positive zero is no singular state.  The
+# polynomial divides its square out: the curve geometry reports no window
+# edge there, and the solver no spurious state beside it.
 def at_required_detuning(**params):
     p = SystemParams(**params)
     return replace(p, delta_c=cpa_cavity_detuning(p))
 
 
-@pytest.mark.xfail(strict=True, raises=MalformedCurve,
-                   reason="Q and R share a factor at g^2 delta_tls = 0")
 @pytest.mark.parametrize("p, top, shared_zero", [
-    # the solver reports a spurious Stable n_c = 3.32993 at input 0.75
+    # the solver used to report a spurious Stable n_c = 3.32993 at input 0.75
     (at_required_detuning(kappa_l=0.3046875, kappa_r=0.3046875, g=1.0,
                           g_nl_mag=0.1904296875, phi=3.0), 1.0, 3.3299272637365687),
     (at_required_detuning(kappa_l=1.0, kappa_r=1.0, g=2.0, g_nl_mag=0.6,
@@ -461,6 +442,7 @@ def test_a_shared_q_r_factor_is_no_window_edge(p, top, shared_zero):
     grid = np.linspace(0.0, top, 9)
     curve = quiet_trace(p, grid)
     assert all(abs(n - shared_zero) > 1e-6 for _, n in curve.folds)
+    assert all(abs(n - shared_zero) > 1e-3 for n in curve.n_c.tolist())
     for x in grid[1:]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
