@@ -8,6 +8,7 @@ time only (rates and intensities multiply, times divide).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -91,19 +92,29 @@ def parse_config(text: str) -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ParseError(f"invalid config document{where}: {exc}") from exc
+    except (ValueError, LookupError, AttributeError, RecursionError) as exc:
+        # the loader's scalar constructors raise these on some malformed
+        # scalars (the date 2020-13-45, `!!int ''`, `!!bool maybe`, an
+        # integer of over 4300 digits), and deep nesting exhausts its
+        # recursion
+        raise ParseError(f"invalid config document: {type(exc).__name__}: "
+                         f"{exc}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ParseError("config must be a key/value mapping")
 
-    unknown = sorted(set(doc) - _ALL_KEYS)
+    # keys need not be strings: `1: 2` and `null: 1` are mappings too
+    unknown = sorted(map(str, set(doc) - _ALL_KEYS))
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
 
     def number(key, v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"key '{key}' must be a number, got {v!r}")
-        _require(math.isfinite(v), f"key '{key}' must be finite, got {v!r}")
+        # NaN and the infinities fail, and so does an integer past the
+        # float range
+        _require(abs(v) <= sys.float_info.max, f"key '{key}' must be finite, got {v!r}")
         return float(v)
 
     vals = {k: number(k, doc[k]) for k in _SCALAR_KEYS if k in doc}

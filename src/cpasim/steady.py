@@ -1,11 +1,13 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
-Two root stages solve any number of drives of one parameter set at once and
-share one states stage, which returns the kept states as columns:
-``solve_steady_columns`` by the companion matrix (``solve_steady_states`` is
-its one-node call), and ``solve_curve_columns``, for a curve, bracketed on
-the monotone segments of its geometry."""
+Two root stages solve any number of drives of one parameter set and share
+one states stage, which returns the kept states of all drives at once as
+columns.  ``solve_steady_columns`` solves one drive at a time in Python
+floats: one companion-matrix eigvals and a Newton polish per root
+(``solve_steady_states`` is its one-node call).  ``solve_curve_columns``
+brackets a whole curve's roots at once on the monotone segments of its
+geometry."""
 
 from __future__ import annotations
 
@@ -208,77 +210,46 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
                                      omega_d=p.omega_d)
 
 
-def _merged(rows: np.ndarray, n: np.ndarray) -> np.ndarray | None:
-    """Mask of the roots ``n`` (grouped by ``rows``, ascending within a
-    row) that lie within MERGE_RADIUS (relative) of the last root kept in
-    their row: a near-double pair keeps its lower member.  None when no
-    two roots of a row are that close."""
-    # a root can only merge into the last one kept if it is that close to
-    # the root just below it, so the exact merge loop runs only where that
-    # adjacent check finds a pair
-    if len(n) < 2 or not np.any((rows[1:] == rows[:-1]) & (
-            n[1:] - n[:-1] <= MERGE_RADIUS * np.maximum(1.0, n[1:]))):
-        return None
-    dup = np.zeros(len(n), dtype=bool)
-    last_row = last = None
-    for k, (row, x) in enumerate(zip(rows.tolist(), n.tolist())):
-        if row == last_row and x - last <= MERGE_RADIUS * max(1.0, x):
-            dup[k] = True
-        else:
-            last_row, last = row, x
-    return dup
-
-
-def _real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root rule: the distinct real roots n >= 0 of each row of
-    ascending coefficients (zero-padded at the top), as the row index and
-    the root of each, grouped by row and ascending within a row.
-
-    The roots of all rows of one degree come from one stacked eigvals of
-    numpy.polynomial's companion matrices (Edelman & Murakami, Math. Comp.
-    64, 1995).  Imaginary parts within IMAG_RTOL are rounding, roots down to
-    -EPS_ROOT are clamped to 0, and roots within MERGE_RADIUS merge into the
-    lower one.  One-node solves and the curve geometry take their roots
-    from here; a curve's own roots are bracketed on the geometry's monotone
-    segments instead (``_segment_roots``).
-    """
-    degree = ((coeffs != 0.0) * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
-    rows, roots = [], []
-    for d in sorted(set(degree.tolist()) - {0}):
-        at = np.flatnonzero(degree == d)
-        c = coeffs[at, :d + 1]
-        if d == 1:
-            z = -c[:, :1] / c[:, 1:]
-        else:
-            m = np.zeros((len(c), d, d))
-            m.reshape(len(c), -1)[:, d::d + 1] = 1.0
-            m[:, :, -1] -= c[:, :-1] / c[:, -1:]
-            z = np.linalg.eigvals(m)
-        re = z.real
-        keep = ((np.abs(z.imag) <= IMAG_RTOL * np.maximum(1.0, np.abs(re)))
-                & (re >= -EPS_ROOT))
-        found = np.sort(np.where(keep, np.maximum(re, 0.0), np.nan), axis=1)
-        i, k = np.nonzero(~np.isnan(found))
-        rows.append(at[i])
-        roots.append(found[i, k])
-    if len(rows) == 1:
-        rows, roots = rows[0], roots[0]
-    else:
-        # rows of several degrees, or none: regroup by row
-        rows = np.concatenate([np.zeros(0, dtype=np.intp)] + rows)
-        order = np.argsort(rows, kind="stable")
-        rows, roots = rows[order], np.concatenate([np.zeros(0)] + roots)[order]
-    dup = _merged(rows, roots)
-    if dup is not None:
-        rows, roots = rows[~dup], roots[~dup]
-    return rows, roots
+def _kept(roots: list[float]) -> list[int]:
+    """The indices of the ascending ``roots`` kept by the merge rule: a root
+    within MERGE_RADIUS (relative) of the last one kept merges into it, so a
+    near-double pair keeps its lower member."""
+    kept, last = [], None
+    for k, x in enumerate(roots):
+        if last is None or not x - last <= MERGE_RADIUS * max(1.0, x):
+            kept.append(k)
+            last = x
+    return kept
 
 
 def nonnegative_real_roots(coeffs) -> list[float]:
-    """Sorted distinct real roots n >= 0 of a polynomial (ascending
-    coefficients), by the solver's root rule (``_real_roots``)."""
-    return _real_roots(
-        np.atleast_1d(np.asarray(coeffs, dtype=float))[None, :])[1].tolist()
+    """The root rule: the sorted distinct real roots n >= 0 of a polynomial
+    (ascending coefficients, trailing zeros ignored), in Python floats.
+
+    The roots come from one eigvals of numpy.polynomial's companion matrix,
+    unrotated (Edelman & Murakami, Math. Comp. 64, 1995).  Imaginary parts
+    within IMAG_RTOL are rounding, roots down to -EPS_ROOT are clamped to 0,
+    and roots within MERGE_RADIUS merge into the lower one.  One-node solves
+    and the curve geometry take their roots from here; a curve's own roots
+    are bracketed on the geometry's monotone segments instead
+    (``_segment_roots``).
+    """
+    c = [float(x) for x in coeffs]
+    d = len(c) - 1
+    while d > 0 and c[d] == 0.0:
+        d -= 1
+    if d == 0:
+        return []
+    if d == 1:
+        z = [-c[0] / c[1]]
+    else:
+        m = np.eye(d, k=-1)
+        m[:, -1] = [0.0 - ck / c[d] for ck in c[:d]]
+        z = np.linalg.eigvals(m).tolist()
+    found = sorted(max(x.real, 0.0) for x in z
+                   if abs(x.imag) <= IMAG_RTOL * max(1.0, abs(x.real))
+                   and x.real >= -EPS_ROOT)
+    return [found[k] for k in _kept(found)]
 
 
 def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
@@ -539,42 +510,39 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(c: np.ndarray, n0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray]:
-    """Newton polish of the roots n0, all at once; row i of ``c`` is the
-    polynomial of n0[i].  A root whose Newton step is huge (tiny derivative:
-    a near-double root) or that ends off the axis or far away keeps its
-    companion-matrix value, which is then the more trustworthy one.
+def _horner_pair(a: list[float], b: list[float], x: float) -> tuple[float, float]:
+    """Two coefficient lists of one length at x, in Python floats, in
+    ``_horner``'s order."""
+    f, g = a[-1], b[-1]
+    for ak, bk in zip(a[-2::-1], b[-2::-1]):
+        f, g = ak + f * x, bk + g * x
+    return f, g
 
-    Returns the roots, P there, and sum |c_k| n^k (P's float-evaluation
-    magnitude) there."""
-    m = len(n0)
-    # P and P' in one evaluation: P' coefficients below P's, zero-padded
-    both = np.zeros((2 * m, c.shape[1]))
-    both[:m] = c
-    both[m:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
-    scale = np.maximum(1.0, np.abs(n0))
+
+def _polish(c: list[float], dc: list[float], n0: float) -> float:
+    """Newton polish of one root n0 of P (ascending coefficients ``c``, P'
+    in ``dc``, zero-padded to the same length), in Python floats.  A root
+    whose Newton step is huge (tiny derivative: a near-double root) or that
+    ends off the axis or far away keeps its companion-matrix value, which is
+    then the more trustworthy one."""
+    scale = max(1.0, abs(n0))
     jump_at, stop_at = NEWTON_JUMP * scale, NEWTON_STOP * scale
     n = n0
-    live = np.ones(m, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_STEPS):
-            f_fp = _horner(both, np.concatenate((n, n)))
-            fp = f_fp[m:]
-            step = f_fp[:m] / fp
-            size = np.abs(step)
-            live &= fp != 0.0  # a zero derivative stops the root where it is
-            jump = live & (size > jump_at)
-            n = np.where(jump, n0, np.where(live, n - step, n))
-            # a root that jumped or converged stops; so does a NaN step (P
-            # overflowed), whose NaN root further steps would keep
-            live &= (size <= jump_at) & (size >= stop_at)
-            if not live.any():
-                break
-    n = np.where((n < 0.0) | (np.abs(n - n0) > NEWTON_DRIFT * scale), n0, n)
-    both[m:] = np.abs(c)
-    p_mag = _horner(both, np.concatenate((n, n)))
-    return n, p_mag[:m], p_mag[m:]
+    for _ in range(NEWTON_STEPS):
+        f, fp = _horner_pair(c, dc, n)
+        if fp == 0.0:
+            break  # a zero derivative stops the root where it is
+        step = f / fp
+        if abs(step) > jump_at:
+            return n0
+        n -= step
+        # a root that converged stops; so does a NaN step (P overflowed),
+        # whose NaN root further steps would keep
+        if not abs(step) >= stop_at:
+            break
+    if n < 0.0 or abs(n - n0) > NEWTON_DRIFT * scale:
+        return n0
+    return n
 
 
 class SteadyColumns(NamedTuple):
@@ -582,8 +550,8 @@ class SteadyColumns(NamedTuple):
     each is one state, and the states are grouped by ``node`` (the index of
     their drive in the call) and sorted by photon number within a node.
     ``segment`` is each state's monotone segment of the curve (its branch)
-    from a curve solve, -1 at its one-node drives; None from the companion
-    solve."""
+    from a curve solve, -1 at its one-node drives; None from
+    ``solve_steady_columns``."""
 
     node: np.ndarray  # int
     n_c: np.ndarray
@@ -626,7 +594,8 @@ def _accepted(res: np.ndarray, mag: np.ndarray, tol_res: float) -> np.ndarray:
     float-evaluation magnitude sum |c_k| n^k, floored at 1 (>= the
     |c_lead| n^deg term that dominates for large roots).  Anything smaller
     is below the reachable rounding floor for small roots whose polynomial
-    has large low-order coefficients."""
+    has large low-order coefficients.  The one-node root stage
+    (``_node_roots``) applies the same rule to each root in Python floats."""
     return ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
 
 
@@ -680,25 +649,41 @@ def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return n
 
 
-def _companion_roots(coeffs: np.ndarray, tol_res: float):
-    """The roots of each row of ``coeffs`` by the companion matrix
-    (``_real_roots``), Newton-polished together, residual-checked
-    (``_accepted``) and merged again: Newton may swap a near-double pair,
-    and it pulls both members of the pair at a fold's own input to within
-    the merge radius, so a state on a fold is reported once.  Returns each
-    root's row, the root and P there."""
-    rows, roots = _real_roots(coeffs)
-    n, res, mag = _polish(coeffs[rows], roots)
-    ok = _accepted(res, mag, tol_res)
-    if not ok.all():
-        rows, n, res = rows[ok], n[ok], res[ok]
-    if len(n) > 1 and np.any(rows[1:] == rows[:-1]):
-        order = np.lexsort((n, rows))
-        rows, n, res = rows[order], n[order], res[order]
-        dup = _merged(rows, n)
-        if dup is not None:
-            rows, n, res = rows[~dup], n[~dup], res[~dup]
-    return rows, n, res
+def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: float):
+    """The roots of each driven node by the root rule
+    (``nonnegative_real_roots``), in Python floats: P = free - omega_d^2
+    drive with the float operations of ``_node_polynomials``, each root
+    Newton-polished (``_polish``), residual-checked (``_accepted``'s rule)
+    and merged again: Newton may swap a near-double pair, and it pulls both
+    members of the pair at a fold's own input to within the merge radius, so
+    a state on a fold is reported once.  An undriven node has none.  Returns
+    each root's node, the root and P there, grouped by node."""
+    free, drive = poly.free.tolist(), poly.drive.tolist()
+    width = max(len(free), len(drive))
+    tol = max(tol_res, EPS_RES)
+    rows, ns, res = [], [], []
+    for node, w in enumerate(omegas.tolist()):
+        if w == 0.0:
+            continue
+        w2 = w ** 2
+        c = free + [0.0] * (width - len(free))
+        for k, d in enumerate(drive):
+            c[k] -= w2 * d
+        dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
+        mag_c = [abs(ck) for ck in c]
+        kept = []
+        for n0 in nonnegative_real_roots(c):
+            n = _polish(c, dc, n0)
+            p_n, mag = _horner_pair(c, mag_c, n)
+            if not abs(p_n) > tol * max(1.0, mag):  # the residual rule
+                kept.append((n, p_n))
+        # ascending, with a NaN root (P overflowed) last
+        kept.sort(key=lambda r: (r[0] != r[0], r[0]))
+        for k in _kept([n for n, _ in kept]):
+            rows.append(node)
+            ns.append(kept[k][0])
+            res.append(kept[k][1])
+    return np.array(rows, dtype=np.intp), np.array(ns), np.array(res)
 
 
 def _segment_roots(poly: SelfConsistencyPolynomial, folds, kappa: float,
@@ -841,15 +826,16 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
     sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
     that replaces ``p.omega_d``, as columns (see ``SteadyColumns``).
 
-    This is the companion-matrix solve, for drives with no curve geometry
-    at hand (one-node solves); ``solve_curve_columns`` solves a curve on its
-    monotone segments instead.  The drive enters the cleared polynomial only
-    as P = free - omega_d^2 drive, so the drive-free factors are built once.
-    The roots of every drive come from one stacked companion-matrix eigvals
-    (``_real_roots``), are Newton-polished together, residual-checked against
-    ``tol_res`` times the polynomial scale, and merged again (a state on a
-    fold is reported once).  The states stage (``_states``) then maps all
-    kept roots at once to full mean-field states by the model's own formulas
+    This is the one-node solve, for drives with no curve geometry at hand;
+    ``solve_curve_columns`` solves a curve on its monotone segments instead.
+    The drive enters the cleared polynomial only as P = free - omega_d^2
+    drive, so the drive-free factors are built once.  Each drive's roots
+    come from the root stage ``_node_roots``, in Python floats: one
+    companion-matrix eigvals (``nonnegative_real_roots``), a Newton polish
+    per root, the residual check against ``tol_res`` times the polynomial
+    scale, and the merge again (a state on a fold is reported once).  The
+    states stage (``_states``) then maps the kept roots of all drives at
+    once to full mean-field states by the model's own formulas
     (``dressed_cavity``, ``driven_field``, ``atomic_expectations``) and labels
     them from their stacked Jacobians by ``_stability_labels``.  Roots at the
     parametric singularity (denominator below the guard) are excluded with a
@@ -864,7 +850,7 @@ def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
     """
     omegas = _drives(p, drives)
     poly = build_polynomial(p)
-    rows, n, res = _companion_roots(_node_polynomials(poly, omegas), tol_res)
+    rows, n, res = _node_roots(poly, omegas, tol_res)
     return _states(p, poly, omegas, rows, n, res, eps_stab)
 
 
@@ -881,8 +867,8 @@ def solve_curve_columns(p: SystemParams, poly: SelfConsistencyPolynomial, folds,
     the geometry's monotone segments (``_segment_roots``), with no
     eigen-solve; a segment holds at most one state at any input, so the
     branch id is the segment itself.  A one-node drive is solved by the
-    companion matrix, as ``solve_steady_columns`` solves it, so its states
-    are that call's bit for bit.  The residual rule and the states stage are
+    root stage of ``solve_steady_columns``, so its states are that call's
+    bit for bit.  The residual rule and the states stage are
     the same."""
     omegas = _drives(p, np.append(drives, one_node_drives))
     m = len(omegas) - len(one_node_drives)
@@ -893,8 +879,7 @@ def solve_curve_columns(p: SystemParams, poly: SelfConsistencyPolynomial, folds,
     ok = _accepted(res, mag, tol_res)
     rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
     if m < len(omegas):
-        more, n_more, res_more = _companion_roots(
-            _node_polynomials(poly, omegas[m:]), tol_res)
+        more, n_more, res_more = _node_roots(poly, omegas[m:], tol_res)
         rows, n = np.append(rows, more + m), np.append(n, n_more)
         res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
     return _states(p, poly, omegas, rows, n, res, eps_stab, seg)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's verdict: a comparison fails on an incorrect run, a
 larger share of failed operations in the change, or a metric outside its
-bound, and passes otherwise."""
+bound, and passes otherwise.  A metric whose parent runs spread wider than
+its bound is reported unresolved, which fails nothing."""
 
 import copy
 import importlib.util
@@ -53,3 +54,38 @@ def test_a_passing_comparison_has_no_failures():
 def test_each_reason_fails_the_comparison(change, reason):
     reasons = bench_pairs.failures(summary(copy.deepcopy(PARENT), change))
     assert len(reasons) == 1 and reason in reasons[0]
+
+
+# the parent's interquartile range, 15, is 0.375 of its median 40, past the
+# 0.25 bound
+WIDE = [run(w, 25.0) for w in (25.0, 35.0, 45.0, 55.0)]
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    (PARENT, [run(48.0 + i, 25.0) for i in range(4)], False),  # a narrow parent
+    (WIDE, [run(w, 25.0) for w in (30.0, 40.0, 50.0, 60.0)], True),
+    (WIDE, [run(w, 25.0) for w in (20.0, 30.0, 40.0, 50.0)], True),
+    # every change run beats every parent run
+    (WIDE, [run(w, 25.0) for w in (56.0, 57.0, 58.0, 59.0)], False),
+    (WIDE, [run(w, 25.0) for w in (55.0, 57.0, 58.0, 59.0)], True),  # a tie
+])
+def test_a_wide_parent_spread_is_unresolved(parent, change, unresolved):
+    s = summary(copy.deepcopy(parent), change)
+    m = s["workloads"]["fig3_sweeps"]["metrics"]
+    assert m["work_per_s"]["unresolved"] is unresolved
+    assert ("UNRESOLVED" in bench_pairs.report_line(
+        "fig3_sweeps", "work_per_s", m["work_per_s"], 4)) is unresolved
+    # run_s is the same in every run: no spread
+    assert m["run_s"]["unresolved"] is False and m["run_s"]["parent_spread"] == 0.0
+    # the verdict is unchanged: an unresolved metric within its bound passes
+    assert bench_pairs.failures(s) == []
+
+
+def test_an_unresolved_metric_outside_its_bound_still_fails():
+    s = summary(copy.deepcopy(WIDE), [run(w, 25.0) for w in (10.0, 20.0, 25.0, 30.0)])
+    m = s["workloads"]["fig3_sweeps"]["metrics"]["work_per_s"]
+    assert m["unresolved"] and m["parent_spread"] == pytest.approx(0.375)
+    reasons = bench_pairs.failures(s)
+    assert len(reasons) == 1 and "work_per_s OUTSIDE BOUND" in reasons[0]
+    assert "OUTSIDE BOUND  UNRESOLVED" in bench_pairs.report_line(
+        "fig3_sweeps", "work_per_s", m, 4)

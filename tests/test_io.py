@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cpasim
 from cpasim import io
@@ -115,6 +117,78 @@ class TestParseConfig:
         cfg2 = parse_config("kappa: 20\ninput_max: 10\ninput_points: 11\n")
         grid = cfg2.input_grid()
         assert grid[0] == 0.0 and grid[-1] == 10.0 and len(grid) == 11
+
+
+# parse_config on YAML-ish documents: only ParseError and ValidationError
+# may escape.  The scalars mix numbers in every YAML spelling, the YAML 1.1
+# specials, tags, anchors, dates, and plain text; the keys are the config's
+# own, near misses and non-string keys.
+
+_FUZZ_KEYS = sorted(io._ALL_KEYS) + [
+    "Kappa", "kappa ", "1", "0.5", "true", "null", "~", "<<", "? [a]", "- kappa"]
+_FUZZ_SCALARS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers(10 ** 300, 10 ** 320).map(str),
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:+.3e}"),
+    st.sampled_from([
+        ".inf", "-.inf", ".nan", "true", "no", "on", "null", "~", "''", "0x1F",
+        "0o17", "0b101", "1_000", "1:30", "1e3", "1.0e+400", "2020-01-01",
+        "2020-13-45", "2001-12-14t21:59:43.10-05:00", "!!int ''", "!!int 0x",
+        "!!float .", "!!float abc", "!!timestamp x", "!!bool maybe",
+        "!!binary aGk=", "!!str 1", "!!set [1]", "!!python/name:os.system",
+        "&a 1", "*a", "&b [*b]", "[]", "{}", "{kappa: 1}", "|\n  text",
+        "[" * 1200 + "]" * 1200]),
+    st.text(max_size=8),
+)
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS,
+    st.lists(_FUZZ_SCALARS, max_size=6).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    st.lists(_FUZZ_SCALARS, min_size=1, max_size=6).map(
+        lambda xs: "".join(f"\n  - {x}" for x in xs)),
+)
+_FUZZ_LINES = st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES).map(
+    lambda kv: f"{kv[0]}: {kv[1]}")
+_FUZZ_DOCS = st.one_of(
+    st.lists(_FUZZ_LINES, max_size=8).map("\n".join),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZ_DOCS)
+def test_parse_config_raises_only_its_own_errors(text):
+    try:
+        cfg = parse_config(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize("text", [
+    "1: 2\n",  # a non-string key
+    "null: 1\n",
+    "1: 2\nturbo: 3\n",  # keys of two types
+    "kappa: 2020-13-45\n",  # a date the loader cannot build
+    "kappa: !!int ''\n",
+    "kappa: !!float abc\n",
+    "kappa: !!timestamp x\n",
+    "kappa: !!bool maybe\n",
+    pytest.param("kappa: " + "1" * 5000 + "\n", id="past-the-digit-limit"),
+    pytest.param("kappa: " + "[" * 3000 + "]" * 3000 + "\n", id="deep-nesting"),
+])
+def test_malformed_documents_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["kappa", "beta_min", "deltas"])
+def test_an_integer_past_the_float_range_is_not_finite(key):
+    value = "1" + "0" * 400
+    entry = f"[{value}]" if key in io._LIST_KEYS else value
+    with pytest.raises(ValidationError, match=f"key '{key}' must be finite"):
+        parse_config(f"{key}: {entry}\n")
 
 
 class TestCSV:

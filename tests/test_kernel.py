@@ -373,14 +373,14 @@ def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
     # no per-node loop and no second solve: the grid and the CPA drive are
     # one kernel call.  The grid's roots are bracketed on the curve's
     # segments with no eigen-solve; the one eigvals is the CPA node's
-    # one-node companion matrix.  The undriven node at I = 0 reuses the
+    # one-node companion matrix, a single 5x5 matrix.  The undriven node at I = 0 reuses the
     # zeros of Q the geometry found, and the stability labels take none: no
     # Jacobian of this curve is undecided by the Lienard-Chipart test
     p = fig3_preset("fig3c", 4.5)
     grid = np.linspace(start, reproduce_span(p), 301)
     shapes, kernel_calls = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, grid)
-    assert kernel_calls == [(301, 1, [(1, 5, 5)] * kernel_eigvals)]
+    assert kernel_calls == [(301, 1, [(5, 5)] * kernel_eigvals)]
     # plus the curve geometry's two: the roots of Q and of V
     assert len(shapes) == kernel_eigvals + 2
     assert [m.branch for m in curve.cpa_markers] == [
@@ -520,6 +520,127 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
         assert s.c_bar == intracavity_field(s.n_c, q)
         assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
                                                    s.sigma_z_bar)
+
+
+# The one-node root stage: one companion eigvals per drive and a Newton
+# polish per root in Python floats
+
+@pytest.mark.parametrize("p, shapes", [
+    # three roots of the quintic inside fig3c/4.5's window
+    (at_input(fig3_preset("fig3c", 4.5), 20.0), [(5, 5), (3, 5, 5)]),
+    # |G| = 0: the cubic, one root
+    (SystemParams(kappa_l=2.0, kappa_r=3.0, g=1.5, delta_c=1.0, delta_tls=-1.0,
+                  omega_d=2.0), [(3, 3), (1, 5, 5)]),
+])
+def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, shapes):
+    # one eigvals of the companion matrix, one of the Jacobian stack, which
+    # is below HURWITZ_MIN_ROWS
+    seen, eigvals = [], np.linalg.eigvals
+
+    def counting_eigvals(a):
+        seen.append(np.shape(a))
+        return eigvals(a)
+
+    def no_test(j, eps):
+        raise AssertionError("a one-node solve ran the Lienard-Chipart test")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(steady, "_hurwitz_conditions", no_test)
+    states = solve_steady_states(p)
+    assert seen == shapes and len(states) == shapes[1][0]
+
+
+@pytest.mark.parametrize("key, warned", [
+    (("fig3a", 4.5), [RuntimeWarning]),
+    (("fig3b", 1.5), [ParametricRegimeWarning, RuntimeWarning]),
+    (("fig3c", 4.5), []),
+])
+def test_an_undriven_one_node_solve_is_the_vacuum(key, warned):
+    # no roots at zero drive: the vacuum alone, with the singular states
+    # of an anchored window named once, at the caller's line
+    p = replace(fig3_preset(*key), omega_d=0.0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        states = solve_steady_states(p)
+    assert [(s.n_c, s.c_bar, s.sigma_z_bar, s.residual) for s in states] == [
+        (0.0, 0j, -0.5, 0.0)]
+    assert [w.category for w in seen] == warned and all(here(w) for w in seen)
+    singular = build_polynomial(p).singular_states
+    assert bool(singular) == (RuntimeWarning in warned)
+    if singular:
+        assert f"n_c = {singular[0]:.9g} excluded" in str(seen[-1].message)
+
+
+def test_a_one_node_root_at_the_singularity_is_excluded():
+    # the tiny drive of test_a_root_at_the_singularity_is_excluded_at_the_
+    # callers_line, solved alone: the same warning, at the caller's line,
+    # and the same kept state as that node of the stacked call
+    p = replace(fig3_preset("fig3a", 4.5), omega_d=1e-10)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        states = solve_steady_states(p)
+        cols = solve_steady_columns(p, [1e-10, 1.0])
+    assert [w.category for w in seen] == [RuntimeWarning] * 2
+    assert str(seen[0].message) == str(seen[1].message) == (
+        "root n_c=0.738878529 lies at the parametric singularity "
+        "(denominator under the guard) and was excluded")
+    assert all(here(w) for w in seen)
+    assert states == states_of(cols)[:1] and states[0].n_c < 1e-20
+
+
+def test_the_root_rule():
+    roots = steady.nonnegative_real_roots
+    # a near-double pair within MERGE_RADIUS is one root, its lower member
+    pair = roots(P.polyfromroots([1.0, 1.0 + 1e-10, 3.0]))
+    assert len(pair) == 2 and pair == pytest.approx([1.0, 3.0], rel=1e-9)
+    # down to -EPS_ROOT a root is clamped to 0; below it is dropped
+    assert roots(P.polyfromroots([-1e-13, 2.0])) == pytest.approx([0.0, 2.0])
+    assert roots(P.polyfromroots([-1e-6, 2.0])) == pytest.approx([2.0])
+    # an imaginary part within IMAG_RTOL is rounding: the pair is one root
+    assert roots(P.polyadd(P.polyfromroots([2.0, 2.0]), [1e-20])) == pytest.approx(
+        [2.0])
+    assert roots(P.polyadd(P.polyfromroots([2.0, 2.0]), [1e-6])) == []
+    # trailing zeros are ignored; constants and zero have no roots
+    assert roots([-2.0, 1.0, 0.0, 0.0]) == [2.0]
+    assert roots([5.0]) == roots([0.0, 0.0]) == roots([2.0, 1.0]) == []
+
+
+def test_polish_keeps_its_fallbacks():
+    def polish(c, n0):
+        dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
+        return steady._polish(c, dc, n0)
+
+    # (n - 2)(n - 3) converges
+    assert polish([6.0, -5.0, 1.0], 2.0005) == pytest.approx(2.0, abs=1e-15)
+    assert polish([-1.0, 0.0, 1.0], 0.0) == 0.0  # a zero derivative stops
+    assert polish([-1.0, 0.0, 1.0], 0.5) == 0.5  # a step past NEWTON_JUMP
+    assert polish([-0.05, 1.0], 0.0) == 0.0  # drifted past NEWTON_DRIFT
+    assert polish([1e-13, 1.0], 0.0) == 0.0  # went negative
+    # P and P' overflow: a NaN step, whose NaN root is kept
+    assert math.isnan(polish([0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 1e80))
+
+
+FLAT_FOLD = SystemParams(kappa_l=1.805564499711501, kappa_r=2.789917444759545,
+                         g=3.805564499711501, delta_c=2.635456707814578,
+                         delta_tls=0.01, g_nl_mag=1.6469878144290593, phi=3.0)
+FLAT_FOLD_INPUT, FLAT_FOLD_N = 0.13581843111452677, 1.0539852863445822
+
+
+def test_a_flat_folds_pair_keeps_its_polished_roots():
+    # at the fold's own input, Newton's first step from one member of the
+    # near-double pair jumps, so that member keeps its companion value;
+    # the residual check passes both (P ~ (n - e)^2 is flat there)
+    assert max(scan_folds(FLAT_FOLD, 0.2)) == (FLAT_FOLD_INPUT, FLAT_FOLD_N)
+    states = solve_steady_states(at_input(FLAT_FOLD, FLAT_FOLD_INPUT))
+    assert [s.n_c for s in states][1:] == [1.0539852913550016, 1.0539864454594072]
+
+
+@pytest.mark.xfail(strict=True, reason="a one-node solve reports a flat fold's "
+                   "near-double pair twice at the fold's own input")
+def test_a_flat_folds_state_is_reported_once():
+    states = solve_steady_states(at_input(FLAT_FOLD, FLAT_FOLD_INPUT))
+    near = [s.n_c for s in states if abs(s.n_c - FLAT_FOLD_N) <= 1e-4 * FLAT_FOLD_N]
+    assert near == pytest.approx([FLAT_FOLD_N], rel=1e-8)
 
 
 # Stability labels: the kernel's Lienard-Chipart test of each Jacobian's

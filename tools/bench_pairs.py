@@ -15,8 +15,11 @@ won (by the metric's ``better`` direction in the change's
 ``BENCHMARK.json``), the gain test (the change wins at least nine tenths of
 the pairs and the medians differ by more than the parent's interquartile
 range), and how much worse the change's median is than the parent's, as a
-fraction, against the metric's bound.  The machine, Python, numpy and scipy
-versions and the repeat count are recorded once.  Only the standard
+fraction, against the metric's bound.  A metric is UNRESOLVED when the
+parent's interquartile range exceeds the bound times the parent's median,
+unless every run of the change beats every run of the parent: its runs
+then spread too widely to call it unchanged.  The machine, Python, numpy
+and scipy versions and the repeat count are recorded once.  Only the standard
 library is used; both trees should be in the same bytecode state (both with
 or both without ``__pycache__``), since the set-up probe times imports.
 
@@ -90,6 +93,8 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         p_med, c_med = q["parent"][1], q["change"][1]
         spread = q["parent"][2] - q["parent"][0]
         worse_by = (-sign * (c_med - p_med) / abs(p_med)) if p_med else 0.0
+        separated = (min(sign * v for v in values["change"])
+                     > max(sign * v for v in values["parent"]))
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": {"median": p_med, "quartiles": [q["parent"][0], q["parent"][2]],
@@ -102,6 +107,8 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
                      and sign * (c_med - p_med) > spread),
             "worse_by": worse_by,
             "within_bound": worse_by <= m["bound"],
+            "parent_spread": spread / abs(p_med) if p_med else None,
+            "unresolved": spread > m["bound"] * abs(p_med) and not separated,
         }
     return metrics
 
@@ -124,6 +131,18 @@ def failures(summary: dict) -> list[str]:
                 reasons.append(f"{workload}: {name} OUTSIDE BOUND, worse by "
                                f"{m['worse_by']:.3g} (bound {m['bound']})")
     return reasons
+
+
+def report_line(workload: str, name: str, m: dict, pairs: int) -> str:
+    """One metric's line of the printed report."""
+    return (f"{workload} {name:12s} parent {m['parent']['median']:.4g} "
+            f"[{m['parent']['quartiles'][0]:.4g}, {m['parent']['quartiles'][1]:.4g}]"
+            f"  change {m['change']['median']:.4g} "
+            f"[{m['change']['quartiles'][0]:.4g}, {m['change']['quartiles'][1]:.4g}]"
+            f"  change wins {m['wins']['change']}/{pairs}"
+            f"{'  GAIN' if m['gain'] else ''}"
+            f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}"
+            f"{'  UNRESOLVED' if m['unresolved'] else ''}")
 
 
 def main(argv=None) -> int:
@@ -185,13 +204,7 @@ def main(argv=None) -> int:
             json.dump(summary, fh, indent=1)
             fh.write("\n")
         for name, m in summary["workloads"][workload]["metrics"].items():
-            print(f"{workload} {name:12s} parent {m['parent']['median']:.4g} "
-                  f"[{m['parent']['quartiles'][0]:.4g}, {m['parent']['quartiles'][1]:.4g}]"
-                  f"  change {m['change']['median']:.4g} "
-                  f"[{m['change']['quartiles'][0]:.4g}, {m['change']['quartiles'][1]:.4g}]"
-                  f"  change wins {m['wins']['change']}/{args.pairs}"
-                  f"{'  GAIN' if m['gain'] else ''}"
-                  f"{'' if m['within_bound'] else '  OUTSIDE BOUND'}")
+            print(report_line(workload, name, m, args.pairs))
     reasons = failures(summary)
     for reason in reasons:
         print(f"FAIL {reason}", file=sys.stderr)
