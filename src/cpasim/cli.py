@@ -36,7 +36,7 @@ from .errors import (
 )
 from .io import RunConfig, check_positive, emit_csv, emit_svg, parse_config
 from .model import SystemParams
-from .steady import solve_steady_states
+from .steady import build_polynomial, solve_steady_states
 from .sweep import boundary_map, scan_folds, trace_hysteresis
 
 # the evolve/reproduce integrations favour wall time over the library's
@@ -236,11 +236,12 @@ def _cmd_reproduce(args) -> int:
             raise ValidationError(f"reproduce {fig} takes no config")
         for delta_tls in (4.5, 1.5):
             p = fig3_preset(fig, delta_tls)
+            poly = build_polynomial(p)  # one polynomial and its folds per figure
             intensity_cpa = 0.5 * p.kappa * cpa_photon_number(p)
-            folds = scan_folds(p, 2.5 * intensity_cpa)
+            folds = scan_folds(poly, 2.5 * intensity_cpa)
             hi = max((f[0] for f in folds), default=0.0)
             span = max(1.3 * intensity_cpa, 1.15 * hi)
-            curve = trace_hysteresis(p, np.linspace(0.0, span, 301))
+            curve = trace_hysteresis(poly, np.linspace(0.0, span, 301))
             print(f"{fig} delta_tls={delta_tls:g}: pattern {curve.pattern}, "
                   f"{len(curve.folds)} folds")
             _emit(args, curve, f"{fig}_dtls{delta_tls:g}",

@@ -14,7 +14,9 @@ from .model import (
     output_intensities,
     soc_effective_params,
 )
-from .steady import build_polynomial, curve_geometry, solve_steady_states
+from .steady import build_polynomial, solve_steady_columns
+# not called here: the benchmark's tracer (bench/tracer.py) wraps this name
+from .steady import solve_steady_states  # noqa: F401
 
 # A solver root must match the predicted photon number this tightly (relative).
 ROOT_MATCH_RTOL = 1e-8
@@ -145,12 +147,6 @@ def cooperativity(p: SystemParams) -> float:
     return p.g ** 2 / (p.kappa * p.gamma)
 
 
-def max_output_intensity(p_run: SystemParams, c_bar: complex) -> float:
-    """The larger of the two output intensities at intracavity field c_bar
-    under the balanced drive of ``p_run``."""
-    return max(output_intensities(c_bar, p_run.omega_d, p_run))
-
-
 def _branch_location(folds: list[tuple[float, float]], input_intensity: float,
                      root_stability: Stability
                      ) -> tuple[BranchLocation, tuple[float, float] | None]:
@@ -220,7 +216,7 @@ def place_cpa(point: CPAReport, p: SystemParams, states,
     """Complete an operating point of ``cpa_operating_point`` (one without
     reasons) from ``states``, the (n_c, c_bar, stability) of every steady
     state of ``p`` at the drive ``point.omega_d_cpa``, and ``folds``, the
-    curve's folds from ``steady.curve_geometry``.
+    curve's folds (``steady.SelfConsistencyPolynomial.folds``).
 
     The state nearest the predicted photon number must match it to
     ROOT_MATCH_RTOL, else the report is SolverRootMismatch.  Feasibility
@@ -246,7 +242,7 @@ def verify_cpa(p: SystemParams) -> CPAReport:
     """Assemble the operating point, check every condition, and confirm by
     direct computation of both output fields at the solved steady state:
     ``cpa_operating_point``, then ``place_cpa`` with a one-node solve at the
-    operating drive and the curve's own geometry.
+    operating drive and the folds, both from one ``build_polynomial(p)``.
 
     The conditions are treated as necessary only: feasibility is granted when
     the solver finds the predicted root and both mean outputs vanish to
@@ -256,10 +252,10 @@ def verify_cpa(p: SystemParams) -> CPAReport:
     point = cpa_operating_point(p)
     if point.reasons:
         return point
-    p_run = replace(p, omega_d=point.omega_d_cpa)
-    states = [(s.n_c, s.c_bar, s.stability) for s in solve_steady_states(p_run)]
-    folds, _ = curve_geometry(build_polynomial(p), p.kappa)
-    return place_cpa(point, p, states, folds)
+    poly = build_polynomial(p)
+    cols = solve_steady_columns(poly, [point.omega_d_cpa])
+    states = zip(cols.n_c.tolist(), cols.c_bar.tolist(), cols.stability)
+    return place_cpa(point, p, states, poly.folds)
 
 
 def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:

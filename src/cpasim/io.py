@@ -86,8 +86,31 @@ def parse_config(text: str) -> RunConfig:
     """
     import yaml  # here, not at module level: only a config needs it
 
+    class Loader(yaml.SafeLoader):
+        """safe_load's loader, rejecting a key given twice in one mapping
+        (which would otherwise keep its last value silently)."""
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            # the base class rejects a node that is no mapping (`!!set [1]`)
+            pairs = node.value if isinstance(node, yaml.MappingNode) else []
+            for key_node, _ in pairs:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # a merged key may be overridden
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    again = key in seen
+                except TypeError:
+                    continue  # unhashable: the base class rejects it
+                if again:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

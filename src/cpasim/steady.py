@@ -1,13 +1,14 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
-Two root stages solve any number of drives of one parameter set and share
-one states stage, which returns the kept states of all drives at once as
-columns.  ``solve_steady_columns`` solves one drive at a time in Python
-floats: one companion-matrix eigvals and a Newton polish per root
-(``solve_steady_states`` is its one-node call).  ``solve_curve_columns``
-brackets a whole curve's roots at once on the monotone segments of its
-geometry."""
+One ``build_polynomial(p)`` per parameter set holds its drive-free factors,
+its parameters and, once asked for, its folds.  Two root stages solve it at
+any number of drives and share one states stage, which returns the kept
+states of all drives at once as columns.  ``solve_steady_columns`` solves
+one drive at a time in Python floats: one companion-matrix eigvals and a
+Newton polish per root (``solve_steady_states`` is its one-node call).
+``solve_curve_columns`` brackets a whole curve's roots at once on the
+monotone segments between its folds."""
 
 from __future__ import annotations
 
@@ -74,27 +75,27 @@ HURWITZ_MIN_ROWS = 24
 
 @dataclass(frozen=True)
 class SelfConsistencyPolynomial:
-    """Real-coefficient polynomial in n_c whose nonnegative roots are the
-    candidate steady-state photon numbers.
+    """The real-coefficient polynomial in n_c of one parameter set ``p``
+    (built by ``build_polynomial``) whose nonnegative roots are the candidate
+    steady-state photon numbers, at any drive.
 
-    Coefficients are ascending (coeffs[k] multiplies n_c**k), degree <= 5.
-    The constant term is -(a squared magnitude): <= 0 whenever omega_d > 0.
-
-    The drive enters only as a factor: coeffs = free - omega_d^2 drive, from
-    the drive-free factors ``free`` and ``drive``, formed on first use (the
-    solver kernel and the curve geometry need only the factors).  ``q`` is
-    the cleared denominator Q (free = n Q^2); it is None for |G| = 0, where
-    the positive Q was divided out and free = n Q.
+    The drive enters only as a factor, P = free - omega_d^2 drive
+    (``_node_polynomials``).  ``coeffs`` is P at ``p.omega_d``, ascending
+    (coeffs[k] multiplies n_c**k), degree <= 5, with a constant term <= 0.
+    ``q`` is the cleared denominator Q (free = n Q^2); it is None for
+    |G| = 0, where the positive Q was divided out and free = n Q.
+    ``coeffs`` and ``folds`` are formed on first use: a one-node solve
+    needs neither.
     """
 
     free: np.ndarray
     drive: np.ndarray
     q: np.ndarray | None
-    omega_d: float
+    p: SystemParams
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        return _add(self.free, -(self.omega_d ** 2 * self.drive))
+        return _trim(_node_polynomials(self, [self.p.omega_d])[0])
 
     @property
     def degree(self) -> int:
@@ -110,6 +111,41 @@ class SelfConsistencyPolynomial:
         if self.q is None:
             return []
         return [n for n in nonnegative_real_roots(self.q) if n > 0.0]
+
+    @cached_property
+    def folds(self) -> list[tuple[float, float]]:
+        """The folds of the curve, as (input_intensity, n_c) sorted by input.
+
+        Along the curve the per-mirror input intensity is the rational
+        function I(n) = free(n) / (2 kappa drive(n)), so its turning points
+        are the zeros of W = free' drive - free drive'.  W = Q V, and the
+        folds are the positive roots of V (of W itself for |G| = 0).  The
+        positive zeros of Q are the undriven singular states, where I = 0
+        exactly: they are the edges of a window anchored at zero input and
+        are reported as folds at input 0.0.  A fold on a zero of R is a
+        pole of I, reported at input inf.  Between the folds' n_c I(n) is
+        monotone, so such a segment (a branch) holds at most one state at
+        any input.
+        """
+        free, drive, q = self.free, self.drive, self.q
+        if q is None:
+            v = npoly.polysub(npoly.polymul(npoly.polyder(free), drive),
+                              npoly.polymul(free, npoly.polyder(drive)))
+            folds = []
+        else:
+            # free = n Q^2, so W = Q ((Q + 2 n Q') drive - n Q drive')
+            v = npoly.polysub(
+                npoly.polymul(npoly.polyadd(q, 2.0 * npoly.polymulx(npoly.polyder(q))),
+                              drive),
+                npoly.polymul(npoly.polymulx(q), npoly.polyder(drive)))
+            folds = [(0.0, n) for n in self.singular_states]
+        for n in nonnegative_real_roots(v):
+            if n == 0.0:
+                continue
+            den = 2.0 * self.p.kappa * float(npoly.polyval(n, drive))
+            folds.append((float(npoly.polyval(n, free)) / den if den > 0.0
+                          else math.inf, n))
+        return sorted(folds)
 
 
 # Series arithmetic on ascending coefficient arrays, kept trimmed of
@@ -206,8 +242,7 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
         free, drive, q = _mulx(np.convolve(q_shared, q_shared)), DD, q_shared
     else:
         free, drive, q = _mulx(np.convolve(Q, Q)), np.convolve(R, DD), Q
-    return SelfConsistencyPolynomial(free=free, drive=drive, q=q,
-                                     omega_d=p.omega_d)
+    return SelfConsistencyPolynomial(free=free, drive=drive, q=q, p=p)
 
 
 def _kept(roots: list[float]) -> list[int]:
@@ -230,8 +265,8 @@ def nonnegative_real_roots(coeffs) -> list[float]:
     unrotated (Edelman & Murakami, Math. Comp. 64, 1995).  Imaginary parts
     within IMAG_RTOL are rounding, roots down to -EPS_ROOT are clamped to 0,
     and roots within MERGE_RADIUS merge into the lower one.  One-node solves
-    and the curve geometry take their roots from here; a curve's own roots
-    are bracketed on the geometry's monotone segments instead
+    and the folds take their roots from here; a curve's own roots are
+    bracketed on the monotone segments between its folds instead
     (``_segment_roots``).
     """
     c = [float(x) for x in coeffs]
@@ -250,46 +285,6 @@ def nonnegative_real_roots(coeffs) -> list[float]:
                    if abs(x.imag) <= IMAG_RTOL * max(1.0, abs(x.real))
                    and x.real >= -EPS_ROOT)
     return [found[k] for k in _kept(found)]
-
-
-def curve_geometry(poly: SelfConsistencyPolynomial, kappa: float
-                   ) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Folds and branch edges of the steady-state curve.
-
-    Along the curve the per-mirror input intensity is the rational function
-    I(n) = free(n) / (2 kappa drive(n)), so its turning points are the zeros
-    of W = free' drive - free drive'.  W = Q V, and the folds are the
-    positive roots of V (of W itself for |G| = 0).  The positive zeros of Q
-    are the undriven singular states, where I = 0 exactly: they are the
-    edges of a window anchored at zero input and are reported as folds at
-    input 0.0.  A fold on a zero of R is a pole of I, reported at input inf.
-
-    Returns the folds as (input_intensity, n_c) sorted by input, and the
-    sorted n_c of all of them: branch k is the open segment between edges
-    k-1 and k, on which I(n) is monotone, so a branch holds at most one
-    steady state at any input.
-    """
-    free, drive, q = poly.free, poly.drive, poly.q
-    if q is None:
-        v = npoly.polysub(npoly.polymul(npoly.polyder(free), drive),
-                          npoly.polymul(free, npoly.polyder(drive)))
-        anchored = []
-    else:
-        # free = n Q^2, so W = Q ((Q + 2 n Q') drive - n Q drive')
-        v = npoly.polysub(
-            npoly.polymul(npoly.polyadd(q, 2.0 * npoly.polymulx(npoly.polyder(q))),
-                          drive),
-            npoly.polymul(npoly.polymulx(q), npoly.polyder(drive)))
-        anchored = [(0.0, n) for n in poly.singular_states]
-    folds = anchored
-    for n in nonnegative_real_roots(v):
-        if n == 0.0:
-            continue
-        den = 2.0 * kappa * float(npoly.polyval(n, drive))
-        folds.append((float(npoly.polyval(n, free)) / den if den > 0.0
-                      else math.inf, n))
-    edges = np.array(sorted(n for _, n in folds))
-    return sorted(folds), edges
 
 
 def self_consistency_residual(n_c: float, p: SystemParams) -> float:
@@ -563,30 +558,51 @@ class SteadyColumns(NamedTuple):
     segment: np.ndarray | None = None  # int
 
 
-def _drives(p: SystemParams, drives) -> np.ndarray:
+def _too_large(w: float, what: str) -> ValueError:
+    return ValueError(f"drive omega_d = {w!r} is too large: {what} overflows")
+
+
+def _squared(w: float) -> float:
+    """A drive squared as a Python float (numpy's array square can differ
+    from it by an ulp); ValueError naming the drive when it overflows."""
+    try:
+        if w * w < math.inf:
+            return w ** 2
+    except OverflowError:
+        pass
+    raise _too_large(w, "its square")
+
+
+def _drives(poly: SelfConsistencyPolynomial, drives) -> np.ndarray:
     """The validated drive array, with the regime warning of a non-empty
     call above the bare threshold."""
     omegas = np.array(drives, dtype=float)
-    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in omegas.tolist()):
+    ws = omegas.tolist()
+    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
         raise ValueError("drives must be a sequence of finite omega_d >= 0")
-    if len(omegas) and bare_threshold_margin(p) <= 0.0:
+    _squared(max(ws, default=0.0))  # the largest drive's square must not overflow
+    if ws and bare_threshold_margin(poly.p) <= 0.0:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
     return omegas
 
 
-def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: np.ndarray) -> np.ndarray:
-    """P = free - omega_d^2 drive, one row per drive, squaring each drive as
-    a Python float exactly as build_polynomial does (numpy's array square
-    can differ by an ulp); an undriven node's row is zero."""
-    w2 = [w ** 2 for w in omegas.tolist()]
-    coeffs = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
-    coeffs[:, :len(poly.free)] = poly.free
-    coeffs[:, :len(poly.drive)] -= np.array(w2)[:, None] * poly.drive
-    if 0.0 in w2:
-        coeffs[omegas == 0.0] = 0.0
-    return coeffs
+def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> np.ndarray:
+    """The one P rule: P = free - omega_d^2 drive, one row per drive of
+    ``omegas`` (Python floats), zero-padded, each drive squared by
+    ``_squared``.  Every coefficient is at most omega_d^2 max|drive| +
+    max|free| in magnitude, also after rounding, which is monotone: where
+    that bound overflows, a ValueError names the largest drive."""
+    w2 = [_squared(w) for w in omegas]
+    top = max(w2, default=0.0)
+    if not (top * max(map(abs, poly.drive.tolist()))
+            + max(map(abs, poly.free.tolist()))) < math.inf:
+        raise _too_large(omegas[w2.index(top)], "P = free - omega_d^2 drive")
+    rows = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
+    rows[:, :len(poly.free)] = poly.free
+    rows[:, :len(poly.drive)] -= np.multiply.outer(w2, poly.drive)
+    return rows
 
 
 def _accepted(res: np.ndarray, mag: np.ndarray, tol_res: float) -> np.ndarray:
@@ -651,34 +667,29 @@ def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: float):
     """The roots of each driven node by the root rule
-    (``nonnegative_real_roots``), in Python floats: P = free - omega_d^2
-    drive with the float operations of ``_node_polynomials``, each root
-    Newton-polished (``_polish``), residual-checked (``_accepted``'s rule)
-    and merged again: Newton may swap a near-double pair, and it pulls both
-    members of the pair at a fold's own input to within the merge radius, so
-    a state on a fold is reported once.  An undriven node has none.  Returns
-    each root's node, the root and P there, grouped by node."""
-    free, drive = poly.free.tolist(), poly.drive.tolist()
-    width = max(len(free), len(drive))
+    (``nonnegative_real_roots``), in Python floats: P from
+    ``_node_polynomials``, each root Newton-polished (``_polish``),
+    residual-checked (``_accepted``'s rule) and merged again: Newton may swap
+    a near-double pair, and it pulls both members of the pair at a fold's own
+    input to within the merge radius, so a state on a fold is reported once.
+    An undriven node has none.  Returns each root's node, the root and P
+    there, grouped by node."""
     tol = max(tol_res, EPS_RES)
+    driven = [(node, w) for node, w in enumerate(omegas.tolist()) if w != 0.0]
+    coeffs = _node_polynomials(poly, [w for _, w in driven]).tolist()
     rows, ns, res = [], [], []
-    for node, w in enumerate(omegas.tolist()):
-        if w == 0.0:
-            continue
-        w2 = w ** 2
-        c = free + [0.0] * (width - len(free))
-        for k, d in enumerate(drive):
-            c[k] -= w2 * d
+    for (node, w), c in zip(driven, coeffs):
         dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
         mag_c = [abs(ck) for ck in c]
         kept = []
         for n0 in nonnegative_real_roots(c):
             n = _polish(c, dc, n0)
+            if n != n:  # a NaN step: P overflowed near its root
+                raise _too_large(w, f"P at its root n_c = {n0:.9g}")
             p_n, mag = _horner_pair(c, mag_c, n)
             if not abs(p_n) > tol * max(1.0, mag):  # the residual rule
                 kept.append((n, p_n))
-        # ascending, with a NaN root (P overflowed) last
-        kept.sort(key=lambda r: (r[0] != r[0], r[0]))
+        kept.sort()
         for k in _kept([n for n, _ in kept]):
             rows.append(node)
             ns.append(kept[k][0])
@@ -686,12 +697,11 @@ def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: fl
     return np.array(rows, dtype=np.intp), np.array(ns), np.array(res)
 
 
-def _segment_roots(poly: SelfConsistencyPolynomial, folds, kappa: float,
-                   x: np.ndarray, coeffs: np.ndarray):
+def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
     """The roots of row i of ``coeffs``, P = free - omega_d^2 drive at the
     driven input x[i] > 0, on the monotone segments of
     I(n) = free / (2 kappa drive) between the curve's edges (the n of
-    ``folds``, from ``curve_geometry``).
+    ``poly.folds``).
 
     Segment s is (e_(s-1), e_s], from n = 0, and the last one runs up to
     Fujiwara's bound of each row's own roots.  It holds one root at input x
@@ -706,7 +716,8 @@ def _segment_roots(poly: SelfConsistencyPolynomial, folds, kappa: float,
 
     Returns the node (an index into x), root, segment, P there and P's
     float-evaluation magnitude there, grouped by node and ascending in n."""
-    by_n = sorted(folds, key=lambda f: f[1])
+    kappa = poly.p.kappa
+    by_n = sorted(poly.folds, key=lambda f: f[1])
     edges = np.array([n for _, n in by_n])
     at_edges = np.array([i for i, _ in by_n])
     lo_n = np.append(0.0, edges)
@@ -769,14 +780,15 @@ def _segment_roots(poly: SelfConsistencyPolynomial, folds, kappa: float,
     return node, n, seg, p_mag[:m], p_mag[m:]
 
 
-def _states(p: SystemParams, poly: SelfConsistencyPolynomial, omegas: np.ndarray,
-            rows: np.ndarray, n: np.ndarray, res: np.ndarray, eps_stab: float,
+def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarray,
+            n: np.ndarray, res: np.ndarray, eps_stab: float,
             segment: np.ndarray | None = None) -> SteadyColumns:
     """The states stage shared by both solves, from the residual-accepted
     roots ``n`` of the driven nodes (``rows``, grouped) and P there: the
     vacuum at every undriven node, the roots at the parametric singularity
     excluded, and the fields and stability labels of all kept roots at
     once."""
+    p = poly.p
     undriven = (omegas == 0.0).nonzero()[0]
     if undriven.size:
         # the vacuum, an undriven node's one state (its row has no roots),
@@ -820,77 +832,74 @@ def _states(p: SystemParams, poly: SelfConsistencyPolynomial, omegas: np.ndarray
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
 
 
-def solve_steady_columns(p: SystemParams, drives, tol_res: float = EPS_RES,
+def solve_steady_columns(poly: SelfConsistencyPolynomial, drives,
+                         tol_res: float = EPS_RES,
                          eps_stab: float = EPS_STAB) -> SteadyColumns:
-    """All self-consistent steady states of ``p`` at each of ``drives``, a
-    sequence of drive amplitudes omega_d (finite and >= 0, else ValueError)
-    that replaces ``p.omega_d``, as columns (see ``SteadyColumns``).
+    """All self-consistent steady states of ``poly.p`` at each of ``drives``,
+    a sequence of drive amplitudes omega_d (finite and >= 0, and with a
+    finite square, else ValueError) that replaces ``poly.p.omega_d``, as
+    columns (see ``SteadyColumns``).
 
-    This is the one-node solve, for drives with no curve geometry at hand;
+    This is the one-node solve, which needs no folds;
     ``solve_curve_columns`` solves a curve on its monotone segments instead.
-    The drive enters the cleared polynomial only as P = free - omega_d^2
-    drive, so the drive-free factors are built once.  Each drive's roots
-    come from the root stage ``_node_roots``, in Python floats: one
-    companion-matrix eigvals (``nonnegative_real_roots``), a Newton polish
-    per root, the residual check against ``tol_res`` times the polynomial
-    scale, and the merge again (a state on a fold is reported once).  The
-    states stage (``_states``) then maps the kept roots of all drives at
-    once to full mean-field states by the model's own formulas
-    (``dressed_cavity``, ``driven_field``, ``atomic_expectations``) and labels
-    them from their stacked Jacobians by ``_stability_labels``.  Roots at the
-    parametric singularity (denominator below the guard) are excluded with a
-    RuntimeWarning each.  An undriven node has only the vacuum: its
-    polynomial n Q^2 has exact double roots at the singular states, which are
-    excluded with a RuntimeWarning.
+    Each drive's roots come from the root stage ``_node_roots``, in Python
+    floats: one companion-matrix eigvals (``nonnegative_real_roots``), a
+    Newton polish per root, the residual check against ``tol_res`` times
+    the polynomial scale, and the merge again (a state on a fold is
+    reported once).  The states stage (``_states``) then maps the kept roots
+    of all drives at once to full mean-field states by the model's own
+    formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)
+    and labels them from their stacked Jacobians by ``_stability_labels``.
+    Roots at the parametric singularity (denominator below the guard) are
+    excluded with a RuntimeWarning each.  An undriven node has only the
+    vacuum: its polynomial n Q^2 has exact double roots at the singular
+    states, which are excluded with a RuntimeWarning.
 
     Emits one ParametricRegimeWarning per call when the bare cavity is
     at/above the parametric threshold: the reported roots are still
     residual-verified, but branches at large n_c are typically unstable
     there.
     """
-    omegas = _drives(p, drives)
-    poly = build_polynomial(p)
+    omegas = _drives(poly, drives)
     rows, n, res = _node_roots(poly, omegas, tol_res)
-    return _states(p, poly, omegas, rows, n, res, eps_stab)
+    return _states(poly, omegas, rows, n, res, eps_stab)
 
 
-def solve_curve_columns(p: SystemParams, poly: SelfConsistencyPolynomial, folds,
-                        inputs, drives, one_node_drives=(), tol_res: float = EPS_RES,
+def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
+                        one_node_drives=(), tol_res: float = EPS_RES,
                         eps_stab: float = EPS_STAB) -> SteadyColumns:
-    """The steady states of a curve at per-mirror inputs ``inputs``, driven
-    by ``drives`` (one amplitude each, validated as in
+    """The steady states of ``poly``'s curve at per-mirror inputs
+    ``inputs``, driven by ``drives`` (one amplitude each, validated as in
     ``solve_steady_columns``), then at ``one_node_drives``, as columns with
     each state's segment (-1 for the one-node drives).
 
-    ``poly`` is ``build_polynomial(p)`` and ``folds`` its ``curve_geometry``
-    folds, which the curve already has.  The curve's roots are bracketed on
-    the geometry's monotone segments (``_segment_roots``), with no
-    eigen-solve; a segment holds at most one state at any input, so the
-    branch id is the segment itself.  A one-node drive is solved by the
-    root stage of ``solve_steady_columns``, so its states are that call's
-    bit for bit.  The residual rule and the states stage are
-    the same."""
-    omegas = _drives(p, np.append(drives, one_node_drives))
+    The curve's roots are bracketed on the monotone segments between
+    ``poly.folds`` (``_segment_roots``), with no eigen-solve; a segment holds
+    at most one state at any input, so the branch id is the segment itself.
+    A one-node drive is solved by the root stage of ``solve_steady_columns``,
+    so its states are that call's bit for bit.  The residual rule and the
+    states stage are the same."""
+    omegas = _drives(poly, np.append(drives, one_node_drives))
     m = len(omegas) - len(one_node_drives)
     driven = np.flatnonzero(omegas[:m] > 0.0)
     node, n, seg, res, mag = _segment_roots(
-        poly, folds, p.kappa, np.asarray(inputs, dtype=float)[driven],
-        _node_polynomials(poly, omegas[driven]))
+        poly, np.asarray(inputs, dtype=float)[driven],
+        _node_polynomials(poly, omegas[driven].tolist()))
     ok = _accepted(res, mag, tol_res)
     rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
     if m < len(omegas):
         more, n_more, res_more = _node_roots(poly, omegas[m:], tol_res)
         rows, n = np.append(rows, more + m), np.append(n, n_more)
         res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
-    return _states(p, poly, omegas, rows, n, res, eps_stab, seg)
+    return _states(poly, omegas, rows, n, res, eps_stab, seg)
 
 
 def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
                         eps_stab: float = EPS_STAB) -> list[SteadyState]:
     """All self-consistent steady states at ``p``, sorted by photon number:
     the one-node call of ``solve_steady_columns``, one SteadyState per row."""
-    cols = solve_steady_columns(p, [p.omega_d], tol_res=tol_res,
-                                eps_stab=eps_stab)
+    cols = solve_steady_columns(build_polynomial(p), [p.omega_d],
+                                tol_res=tol_res, eps_stab=eps_stab)
     return list(map(SteadyState, cols.n_c.tolist(), cols.c_bar.tolist(),
                     cols.sigma_minus.tolist(), cols.sigma_z.tolist(),
                     cols.stability, cols.residual.tolist()))

@@ -25,7 +25,7 @@ from .model import (
     drive_for_input_intensity,
     output_intensities,
 )
-from .steady import build_polynomial, curve_geometry, solve_curve_columns
+from .steady import SelfConsistencyPolynomial, build_polynomial, solve_curve_columns
 # not called here: the benchmark's tracer (bench/tracer.py) wraps this name
 from .steady import solve_steady_states  # noqa: F401
 
@@ -119,15 +119,21 @@ class BoundaryMap:
     region_mask: np.ndarray  # bool: fixed (g, delta_tls) admits absorption
 
 
-def scan_folds(p: SystemParams, span: float) -> list[tuple[float, float]]:
+def _polynomial(p: SystemParams | SelfConsistencyPolynomial) -> SelfConsistencyPolynomial:
+    """``p`` itself when it is a built polynomial, else ``build_polynomial(p)``."""
+    return p if isinstance(p, SelfConsistencyPolynomial) else build_polynomial(p)
+
+
+def scan_folds(p: SystemParams | SelfConsistencyPolynomial,
+               span: float) -> list[tuple[float, float]]:
     """All fold points (input_intensity, n_c) with input intensity at most
     ``span``, sorted by input.  The edge of a window anchored at zero input
-    is reported at input exactly 0.0 (see ``steady.curve_geometry``)."""
-    folds, _ = curve_geometry(build_polynomial(p), p.kappa)
-    return [f for f in folds if f[0] <= span]
+    is reported at input exactly 0.0 (see ``SelfConsistencyPolynomial``)."""
+    return [f for f in _polynomial(p).folds if f[0] <= span]
 
 
-def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
+def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
+                     input_grid) -> HysteresisCurve:
     """Solve all steady branches over an ascending grid of input intensities
     and assemble the branch-resolved curve with folds, pattern label, and
     absorption markers.
@@ -153,8 +159,8 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
         return HysteresisCurve([], [], [], [], [], folds=[],
                                pattern=PatternClass.MONOSTABLE, cpa_markers=[])
 
-    poly = build_polynomial(p)
-    folds, _ = curve_geometry(poly, p.kappa)
+    poly = _polynomial(p)
+    p, folds = poly.p, poly.folds
     grid = np.array(xs)
     drives = drive_for_input_intensity(grid, p)
     try:
@@ -164,7 +170,7 @@ def trace_hysteresis(p: SystemParams, input_grid) -> HysteresisCurve:
     if point is None or point.reasons or not (
             xs[0] <= point.input_intensity <= xs[-1]):
         point = None
-    roots = solve_curve_columns(p, poly, folds, grid, drives,
+    roots = solve_curve_columns(poly, grid, drives,
                                 [] if point is None else [point.omega_d_cpa])
     # the grid's roots, then the CPA node's
     m = int(np.searchsorted(roots.node, len(xs)))

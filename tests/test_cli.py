@@ -220,6 +220,15 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("omega_d", ["1.0e+160", "1.0e+150"])
+    def test_a_huge_drive_is_exit_4_naming_it(self, tmp_path, capsys, omega_d):
+        # the square of 1e160 overflows; at 1e150 P overflows near its root
+        cfg = write_cfg(tmp_path, f"kappa: 20\ng: 1\ndelta_tls: 4.5\nomega_d: {omega_d}\n")
+        assert run("steady", "--config", cfg) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: drive omega_d = {float(omega_d)!r} "
+                              "is too large")
+
 class TestBoundary:
     CFG = "beta_min: 0.005\nbeta_max: 0.1\nbeta_points: 40\ng_fixed: 1\ndelta_tls_fixed: 4.5\n"
 

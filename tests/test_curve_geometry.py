@@ -1,7 +1,8 @@
-"""Property tests of the closed-form curve geometry (steady.curve_geometry)
-against the solver and the dense-grid bisection oracle, on parameters biased
-toward the edge regimes: |G| = 0, g = 0, asymmetric mirrors, crystals above
-the bare parametric threshold, and windows anchored at zero input."""
+"""Property tests of the closed-form curve geometry (the folds of
+steady.SelfConsistencyPolynomial) against the solver and the dense-grid
+bisection oracle, on parameters biased toward the edge regimes: |G| = 0,
+g = 0, asymmetric mirrors, crystals above the bare parametric threshold,
+and windows anchored at zero input."""
 
 import math
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import bisect_fold
 from cpasim.cli import fig3_preset
 from cpasim.model import SystemParams, drive_for_input_intensity
-from cpasim.steady import build_polynomial, curve_geometry, solve_steady_states
+from cpasim.steady import build_polynomial, solve_steady_states
 from cpasim.sweep import trace_hysteresis
 
 PROPERTY_SETTINGS = settings(
@@ -56,8 +57,7 @@ def curve_params(draw):
 
 
 def positive_folds(p):
-    folds, _ = curve_geometry(build_polynomial(p), p.kappa)
-    return [(x, n) for x, n in folds if 0.0 < x < math.inf]
+    return [(x, n) for x, n in build_polynomial(p).folds if 0.0 < x < math.inf]
 
 
 def isolated(x, folds, width):
@@ -107,7 +107,7 @@ def test_anchored_pairs_open_at_zero_input(p):
         # n, so no steady state survives any drive
         assert root_count(p, 1e-8) == 0
         return
-    folds, _ = curve_geometry(poly, p.kappa)
+    folds = poly.folds
     if any(0.0 < x <= 1e-7 for x, _ in folds):
         return
     # I(n) = 0 at n = 0, on both sides of each anchored edge, and as n -> inf

@@ -183,6 +183,12 @@ def test_malformed_documents_are_parse_errors(text):
         parse_config(text)
 
 
+def test_a_duplicated_key_is_a_parse_error():
+    # the loader would keep the last value silently
+    with pytest.raises(ParseError, match="at line 3, column 1") as exc:
+        parse_config("kappa: 1\ng: 1\nkappa: 20\n")
+    assert "found duplicate key 'kappa'" in str(exc.value)
+
 @pytest.mark.parametrize("key", ["kappa", "beta_min", "deltas"])
 def test_an_integer_past_the_float_range_is_not_finite(key):
     value = "1" + "0" * 400

@@ -7,8 +7,10 @@ equal classify_stability's."""
 
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +23,9 @@ from oracles import count_sign_changes, root_scan_bound
 from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
 from test_sweep import reproduce_span
-from cpasim import cpa, steady, sweep
+from cpasim import cli, cpa, steady, sweep
 from cpasim.cli import fig3_preset
-from cpasim.cpa import BranchLocation, max_output_intensity
+from cpasim.cpa import BranchLocation
 from cpasim.errors import ParametricRegimeWarning
 from cpasim.model import (
     Stability,
@@ -32,6 +34,7 @@ from cpasim.model import (
     atomic_expectations,
     drive_for_input_intensity,
     intracavity_field,
+    output_intensities,
 )
 from cpasim.steady import (
     EPS_RES,
@@ -199,9 +202,10 @@ def test_batch_equals_one_node_calls_on_the_fig3_grids(key):
     drives = drive_for_input_intensity(np.linspace(0.0, reproduce_span(p), 301), p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert_same_columns(solve_steady_columns(p, drives), one_by_one(p, drives))
+        poly = build_polynomial(p)
+        assert_same_columns(solve_steady_columns(poly, drives), one_by_one(p, drives))
         # in any order: the zero-drive node last
-        assert_same_columns(solve_steady_columns(p, drives[::-1]),
+        assert_same_columns(solve_steady_columns(poly, drives[::-1]),
                             one_by_one(p, drives[::-1]))
 
 
@@ -226,7 +230,7 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
     drives = drive_for_input_intensity(grid, p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batched = solve_steady_columns(p, drives)
+        batched = solve_steady_columns(build_polynomial(p), drives)
         assert_same_columns(batched, one_by_one(p, drives))
     if build_polynomial(p).degree == 0:
         assert not grid[batched.node].any()  # states only where x = 0
@@ -349,9 +353,9 @@ def counting_curve_solve(monkeypatch):
         shapes.append(np.shape(a))
         return eigvals(a)
 
-    def counting_kernel(p, poly, folds, inputs, drives, one_node_drives=()):
+    def counting_kernel(poly, inputs, drives, one_node_drives=()):
         before = len(shapes)
-        out = kernel(p, poly, folds, inputs, drives, one_node_drives)
+        out = kernel(poly, inputs, drives, one_node_drives)
         kernel_calls.append((len(drives), len(one_node_drives), shapes[before:]))
         return out
 
@@ -395,6 +399,60 @@ def test_a_curve_solve_makes_no_eigen_solve(monkeypatch):
     assert kernel_calls == [(301, 0, [])]
     assert len(shapes) == 2 and curve.cpa_markers == []
     assert set(curve.branch_id.tolist()) == {0, 1, 2}
+
+
+def counting_builds(monkeypatch):
+    """Count ``build_polynomial`` calls, through every module that imports
+    it, and the computations of a polynomial's folds."""
+    calls = {"builds": 0, "folds": 0}
+    build, folds = steady.build_polynomial, steady.SelfConsistencyPolynomial.folds.func
+
+    def counting_build(p):
+        calls["builds"] += 1
+        return build(p)
+
+    def counting_folds(poly):
+        calls["folds"] += 1
+        return folds(poly)
+
+    for module in (steady, sweep, cpa, cli):
+        monkeypatch.setattr(module, "build_polynomial", counting_build)
+    prop = cached_property(counting_folds)
+    prop.__set_name__(steady.SelfConsistencyPolynomial, "folds")
+    monkeypatch.setattr(steady.SelfConsistencyPolynomial, "folds", prop)
+    return calls
+
+
+@pytest.mark.parametrize("figure", ["fig3a", "fig3b", "fig3c"])
+def test_a_reproduced_figure_builds_one_polynomial_and_its_folds_once(
+        monkeypatch, tmp_path, figure):
+    # scan_folds, the curve and its CPA marker share one polynomial; the
+    # command draws two figures, at delta_tls 4.5 and 1.5
+    calls = counting_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+    assert calls == {"builds": 2, "folds": 2}
+
+
+def test_verify_cpa_builds_one_polynomial_and_its_folds_once(monkeypatch):
+    calls = counting_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k, key in enumerate(FIG3, 1):
+            assert cpa.verify_cpa(fig3_preset(*key)).feasible
+            assert calls == {"builds": k, "folds": k}
+
+
+def test_a_one_node_solve_computes_no_folds(monkeypatch):
+    points = [at_input(p, x) for p in map(fig3_preset, *zip(*FIG3))
+              for x in (0.0, 1.0, 0.5 * reproduce_span(p))]
+    calls = counting_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for q in points:
+            solve_steady_states(q)
+    assert calls == {"builds": len(points), "folds": 0}
 
 
 def here(w):
@@ -446,14 +504,41 @@ def test_drives_and_grids_are_validated_at_entry(bad):
     # numpy.linalg error from inside the stacked solve
     p = fig3_preset("fig3c", 4.5)
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_columns(p, [1.0, bad])
+        solve_steady_columns(build_polynomial(p), [1.0, bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [0.0, 1.0, bad])
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_columns(p, [[1.0]])
-    assert solve_steady_columns(p, []).n_c.size == 0
+        solve_steady_columns(build_polynomial(p), [[1.0]])
+    assert solve_steady_columns(build_polynomial(p), []).n_c.size == 0
+
+
+@pytest.mark.parametrize("w, what", [(1e160, "its square"),
+                                     (1e154, "P = free - omega_d^2 drive"),
+                                     (1e150, "P at its root")])
+def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
+    # the square of 1e160 overflows, 1e154^2 times drive's coefficients
+    # does, and at 1e150 P overflows near its root n_c ~ 1e298
+    p = fig3_preset("fig3c", 4.5)
+    poly = build_polynomial(p)
+    message = re.escape(f"drive omega_d = {w!r} is too large: {what}")
+    with pytest.raises(ValueError, match=message):
+        solve_steady_columns(poly, [1.0, w])
+    if w > 1e150:  # the curve forms P by the same rule
+        with pytest.raises(ValueError, match=message):
+            steady.solve_curve_columns(poly, [1.0], [w])
+        with pytest.raises(ValueError, match=message):
+            build_polynomial(replace(p, omega_d=w)).coeffs
+    if w > 1e154:
+        # checked where it enters, before the regime warning of a set
+        # above the bare threshold
+        above = build_polynomial(fig3_preset("fig3b", 1.5))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                solve_steady_columns(above, [1.0, w])
+        assert seen == []
 
 
 def assert_states_match_the_scalar_formulas(p, grid):
@@ -461,7 +546,7 @@ def assert_states_match_the_scalar_formulas(p, grid):
     intensity at its own photon number, equal the model's scalar functions,
     exactly."""
     drives = drive_for_input_intensity(grid, p).tolist()
-    cols = solve_steady_columns(p, drives)
+    cols = solve_steady_columns(build_polynomial(p), drives)
     for node, s in zip(cols.node.tolist(), states_of(cols)):
         w = drives[node]
         q = replace(p, omega_d=w)
@@ -473,7 +558,7 @@ def assert_states_match_the_scalar_formulas(p, grid):
     for point in trace_hysteresis(p, grid).points:
         q = replace(p, omega_d=drive_for_input_intensity(point.input_intensity, p))
         c_bar = intracavity_field(point.n_c, q) if q.omega_d > 0.0 else 0j
-        assert point.output_intensity == max_output_intensity(q, c_bar)
+        assert point.output_intensity == max(output_intensities(c_bar, q.omega_d, q))
 
 
 @pytest.mark.parametrize("key", FIG3)
@@ -510,7 +595,7 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
     p = fig3_preset("fig3a", 4.5)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        cols = solve_steady_columns(p, [1e-10, 1.0])
+        cols = solve_steady_columns(build_polynomial(p), [1e-10, 1.0])
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "parametric singularity" in str(seen[0].message) and here(seen[0])
     # the near-vacuum root
@@ -579,7 +664,7 @@ def test_a_one_node_root_at_the_singularity_is_excluded():
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         states = solve_steady_states(p)
-        cols = solve_steady_columns(p, [1e-10, 1.0])
+        cols = solve_steady_columns(build_polynomial(p), [1e-10, 1.0])
     assert [w.category for w in seen] == [RuntimeWarning] * 2
     assert str(seen[0].message) == str(seen[1].message) == (
         "root n_c=0.738878529 lies at the parametric singularity "
@@ -651,7 +736,7 @@ def states_and_jacobians(p, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         states = states_of(solve_steady_columns(
-            p, drive_for_input_intensity(grid, p)))
+            build_polynomial(p), drive_for_input_intensity(grid, p)))
     return states, np.array([jacobian(s, p) for s in states]).reshape(-1, 5, 5)
 
 

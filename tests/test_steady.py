@@ -14,7 +14,6 @@ from cpasim.steady import (
     bare_threshold_margin,
     build_polynomial,
     classify_stability,
-    curve_geometry,
     jacobian,
     oracle_scan_bound,
     self_consistency_residual,
@@ -245,13 +244,13 @@ def test_solver_against_the_dense_oracles(p):
     elif not any(w.category is RuntimeWarning for w in seen):
         # no root excluded at the parametric singularity
         assert len(states) == count_sign_changes_wide(p, root_scan_bound(poly))
-    folds, edges = curve_geometry(poly, p.kappa)
+    folds = poly.folds
     for x, n in folds:
         # a relative bracket that holds this fold alone (a cusp's two folds
         # can lie 1e-7 apart), and a photon-number window that holds only
         # its two segments' states: none nearer another edge
         w = 1e-4 * x
-        half = min([0.5 * n] + [0.5 * abs(n - e) for e in edges.tolist() if e != n])
+        half = min([0.5 * n] + [0.5 * abs(n - e) for _, e in folds if e != n])
         if 0.0 < x < math.inf and isolated(x, folds, w):
             assert abs(bisect_fold(lambda i: at_input(p, i), x - w, x + w,
                                    n - half, n + half, tol=1e-9) - x) <= 1e-6
