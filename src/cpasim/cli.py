@@ -34,7 +34,7 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .io import RunConfig, check_positive, emit_csv, emit_svg, parse_config
+from .io import MAX_POINTS, RunConfig, check_positive, emit_csv, emit_svg, parse_config
 from .model import SystemParams
 from .steady import build_polynomial, solve_steady_states
 from .sweep import boundary_map, scan_folds, trace_hysteresis
@@ -70,13 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="physical linewidth for unit rescaling on output")
 
     sub = ap.add_subparsers(dest="command", required=True)
-    steady = sub.add_parser("steady", parents=[config], help="steady-state "
-                            "roots and stability at one parameter point "
-                            "(printed; no files)")
-    steady.add_argument("--tol-res", type=float, default=None,
-                        help="residual acceptance tolerance override")
-    steady.add_argument("--tol-stab", type=float, default=None,
-                        help="stability margin tolerance override")
+    sub.add_parser("steady", parents=[config], help="steady-state roots and "
+                   "stability at one parameter point (printed; no files)")
     sub.add_parser("cpa", parents=[common],
                    help="perfect-absorption operating point and feasibility")
     sub.add_parser("sweep", parents=[common],
@@ -129,19 +124,20 @@ def _emit(args, result, stem: str, title: str | None = None) -> None:
 def _evolution_times(cfg: RunConfig, t_end: float, sample_dt: float
                      ) -> tuple[float, float]:
     """The end time and sample spacing of a run, the config's over the
-    defaults given, checked where they enter: 0 < sample_dt <= t_end."""
+    defaults given, checked where they enter: 0 < sample_dt <= t_end, and at
+    most MAX_POINTS samples."""
     t_end = cfg.t_end if cfg.t_end is not None else t_end
     dt = cfg.sample_dt if cfg.sample_dt is not None else sample_dt
     if not 0.0 < dt <= t_end:
         raise ValidationError(f"sample_dt = {dt:g} must lie in (0, t_end = {t_end:g}]")
+    if t_end / dt > MAX_POINTS - 1:  # integrate samples ceil(t_end / dt) + 1 times
+        raise ValidationError(f"sample_dt = {dt:g} gives more than {MAX_POINTS} "
+                              f"samples up to t_end = {t_end:g}")
     return t_end, dt
 
 
 def _cmd_steady(args) -> int:
-    cfg = _load_config(args)
-    # a flag overrides its config key; main has checked it is positive
-    roots = solve_steady_states(_params(cfg), tol_res=args.tol_res or cfg.tol_res,
-                                eps_stab=args.tol_stab or cfg.tol_stab)
+    roots = solve_steady_states(_params(_load_config(args)))
     print("n_c  stability  residual")
     for s in roots:
         print(f"{s.n_c:.12g}  {s.stability}  {s.residual:.3e}")
@@ -276,9 +272,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("gamma", "tol_res", "tol_stab"):  # the config keys' rule
-            if getattr(args, flag, None) is not None:
-                check_positive("--" + flag.replace("_", "-"), getattr(args, flag))
+        if getattr(args, "gamma", None) is not None:  # the config key's rule
+            check_positive("--gamma", args.gamma)
         return _COMMANDS[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

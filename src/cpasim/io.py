@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -19,19 +19,19 @@ from .dynamics import TimeTrace
 from .errors import IoError, ParseError, ValidationError
 from .model import Stability, SystemParams
 from .sweep import BoundaryMap, HysteresisCurve
-from .steady import EPS_RES, EPS_STAB
 
 _SCALAR_KEYS = {
     "gamma", "kappa", "kappa_l", "kappa_r", "g", "delta_c", "delta_tls",
     "g_nl_mag", "phi", "omega_d",
     "input_min", "input_max", "t_end", "sample_dt",
     "beta_min", "beta_max", "g_fixed", "delta_tls_fixed",
-    "tol_res", "tol_stab",
 }
 _INT_KEYS = {"input_points", "beta_points"}
 _LIST_KEYS = {"deltas", "initial_state"}
 _BOOL_KEYS = {"cpa_auto_detuning"}
 _ALL_KEYS = _SCALAR_KEYS | _INT_KEYS | _LIST_KEYS | _BOOL_KEYS
+# the most points a grid key or an evolution's samples may ask for
+MAX_POINTS = 10 ** 6
 
 
 @dataclass
@@ -54,8 +54,6 @@ class RunConfig:
     beta_points: int = 201
     g_fixed: float | None = None
     delta_tls_fixed: float | None = None
-    tol_res: float = EPS_RES
-    tol_stab: float = EPS_STAB
 
     def input_grid(self) -> np.ndarray:
         if self.input_max is None:
@@ -66,6 +64,10 @@ class RunConfig:
         if self.beta_min is None or self.beta_max is None:
             raise ValidationError("beta_min and beta_max are required for a boundary map")
         return np.linspace(self.beta_min, self.beta_max, self.beta_points)
+
+
+_PARAM_FIELDS = {f.name for f in fields(SystemParams)}
+_RUN_FIELDS = {f.name for f in fields(RunConfig)} - {"params"}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -147,6 +149,7 @@ def parse_config(text: str) -> RunConfig:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ParseError(f"key '{k}' must be an integer, got {v!r}")
             _require(v >= 2, f"{k} must be at least 2")
+            _require(v <= MAX_POINTS, f"{k} must be at most {MAX_POINTS}, got {v}")
             vals[k] = v
     for k in _LIST_KEYS:
         if k in doc:
@@ -164,39 +167,20 @@ def parse_config(text: str) -> RunConfig:
              "kappa and kappa_l/kappa_r are mutually exclusive")
     _require(("kappa_l" in vals) == ("kappa_r" in vals),
              "kappa_l and kappa_r must be given together")
-    auto = vals.get("cpa_auto_detuning", False)
+    auto = vals.get("cpa_auto_detuning")
     _require(not (auto and "delta_c" in vals),
              "delta_c and cpa_auto_detuning are mutually exclusive")
 
-    for k in ("gamma", "t_end", "sample_dt", "tol_res", "tol_stab"):
+    for k in ("gamma", "t_end", "sample_dt"):
         if k in vals:
             check_positive(k, vals[k])
-    gamma = vals.get("gamma", 1.0)
 
+    # the dataclasses take the keys given and hold the defaults
     if "kappa" in vals:
-        kl = kr = vals["kappa"] / 2.0
-    elif "kappa_l" in vals:
-        kl, kr = vals["kappa_l"], vals["kappa_r"]
-    else:
-        kl = kr = None
-        _require(not auto, "cpa_auto_detuning needs a cavity (kappa missing)")
-        stray = sorted({"g", "delta_c", "delta_tls", "g_nl_mag", "phi",
-                        "omega_d"} & set(vals))
-        _require(not stray,
-                 f"{', '.join(stray)} given without a cavity decay rate (kappa)")
-
+        vals["kappa_l"] = vals["kappa_r"] = vals["kappa"] / 2.0
     params = None
-    if kl is not None:
-        pkw = dict(
-            kappa_l=kl, kappa_r=kr,
-            g=vals.get("g", 0.0),
-            delta_c=vals.get("delta_c", 0.0),
-            delta_tls=vals.get("delta_tls", 0.0),
-            g_nl_mag=vals.get("g_nl_mag", 0.0),
-            phi=vals.get("phi", 0.0),
-            omega_d=vals.get("omega_d", 0.0),
-            gamma=gamma,
-        )
+    if "kappa_l" in vals:
+        pkw = {k: vals[k] for k in _PARAM_FIELDS & vals.keys()}
         try:
             params = SystemParams(**pkw)
             if auto:
@@ -204,37 +188,24 @@ def parse_config(text: str) -> RunConfig:
                 params = SystemParams(**pkw)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+    else:
+        _require(not auto, "cpa_auto_detuning needs a cavity (kappa missing)")
+        stray = sorted((_PARAM_FIELDS - {"gamma"}) & vals.keys())
+        _require(not stray,
+                 f"{', '.join(stray)} given without a cavity decay rate (kappa)")
 
-    if "initial_state" in vals:
-        _require(len(vals["initial_state"]) == 5, "initial_state must be 5 numbers")
-    _require(vals.get("input_min", 0.0) >= 0.0, "input_min must be >= 0")
-    _require(vals.get("input_max", math.inf) > vals.get("input_min", 0.0),
+    cfg = RunConfig(params=params, **{k: vals[k] for k in _RUN_FIELDS & vals.keys()})
+    if cfg.initial_state is not None:
+        _require(len(cfg.initial_state) == 5, "initial_state must be 5 numbers")
+    _require(cfg.input_min >= 0.0, "input_min must be >= 0")
+    _require(cfg.input_max is None or cfg.input_max > cfg.input_min,
              "input_max must exceed input_min")
-    if "beta_min" in vals or "beta_max" in vals:
-        _require(vals.get("beta_min", 0.0) > 0.0, "beta_min must be positive")
-        if "beta_max" in vals and "beta_min" in vals:
-            _require(vals["beta_max"] > vals["beta_min"],
-                     "beta_max must exceed beta_min")
-
-    return RunConfig(
-        params=params,
-        gamma=gamma,
-        cpa_auto_detuning=auto,
-        input_min=vals.get("input_min", 0.0),
-        input_max=vals.get("input_max"),
-        input_points=vals.get("input_points", 301),
-        deltas=vals.get("deltas", []),
-        t_end=vals.get("t_end"),
-        sample_dt=vals.get("sample_dt"),
-        initial_state=vals.get("initial_state"),
-        beta_min=vals.get("beta_min"),
-        beta_max=vals.get("beta_max"),
-        beta_points=vals.get("beta_points", 201),
-        g_fixed=vals.get("g_fixed"),
-        delta_tls_fixed=vals.get("delta_tls_fixed"),
-        tol_res=vals.get("tol_res", EPS_RES),
-        tol_stab=vals.get("tol_stab", EPS_STAB),
-    )
+    if cfg.beta_min is not None or cfg.beta_max is not None:
+        _require(cfg.beta_min is not None and cfg.beta_min > 0.0,
+                 "beta_min must be positive")
+        _require(cfg.beta_max is None or cfg.beta_max > cfg.beta_min,
+                 "beta_max must exceed beta_min")
+    return cfg
 
 
 # each label's CSV text, looked up without the enum's value descriptor

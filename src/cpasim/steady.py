@@ -43,7 +43,7 @@ IMAG_RTOL = 1e-7
 MERGE_RADIUS = 1e-8
 # Half-width of the Marginal band for the largest eigenvalue real part, per gamma.
 EPS_STAB = 1e-9
-# Default residual tolerance scale for solve_steady_states.
+# The residual rule (_accepted): |P| within EPS_RES times the polynomial scale.
 EPS_RES = 1e-9
 # Newton polish (_polish): at most NEWTON_STEPS steps per root.
 NEWTON_STEPS = 40
@@ -359,23 +359,23 @@ def jacobian(s: SteadyState, p: SystemParams) -> np.ndarray:
     return _jacobian_matrix(s.c_bar, s.sigma_minus_bar, s.sigma_z_bar, p)
 
 
-def _stability(margin: float, eps_stab: float) -> Stability:
+def _stability(margin: float) -> Stability:
     """The stability label of a largest eigenvalue real part: Stable below
-    -eps_stab, Unstable above +eps_stab, Marginal in the band between (fold
+    -EPS_STAB, Unstable above +EPS_STAB, Marginal in the band between (fold
     points sit at zero)."""
-    if margin < -eps_stab:
+    if margin < -EPS_STAB:
         return Stability.STABLE
-    if margin > eps_stab:
+    if margin > EPS_STAB:
         return Stability.UNSTABLE
     return Stability.MARGINAL
 
 
-def classify_stability(j: np.ndarray, eps_stab: float = EPS_STAB) -> StabilityReport:
+def classify_stability(j: np.ndarray) -> StabilityReport:
     """Eigenvalues of one Jacobian and their label (see ``_stability``)."""
     eigenvalues = np.linalg.eigvals(j)
     margin = float(eigenvalues.real.max())
     return StabilityReport(eigenvalues=eigenvalues,
-                           stability=_stability(margin, eps_stab), margin=margin)
+                           stability=_stability(margin), margin=margin)
 
 
 # _BINOMIAL[k, j] = C(5 - k, j - k): how the coefficient a_k of mu^(5-k)
@@ -399,13 +399,14 @@ def _shift_matrix(s: float) -> np.ndarray:
     return (_BINOMIAL * (-s) ** _POWER).T
 
 
-def _hurwitz_conditions(j: np.ndarray, eps_stab: float) -> np.ndarray:
+def _hurwitz_conditions(j: np.ndarray) -> np.ndarray:
     """The Lienard-Chipart conditions of a stack of 5x5 Jacobians, shape
-    (M, 5, 5), for J + eps I and J - eps I (Gantmacher, The Theory of
-    Matrices II, ch. XV): a monic quintic with coefficients a_1..a_5 has all
-    roots in the open left half-plane iff a_1, a_3, a_5, Delta_2 =
-    a_1 a_2 - a_3 and Delta_4 = Delta_2 (a_3 a_4 - a_2 a_5) - (a_1 a_4 - a_5)^2
-    are all positive.
+    (M, 5, 5), for J + eps I and J - eps I, eps = EPS_STAB (Gantmacher, The
+    Theory of Matrices II, ch. XV): a monic quintic with coefficients
+    a_1..a_5 has all roots in the open left half-plane iff a_1, a_3, a_5,
+    Delta_2 = a_1 a_2 - a_3 and
+    Delta_4 = Delta_2 (a_3 a_4 - a_2 a_5) - (a_1 a_4 - a_5)^2 are all
+    positive.
 
     Each characteristic polynomial comes from the power sums tr(J^k),
     k <= 5, by Newton's identities, and is shifted by +-eps with one 6x6
@@ -421,7 +422,7 @@ def _hurwitz_conditions(j: np.ndarray, eps_stab: float) -> np.ndarray:
     x = np.empty((5, 5, 2 * m))
     np.ldexp(j.transpose(1, 2, 0), -e, out=x[..., :m])
     np.abs(x[..., :m], out=x[..., m:])
-    sigma = math.ldexp(eps_stab, -e)
+    sigma = math.ldexp(EPS_STAB, -e)
     # the power sums tr(A^k), k = 1..5
     x2 = np.einsum("ikm,kjm->ijm", x, x)
     x3 = np.einsum("ikm,kjm->ijm", x2, x)
@@ -448,8 +449,7 @@ def _hurwitz_conditions(j: np.ndarray, eps_stab: float) -> np.ndarray:
     return np.stack((a1, a3, a5, d2, d4), axis=1)
 
 
-def _hurwitz_test(j: np.ndarray, eps_stab: float
-                  ) -> tuple[list[Stability], np.ndarray]:
+def _hurwitz_test(j: np.ndarray) -> tuple[list[Stability], np.ndarray]:
     """Stability labels of a non-empty stack of Jacobians from
     ``_hurwitz_conditions``: J + eps I passes iff max Re lambda < -eps
     (Stable), J - eps I fails iff max Re lambda > eps (Unstable, up to
@@ -460,7 +460,7 @@ def _hurwitz_test(j: np.ndarray, eps_stab: float
     undecided, and so is a row whose two tests contradict each other.
     Returns the labels and the mask of undecided rows, whose labels are
     meaningless."""
-    cond = _hurwitz_conditions(j, eps_stab)
+    cond = _hurwitz_conditions(j)
     bound = HURWITZ_RTOL * cond[2]
     passed = (cond[:2] > bound).all(axis=1)
     failed = (cond[:2] < -bound).any(axis=1)
@@ -468,19 +468,19 @@ def _hurwitz_test(j: np.ndarray, eps_stab: float
     return [_BY_PASSES[k] for k in passed.sum(axis=0).tolist()], undecided
 
 
-def _stability_labels(j: np.ndarray, eps_stab: float) -> list[Stability]:
+def _stability_labels(j: np.ndarray) -> list[Stability]:
     """The ``_stability`` label of each Jacobian of a stack, shape (M, 5, 5):
     from ``_hurwitz_test``, with a stacked eigvals for its undecided rows,
     or for the whole stack when it has fewer than HURWITZ_MIN_ROWS rows."""
     if len(j) < HURWITZ_MIN_ROWS:
         margins = np.linalg.eigvals(j).real.max(axis=1)
-        return [_stability(m, eps_stab) for m in margins.tolist()]
-    labels, undecided = _hurwitz_test(j, eps_stab)
+        return [_stability(m) for m in margins.tolist()]
+    labels, undecided = _hurwitz_test(j)
     if undecided.any():
         at = np.flatnonzero(undecided)
         margins = np.linalg.eigvals(j[at]).real.max(axis=1)
         for k, margin in zip(at.tolist(), margins.tolist()):
-            labels[k] = _stability(margin, eps_stab)
+            labels[k] = _stability(margin)
     return labels
 
 
@@ -605,14 +605,14 @@ def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> n
     return rows
 
 
-def _accepted(res: np.ndarray, mag: np.ndarray, tol_res: float) -> np.ndarray:
-    """The residual rule: |P| within tol_res (at least EPS_RES) times the
-    float-evaluation magnitude sum |c_k| n^k, floored at 1 (>= the
-    |c_lead| n^deg term that dominates for large roots).  Anything smaller
-    is below the reachable rounding floor for small roots whose polynomial
-    has large low-order coefficients.  The one-node root stage
-    (``_node_roots``) applies the same rule to each root in Python floats."""
-    return ~(np.abs(res) > max(tol_res, EPS_RES) * np.maximum(1.0, mag))
+def _accepted(res: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """The residual rule: |P| within EPS_RES times the float-evaluation
+    magnitude sum |c_k| n^k, floored at 1 (>= the |c_lead| n^deg term that
+    dominates for large roots).  Anything smaller is below the reachable
+    rounding floor for small roots whose polynomial has large low-order
+    coefficients.  The one-node root stage (``_node_roots``) applies the
+    same rule to each root in Python floats."""
+    return ~(np.abs(res) > EPS_RES * np.maximum(1.0, mag))
 
 
 def _root_bounds(c: np.ndarray) -> np.ndarray:
@@ -665,7 +665,7 @@ def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return n
 
 
-def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: float):
+def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray):
     """The roots of each driven node by the root rule
     (``nonnegative_real_roots``), in Python floats: P from
     ``_node_polynomials``, each root Newton-polished (``_polish``),
@@ -674,7 +674,6 @@ def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: fl
     input to within the merge radius, so a state on a fold is reported once.
     An undriven node has none.  Returns each root's node, the root and P
     there, grouped by node."""
-    tol = max(tol_res, EPS_RES)
     driven = [(node, w) for node, w in enumerate(omegas.tolist()) if w != 0.0]
     coeffs = _node_polynomials(poly, [w for _, w in driven]).tolist()
     rows, ns, res = [], [], []
@@ -687,7 +686,7 @@ def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray, tol_res: fl
             if n != n:  # a NaN step: P overflowed near its root
                 raise _too_large(w, f"P at its root n_c = {n0:.9g}")
             p_n, mag = _horner_pair(c, mag_c, n)
-            if not abs(p_n) > tol * max(1.0, mag):  # the residual rule
+            if not abs(p_n) > EPS_RES * max(1.0, mag):  # the residual rule
                 kept.append((n, p_n))
         kept.sort()
         for k in _kept([n for n, _ in kept]):
@@ -781,7 +780,7 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
 
 
 def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarray,
-            n: np.ndarray, res: np.ndarray, eps_stab: float,
+            n: np.ndarray, res: np.ndarray,
             segment: np.ndarray | None = None) -> SteadyColumns:
     """The states stage shared by both solves, from the residual-accepted
     roots ``n`` of the driven nodes (``rows``, grouped) and P there: the
@@ -827,14 +826,11 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
 
     c_bar = driven_field(kappa0, delta0, den, w, p)
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
-    labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p),
-                               eps_stab)
+    labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p))
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
 
 
-def solve_steady_columns(poly: SelfConsistencyPolynomial, drives,
-                         tol_res: float = EPS_RES,
-                         eps_stab: float = EPS_STAB) -> SteadyColumns:
+def solve_steady_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:
     """All self-consistent steady states of ``poly.p`` at each of ``drives``,
     a sequence of drive amplitudes omega_d (finite and >= 0, and with a
     finite square, else ValueError) that replaces ``poly.p.omega_d``, as
@@ -844,12 +840,13 @@ def solve_steady_columns(poly: SelfConsistencyPolynomial, drives,
     ``solve_curve_columns`` solves a curve on its monotone segments instead.
     Each drive's roots come from the root stage ``_node_roots``, in Python
     floats: one companion-matrix eigvals (``nonnegative_real_roots``), a
-    Newton polish per root, the residual check against ``tol_res`` times
+    Newton polish per root, the residual check against EPS_RES times
     the polynomial scale, and the merge again (a state on a fold is
     reported once).  The states stage (``_states``) then maps the kept roots
     of all drives at once to full mean-field states by the model's own
     formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)
-    and labels them from their stacked Jacobians by ``_stability_labels``.
+    and labels them from their stacked Jacobians by ``_stability_labels``,
+    with the Marginal band EPS_STAB.
     Roots at the parametric singularity (denominator below the guard) are
     excluded with a RuntimeWarning each.  An undriven node has only the
     vacuum: its polynomial n Q^2 has exact double roots at the singular
@@ -861,13 +858,12 @@ def solve_steady_columns(poly: SelfConsistencyPolynomial, drives,
     there.
     """
     omegas = _drives(poly, drives)
-    rows, n, res = _node_roots(poly, omegas, tol_res)
-    return _states(poly, omegas, rows, n, res, eps_stab)
+    rows, n, res = _node_roots(poly, omegas)
+    return _states(poly, omegas, rows, n, res)
 
 
 def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
-                        one_node_drives=(), tol_res: float = EPS_RES,
-                        eps_stab: float = EPS_STAB) -> SteadyColumns:
+                        one_node_drives=()) -> SteadyColumns:
     """The steady states of ``poly``'s curve at per-mirror inputs
     ``inputs``, driven by ``drives`` (one amplitude each, validated as in
     ``solve_steady_columns``), then at ``one_node_drives``, as columns with
@@ -885,21 +881,19 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
     node, n, seg, res, mag = _segment_roots(
         poly, np.asarray(inputs, dtype=float)[driven],
         _node_polynomials(poly, omegas[driven].tolist()))
-    ok = _accepted(res, mag, tol_res)
+    ok = _accepted(res, mag)
     rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
     if m < len(omegas):
-        more, n_more, res_more = _node_roots(poly, omegas[m:], tol_res)
+        more, n_more, res_more = _node_roots(poly, omegas[m:])
         rows, n = np.append(rows, more + m), np.append(n, n_more)
         res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
-    return _states(poly, omegas, rows, n, res, eps_stab, seg)
+    return _states(poly, omegas, rows, n, res, seg)
 
 
-def solve_steady_states(p: SystemParams, tol_res: float = EPS_RES,
-                        eps_stab: float = EPS_STAB) -> list[SteadyState]:
+def solve_steady_states(p: SystemParams) -> list[SteadyState]:
     """All self-consistent steady states at ``p``, sorted by photon number:
     the one-node call of ``solve_steady_columns``, one SteadyState per row."""
-    cols = solve_steady_columns(build_polynomial(p), [p.omega_d],
-                                tol_res=tol_res, eps_stab=eps_stab)
+    cols = solve_steady_columns(build_polynomial(p), [p.omega_d])
     return list(map(SteadyState, cols.n_c.tolist(), cols.c_bar.tolist(),
                     cols.sigma_minus.tolist(), cols.sigma_z.tolist(),
                     cols.stability, cols.residual.tolist()))

@@ -65,10 +65,10 @@ def at_input(p, intensity):
     return replace(p, omega_d=drive_for_input_intensity(intensity, p))
 
 
-def quiet_solve(p, **kw):
+def quiet_solve(p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve_steady_states(p, **kw)
+        return solve_steady_states(p)
 
 
 def state_vector(s):

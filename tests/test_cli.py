@@ -6,7 +6,8 @@ import pytest
 from cpasim import cli
 from cpasim.cli import FIG4_DELTAS, build_parser, fig3_preset, fig4_preset, main
 from cpasim.cpa import cpa_cavity_detuning, cpa_photon_number
-from cpasim.io import read_csv
+from cpasim.errors import ValidationError
+from cpasim.io import MAX_POINTS, RunConfig, read_csv
 
 MONOSTABLE = """\
 kappa: 20
@@ -76,28 +77,12 @@ class TestOverrides:
     # fig3c/4.5 at its absorption drive: three roots, Stable, Unstable, Stable
     AT_CPA = CPA_AUTO + "omega_d: 30\n"
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tol-stab", "-1"), ("--tol-stab", "nan"), ("--tol-stab", "0"),
-        ("--tol-res", "-0.5"), ("--tol-res", "inf"), ("--tol-res", "nan")])
-    def test_steady_tolerances_must_be_positive_and_finite(
-            self, tmp_path, capsys, flag, value):
-        # --tol-stab -1 used to label the unstable middle root Stable, and
-        # nan all three roots Marginal
-        cfg = write_cfg(tmp_path, self.AT_CPA)
-        assert run("steady", "--config", cfg, flag, value) == 2
-        captured = capsys.readouterr()
-        assert flag in captured.err and "positive and finite" in captured.err
-        assert captured.out == ""
-
     def test_steady_tolerances_apply(self, tmp_path, capsys):
+        # the library's one residual and stability tolerance table
         cfg = write_cfg(tmp_path, self.AT_CPA)
         assert run("steady", "--config", cfg) == 0
         labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
         assert labels == ["Stable", "Unstable", "Stable"]
-        # a marginal band wider than every eigenvalue
-        assert run("steady", "--config", cfg, "--tol-stab", "1e3") == 0
-        labels = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert labels == ["Marginal"] * 3
 
     @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
     def test_gamma_must_be_positive_and_finite(self, tmp_path, capsys, value):
@@ -109,12 +94,24 @@ class TestOverrides:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["sweep"], ["cpa"], ["boundary"],
-                                         ["evolve"], ["reproduce", "fig2"]])
+                                         ["evolve"], ["reproduce", "fig2"],
+                                         ["steady"]])
     @pytest.mark.parametrize("flag", ["--tol-res", "--tol-stab"])
-    def test_only_steady_takes_the_tolerances(self, command, flag):
+    def test_no_command_takes_the_tolerances(self, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([*command, flag, "1e-9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["tol_res", "tol_stab"])
+    def test_tolerance_config_keys_are_unknown(self, tmp_path, capsys, key):
+        # `steady` read these keys and every other command ignored them:
+        # with tol_stab 1000, steady labelled the CPA state Marginal and
+        # sweep wrote the same curve as without it
+        cfg = write_cfg(tmp_path, self.AT_CPA + f"input_max: 40\n{key}: 1000\n")
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--gamma", "2"], ["--out", "x"],
                                       ["--csv"], ["--svg"]])
@@ -192,6 +189,19 @@ class TestSweep:
     def test_missing_grid_is_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "kappa: 20\ng: 1\nomega_d: 2\n")
         assert run("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("sweep", MONOSTABLE.replace("input_points: 21", f"input_points: {2 ** 63}")),
+        ("boundary", "beta_min: 0.005\nbeta_max: 0.1\ng_fixed: 1\n"
+                     f"delta_tls_fixed: 4.5\nbeta_points: {2 ** 63}\n"),
+    ])
+    def test_huge_grid_is_exit_2(self, tmp_path, capsys, command, text):
+        # both died in np.linspace with a raw IndexError (exit 1)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out)) == 2
+        assert f"must be at most {MAX_POINTS}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_asymmetric_mirrors_at_matched_detuning(self, tmp_path, capsys):
         # fig3c's crystal with kappa_l != kappa_r: no absorption marker, but
@@ -281,6 +291,29 @@ class TestEvolve:
         assert run(*argv) == 2
         assert "sample_dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", MONOSTABLE + "t_end: 1\nsample_dt: 1.0e-18\n"),
+        ("reproduce", "sample_dt: 1.0e-18\n"),
+    ])
+    def test_too_many_samples_is_exit_2(self, tmp_path, capsys, command, text):
+        # evolve asked numpy for 6.94 EiB and died with a raw
+        # _ArrayMemoryError; now the count is checked before anything is
+        # allocated
+        cfg = write_cfg(tmp_path, text)
+        argv = [command, *(["fig4"] if command == "reproduce" else []),
+                "--config", cfg, "--out", str(tmp_path / "out")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "sample_dt" in err and str(MAX_POINTS) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_count_bound_is_exact(self):
+        # integrate samples ceil(t_end / sample_dt) + 1 times
+        cfg = RunConfig(params=None, sample_dt=1.0)
+        assert cli._evolution_times(cfg, MAX_POINTS - 1.0, 1.0) == (MAX_POINTS - 1.0, 1.0)
+        with pytest.raises(ValidationError, match=str(MAX_POINTS)):
+            cli._evolution_times(cfg, MAX_POINTS - 0.5, 1.0)
 
     def test_divergent_run_is_exit_4(self, tmp_path, capsys):
         # pure parametric gain far above threshold: the field blows up and

@@ -87,7 +87,8 @@ class TestParseConfig:
             ("cpa_auto_detuning: true\n", ValidationError),
             ("kappa: 20\ninput_min: 2\ninput_max: 1\n", ValidationError),
             ("kappa: 20\nt_end: -1\n", ValidationError),
-            ("kappa: 20\ntol_res: 0\n", ValidationError),
+            ("kappa: 20\ntol_res: 0\n", ParseError),   # no such key
+            ("kappa: 20\ntol_stab: 1000\n", ParseError),
             ("kappa: 20\ninitial_state: [1, 2]\n", ValidationError),
             ("gamma: 0\nkappa: 20\n", ValidationError),
         ]
@@ -101,6 +102,16 @@ class TestParseConfig:
         entry = f"[0, 0, 0, 0, {value}]" if key in io._LIST_KEYS else value
         with pytest.raises(ValidationError, match=f"key '{key}' must .*finite"):
             parse_config(f"{key}: {entry}\n")
+
+    @pytest.mark.parametrize("count", [2 ** 63 - 1, 2 ** 63, io.MAX_POINTS + 1])
+    @pytest.mark.parametrize("key", sorted(io._INT_KEYS))
+    def test_grid_counts_are_bounded(self, key, count):
+        # 2**63 - 1 and 2**63 died in np.linspace with a raw IndexError;
+        # the bound is checked before any grid exists
+        with pytest.raises(ValidationError, match=f"{key} must be at most {io.MAX_POINTS}"):
+            parse_config(f"{key}: {count}\n")
+        cfg = parse_config(f"{key}: {io.MAX_POINTS}\n")
+        assert getattr(cfg, key) == io.MAX_POINTS
 
     def test_yaml_error_carries_location(self):
         with pytest.raises(ParseError, match="line"):

@@ -626,7 +626,7 @@ def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, sha
         seen.append(np.shape(a))
         return eigvals(a)
 
-    def no_test(j, eps):
+    def no_test(j):
         raise AssertionError("a one-node solve ran the Lienard-Chipart test")
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
@@ -768,7 +768,7 @@ def test_kernel_labels_equal_classify_stability(p):
     # the test alone, whatever the stack's size: every row it decides gets
     # the eigenvalues' label
     if len(j):
-        labels, undecided = steady._hurwitz_test(j, EPS_STAB)
+        labels, undecided = steady._hurwitz_test(j)
         assert [a for a, u in zip(labels, undecided) if not u] == [
             b for b, u in zip(expected, undecided) if not u]
 
@@ -784,8 +784,8 @@ def test_labels_at_the_edges_of_the_marginal_band(rows):
     j[:, 4, 4] = np.resize(lead, rows)
     expected = np.resize(np.array([Stability.STABLE, Stability.MARGINAL,
                                    Stability.UNSTABLE]), rows).tolist()
-    assert steady._stability_labels(j, EPS_STAB) == expected
-    labels, undecided = steady._hurwitz_test(j, EPS_STAB)
+    assert steady._stability_labels(j) == expected
+    labels, undecided = steady._hurwitz_test(j)
     assert labels == expected and not undecided.any()
 
 
@@ -811,7 +811,7 @@ def test_condition_rounding_stays_far_inside_its_bound():
     # HURWITZ_RTOL
     p = fig3_preset("fig3c", 4.5)
     _, j = states_and_jacobians(p, fold_grid(p, 12))
-    cond = steady._hurwitz_conditions(j, EPS_STAB)
+    cond = steady._hurwitz_conditions(j)
     e = math.frexp(np.abs(j).max())[1]
     sigma = math.ldexp(EPS_STAB, -e)
     worst = 0.0
@@ -833,6 +833,6 @@ def test_contradicting_tests_leave_the_row_to_eigvals(monkeypatch):
     j[:, range(5), range(5)] = [-1.0, -2.0, -3.0, -4.0, -5.0]
     cond = np.ones((3, 5, len(j)))
     cond[1, 4] = -1.0  # Delta_4 of J - eps I
-    monkeypatch.setattr(steady, "_hurwitz_conditions", lambda j, eps: cond)
-    assert steady._hurwitz_test(j, EPS_STAB)[1].all()
-    assert steady._stability_labels(j, EPS_STAB) == [Stability.STABLE] * len(j)
+    monkeypatch.setattr(steady, "_hurwitz_conditions", lambda j: cond)
+    assert steady._hurwitz_test(j)[1].all()
+    assert steady._stability_labels(j) == [Stability.STABLE] * len(j)
