@@ -162,8 +162,13 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     sampling every ``sample_dt``.  The first sample is the initial state.
 
     Raises StepFailure (carrying the partial trace) if the integrator stops
-    before reaching ``t_end``.
+    before reaching ``t_end``, and ValueError naming the argument for a
+    non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, or a
+    sample count ``t_end / sample_dt`` that overflows.
     """
+    for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if sample_dt <= 0.0 or sample_dt > t_end:
@@ -171,8 +176,14 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (5,):
         raise ValueError("initial state must be a 5-vector")
+    if not np.isfinite(initial).all():
+        raise ValueError("initial state must be finite")
 
-    n_samples = int(math.floor(t_end / sample_dt + SAMPLE_COUNT_SLACK)) + 1
+    count = t_end / sample_dt + SAMPLE_COUNT_SLACK
+    if not count < math.inf:
+        raise ValueError(f"t_end / sample_dt overflows: t_end = {t_end!r}, "
+                         f"sample_dt = {sample_dt!r}")
+    n_samples = int(math.floor(count)) + 1
     t_eval = np.minimum(np.arange(n_samples) * sample_dt, t_end)
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)

@@ -1,14 +1,16 @@
 """Steady-state solver: polynomial reduction of the self-consistency condition,
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
-One ``build_polynomial(p)`` per parameter set holds its drive-free factors,
-its parameters and, once asked for, its folds.  Two root stages solve it at
-any number of drives and share one states stage, which returns the kept
-states of all drives at once as columns.  ``solve_steady_columns`` solves
+One ``build_polynomial(p)`` per parameter set holds its drive-free factors
+(assembled in Python float lists, with np.convolve for the products), its
+parameters and, once asked for, its folds.  Two solves return the kept
+states of any number of drives as columns.  ``solve_steady_columns`` solves
 one drive at a time in Python floats: one companion-matrix eigvals and a
-Newton polish per root (``solve_steady_states`` is its one-node call).
-``solve_curve_columns`` brackets a whole curve's roots at once on the
-monotone segments between its folds."""
+Newton polish per root, each kept root's state from the model's formulas,
+and one stacked eigvals for their labels (``solve_steady_states`` is its
+one-node call).  ``solve_curve_columns`` brackets a whole curve's roots at
+once on the monotone segments between its folds and maps them all at once,
+as arrays, by the same formulas, which give the same bits."""
 
 from __future__ import annotations
 
@@ -148,34 +150,42 @@ class SelfConsistencyPolynomial:
         return sorted(folds)
 
 
-# Series arithmetic on ascending coefficient arrays, kept trimmed of
-# trailing zeros as numpy.polynomial keeps them, so every coefficient is the
-# same float, without its per-call overhead.  Operands are trimmed: a
-# product's leading coefficient is then nonzero, and only a sum can cancel.
+# Series arithmetic on ascending coefficient lists of Python floats, kept
+# trimmed of trailing zeros as numpy.polynomial keeps them, so every
+# coefficient is the same float, without its per-call overhead.  Operands
+# are trimmed: a product's leading coefficient is then nonzero, and only a
+# sum can cancel.
 
-def _trim(c: np.ndarray) -> np.ndarray:
+def _trim(c):
+    """``c`` (a list or an array) without trailing zeros, keeping at least
+    one coefficient."""
     k = len(c)
     while k > 1 and c[k - 1] == 0.0:
         k -= 1
     return c[:k]
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _add(a: list[float], b: list[float]) -> list[float]:
     if len(a) < len(b):
         a, b = b, a
-    out = a.copy()
-    out[:len(b)] += b
-    return _trim(out)
+    return _trim([x + y for x, y in zip(a, b)] + a[len(b):])
 
 
-def _mulx(c: np.ndarray) -> np.ndarray:
+def _mulx(c: list[float]) -> list[float]:
     if len(c) == 1 and c[0] == 0.0:
         return c
-    return np.concatenate((c[:1] * 0.0, c))
+    return [c[0] * 0.0] + c
+
+
+def _mul(a: list[float], b: list[float]) -> list[float]:
+    """The product of two series by np.convolve, as numpy.polynomial forms
+    it: its sums go through numpy's dot, whose fused multiply-adds a Python
+    sum of rounded products would not repeat."""
+    return np.convolve(a, b).tolist()
 
 
 def _poly_pieces(p: SystemParams):
-    """Coefficient arrays (ascending in n_c) of the building blocks:
+    """Coefficient lists (ascending in n_c) of the building blocks:
 
     D = gamma^2/4 + delta_tls^2 + 2 g^2 n
     A = (kappa/2) D + g^2 gamma / 2          (real part of the cleared response)
@@ -184,44 +194,46 @@ def _poly_pieces(p: SystemParams):
     R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2  (cleared numerator magnitude^2)
 
     Returns D^2, Q and R, and A - 2 Re(G) D when Q and R share the factor
-    A + 2 Re(G) D (else None): that is when 2 Im(G) D - B vanishes to within
-    the rounding of its terms, so that R = (A + 2 Re(G) D)^2 and
-    Q = (A - 2 Re(G) D)(A + 2 Re(G) D).
+    A + 2 Re(G) D (else None, and R with it): that is when
+    2 Im(G) D - B vanishes to within the rounding of its terms, so that
+    R = (A + 2 Re(G) D)^2 and Q = (A - 2 Re(G) D)(A + 2 Re(G) D).
     """
     D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
-    D = _trim(np.array([D0, 2.0 * p.g ** 2]))
-    A = _add((p.kappa / 2.0) * D, np.array([p.g ** 2 * p.gamma / 2.0]))
-    B = _add(p.delta_c * D, np.array([-p.g ** 2 * p.delta_tls]))
+    D = _trim([D0, 2.0 * p.g ** 2])
+    k2 = p.kappa / 2.0
+    A = _add([k2 * d for d in D], [p.g ** 2 * p.gamma / 2.0])
+    B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    AA, DD = np.convolve(A, A), np.convolve(D, D)
-    GDD = 4.0 * p.g_nl_mag ** 2 * DD
-    Q = _add(_add(AA, np.convolve(B, B)), -GDD)
+    AA, DD = _mul(A, A), _mul(D, D)
+    g4 = 4.0 * p.g_nl_mag ** 2
+    GDD = [g4 * x for x in DD]
+    Q = _add(_add(AA, _mul(B, B)), [-x for x in GDD])
     # a coefficient of Q within the rounding of its terms is zero (A >= 0 and
     # A, D have one length, so its terms are A^2 + GDD plus |B|^2).  Its n^2
     # coefficient is 4 g^4 times the bare threshold margin, and for g = 0 all
     # of Q is D0^2 times it; rounding left there puts a spurious root near
     # 1e15 and spoils the others.  At the threshold its n coefficient,
     # 4 g^4 (kappa gamma / 4 - delta_c delta_tls), and Q(0) can vanish too
-    eps = 4.0 * np.finfo(float).eps
-    terms = AA + GDD
-    terms[:2 * len(B) - 1] += np.convolve(np.abs(B), np.abs(B))
-    small = np.abs(Q) <= eps * terms[:len(Q)]
-    if small.any():
-        Q = _trim(np.where(small, 0.0, Q))
-    Rp = _add(A, 2.0 * g_re * D)
-    Rq = _add(2.0 * g_im * D, -B)
-    R = _add(np.convolve(Rp, Rp), np.convolve(Rq, Rq))
+    eps = 4.0 * sys.float_info.epsilon
+    terms = [x + y for x, y in zip(AA, GDD)]
+    B_abs = [abs(b) for b in B]
+    for k, x in enumerate(_mul(B_abs, B_abs)):
+        terms[k] += x
+    Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
     # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
-    terms = [abs(2.0 * g_im * d) + abs(p.delta_c * d) for d in D.tolist()]
+    Rq = _add([2.0 * g_im * d for d in D], [-b for b in B])
+    terms = [abs(2.0 * g_im * d) + abs(p.delta_c * d) for d in D]
     terms[0] += p.g ** 2 * abs(p.delta_tls)
-    if any(abs(r) > eps * t for r, t in zip(Rq.tolist(), terms)):
-        return DD, Q, R, None
+    if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
+        Rp = _add(A, [2.0 * g_re * d for d in D])
+        return DD, Q, _add(_mul(Rp, Rp), _mul(Rq, Rq)), None
     # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
     # threshold, where rounding left in it would put a spurious root near 1e15
-    q = A - 2.0 * g_re * D
-    q[np.abs(q) <= eps * (np.abs(A) + np.abs(2.0 * g_re * D))] = 0.0
-    return DD, Q, R, _trim(q)
+    q = [a - 2.0 * g_re * d for a, d in zip(A, D)]
+    return DD, Q, None, _trim([
+        0.0 if abs(c) <= eps * (abs(a) + abs(2.0 * g_re * d)) else c
+        for c, a, d in zip(q, A, D)])
 
 
 def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
@@ -234,15 +246,17 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     collapses to degree 1 when additionally g = 0).  When Q and R share the
     factor A + 2 Re(G) D (see ``_poly_pieces``), its square is divided out:
     P(n) = n (A - 2 Re(G) D)^2 - omega_d^2 D^2, with Q = A - 2 Re(G) D.
+    The pieces are Python float lists, and arrays once, here.
     """
     DD, Q, R, q_shared = _poly_pieces(p)
     if p.g_nl_mag == 0.0:
         free, drive, q = _mulx(Q), DD, None
     elif q_shared is not None:
-        free, drive, q = _mulx(np.convolve(q_shared, q_shared)), DD, q_shared
+        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, np.array(q_shared)
     else:
-        free, drive, q = _mulx(np.convolve(Q, Q)), np.convolve(R, DD), Q
-    return SelfConsistencyPolynomial(free=free, drive=drive, q=q, p=p)
+        free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), np.array(Q)
+    return SelfConsistencyPolynomial(free=np.array(free), drive=np.array(drive),
+                                     q=q, p=p)
 
 
 def _kept(roots: list[float]) -> list[int]:
@@ -321,36 +335,34 @@ def oracle_scan_bound(p: SystemParams) -> float:
     return max(100.0, 10.0 * p.omega_d ** 2 / (p.kappa / 2.0) ** 2)
 
 
-# flat positions (5 row + column) of the Jacobian's constant entries
-_CONSTANT_AT = [0, 1, 3, 5, 6, 7, 12, 13, 17, 18, 24]
-
-
-def _jacobian_matrix(c_bar, sigma_minus, sigma_z, p: SystemParams) -> np.ndarray:
-    """The Jacobian at one fixed point (c_bar, sigma_minus, sigma_z), or the
-    stack of them, shape (M, 5, 5), for arrays of M fixed points.  It does
-    not depend on the drive."""
-    c_bar, sigma_minus = np.asarray(c_bar), np.asarray(sigma_minus)
-    sigma_z = np.asarray(sigma_z)
+def _jacobian_entries(c_bar, sigma_minus, sigma_z, p: SystemParams):
+    """The Jacobian's 5x5 entries, row by row, at one fixed point (c_bar,
+    sigma_minus, sigma_z) in Python numbers, or elementwise at arrays of
+    them, its constant entries then floats.  It does not depend on the
+    drive."""
     x1, x2 = c_bar.real, c_bar.imag
     x3, x4 = sigma_minus.real, sigma_minus.imag
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    k2 = p.kappa / 2.0
+    k2, h = p.kappa / 2.0, p.gamma / 2.0
     g, g2 = p.g, 2.0 * p.g
-    j = np.zeros(sigma_z.shape + (25,))
-    j[..., _CONSTANT_AT] = (
-        -k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, g,
-        -p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g,
-        -p.gamma / 2.0, p.delta_tls,
-        -p.delta_tls, -p.gamma / 2.0,
-        -p.gamma)
-    # the entries that depend on the fixed point, each (+-2 g) times one of
-    # its coordinates
-    for at, factor, x in ((11, -g2, sigma_z), (14, -g2, x2), (15, g2, sigma_z),
-                          (19, g2, x1), (20, -g2, x4), (21, g2, x3),
-                          (22, g2, x2), (23, -g2, x1)):
-        j[..., at] = factor * x
-    return j.reshape(sigma_z.shape + (5, 5))
+    return ((-k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, 0.0, g, 0.0),
+            (-p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g, 0.0, 0.0),
+            (0.0, -g2 * sigma_z, -h, p.delta_tls, -g2 * x2),
+            (g2 * sigma_z, 0.0, -p.delta_tls, -h, g2 * x1),
+            (-g2 * x4, g2 * x3, g2 * x2, -g2 * x1, -p.gamma))
+
+
+def _jacobian_matrix(c_bar, sigma_minus, sigma_z, p: SystemParams) -> np.ndarray:
+    """The Jacobian at one fixed point, or the stack of them, shape
+    (M, 5, 5), for arrays of M fixed points (see ``_jacobian_entries``)."""
+    sigma_z = np.asarray(sigma_z)
+    j = np.empty(sigma_z.shape + (5, 5))
+    for i, row in enumerate(_jacobian_entries(
+            np.asarray(c_bar), np.asarray(sigma_minus), sigma_z, p)):
+        for k, x in enumerate(row):
+            j[..., i, k] = x
+    return j
 
 
 def jacobian(s: SteadyState, p: SystemParams) -> np.ndarray:
@@ -672,8 +684,8 @@ def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray):
     residual-checked (``_accepted``'s rule) and merged again: Newton may swap
     a near-double pair, and it pulls both members of the pair at a fold's own
     input to within the merge radius, so a state on a fold is reported once.
-    An undriven node has none.  Returns each root's node, the root and P
-    there, grouped by node."""
+    An undriven node has none.  Returns lists of each root's node, the root
+    and P there, grouped by node."""
     driven = [(node, w) for node, w in enumerate(omegas.tolist()) if w != 0.0]
     coeffs = _node_polynomials(poly, [w for _, w in driven]).tolist()
     rows, ns, res = [], [], []
@@ -693,7 +705,7 @@ def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray):
             rows.append(node)
             ns.append(kept[k][0])
             res.append(kept[k][1])
-    return np.array(rows, dtype=np.intp), np.array(ns), np.array(res)
+    return rows, ns, res
 
 
 def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
@@ -779,14 +791,31 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
     return node, n, seg, p_mag[:m], p_mag[m:]
 
 
+def _warn_singular(n_c: float) -> None:
+    _warn(f"root n_c={n_c:.9g} lies at the parametric singularity "
+          "(denominator under the guard) and was excluded", RuntimeWarning)
+
+
+def _warn_undriven(poly: SelfConsistencyPolynomial) -> None:
+    """At an undriven node: the positive zeros of Q are the undriven
+    parametric-oscillation boundary states; their amplitude is indeterminate
+    at mean field, so they are excluded like driven roots at the
+    singularity."""
+    if poly.singular_states:
+        listed = ", ".join(f"{z:.9g}" for z in poly.singular_states)
+        _warn(f"undriven parametric-singularity state(s) at n_c = {listed} "
+              "excluded; only the vacuum is reported at zero drive",
+              RuntimeWarning)
+
+
 def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarray,
             n: np.ndarray, res: np.ndarray,
             segment: np.ndarray | None = None) -> SteadyColumns:
-    """The states stage shared by both solves, from the residual-accepted
-    roots ``n`` of the driven nodes (``rows``, grouped) and P there: the
-    vacuum at every undriven node, the roots at the parametric singularity
-    excluded, and the fields and stability labels of all kept roots at
-    once."""
+    """The states stage of a curve solve, from the residual-accepted roots
+    ``n`` of the driven nodes (``rows``, grouped) and P there: the vacuum at
+    every undriven node, the roots at the parametric singularity excluded,
+    and the fields and stability labels of all kept roots at once, as
+    arrays.  ``_node_states`` applies the same rules root by root."""
     p = poly.p
     undriven = (omegas == 0.0).nonzero()[0]
     if undriven.size:
@@ -807,27 +836,58 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
         den[vacuum], singular[vacuum] = 1.0, False
     if singular.any():
         for n_c in n[singular].tolist():
-            _warn(f"root n_c={n_c:.9g} lies at the parametric singularity "
-                  "(denominator under the guard) and was excluded",
-                  RuntimeWarning)
+            _warn_singular(n_c)
         keep = ~singular
         rows, n, w, res = rows[keep], n[keep], w[keep], res[keep]
         kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
         if segment is not None:
             segment = segment[keep]
-    if undriven.size and poly.singular_states:
-        # positive zeros of Q are the undriven parametric-oscillation
-        # boundary states; their amplitude is indeterminate at mean field, so
-        # they are excluded like driven roots at the singularity
-        listed = ", ".join(f"{z:.9g}" for z in poly.singular_states)
-        _warn(f"undriven parametric-singularity state(s) at n_c = {listed} "
-              "excluded; only the vacuum is reported at zero drive",
-              RuntimeWarning)
+    if undriven.size:
+        _warn_undriven(poly)
 
     c_bar = driven_field(kappa0, delta0, den, w, p)
     sigma_minus, sigma_z = atomic_expectations(c_bar, p)
     labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p))
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
+
+
+def _node_states(poly: SelfConsistencyPolynomial, omegas: np.ndarray,
+                 rows: list[int], ns: list[float], res: list[float]) -> SteadyColumns:
+    """The one-node states stage: ``_states``' rules applied root by root,
+    in Python floats, to ``_node_roots``' roots (node, root and P there),
+    through the model functions ``_states`` applies to arrays, which give a
+    float and an array element the same bits; a drive's one to five roots
+    cost less so than numpy's fixed per-call cost.  The Jacobians are
+    stacked once and labelled by ``_stability_labels``."""
+    p = poly.p
+    ws = omegas.tolist()
+    roots = zip(rows, ns, res)
+    undriven = [node for node, w in enumerate(ws) if w == 0.0]
+    if undriven:
+        # the vacuum, an undriven node's one state, in node order
+        roots = sorted([*roots, *((node, 0.0, 0.0) for node in undriven)],
+                       key=lambda root: root[0])
+    cols = [], [], [], [], [], [], []  # the SteadyColumns, then the Jacobians
+    for node, n, r in roots:
+        kappa0, delta0, den = dressed_cavity(n, p)
+        w = ws[node]
+        if w == 0.0:
+            den = 1.0  # the vacuum is reported at any denominator: its field is 0
+        elif at_singularity(den, p):
+            _warn_singular(n)
+            continue
+        c = driven_field(kappa0, delta0, den, w, p)
+        s_minus, s_z = atomic_expectations(c, p)
+        for col, x in zip(cols, (node, n, c, s_minus, s_z, r,
+                                 _jacobian_entries(c, s_minus, s_z, p))):
+            col.append(x)
+    if undriven:
+        _warn_undriven(poly)
+    *cols, jacobians = cols
+    return SteadyColumns(
+        *(np.array(col, dtype=t) for col, t in
+          zip(cols, (np.intp, float, complex, complex, float, float))),
+        _stability_labels(np.array(jacobians, dtype=float).reshape(-1, 5, 5)))
 
 
 def solve_steady_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:
@@ -842,11 +902,11 @@ def solve_steady_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColum
     floats: one companion-matrix eigvals (``nonnegative_real_roots``), a
     Newton polish per root, the residual check against EPS_RES times
     the polynomial scale, and the merge again (a state on a fold is
-    reported once).  The states stage (``_states``) then maps the kept roots
-    of all drives at once to full mean-field states by the model's own
-    formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)
-    and labels them from their stacked Jacobians by ``_stability_labels``,
-    with the Marginal band EPS_STAB.
+    reported once).  The states stage (``_node_states``) then maps each
+    kept root, in Python floats, to a full mean-field state by the model's
+    own formulas (``dressed_cavity``, ``driven_field``,
+    ``atomic_expectations``) and labels all of them from their stacked
+    Jacobians by ``_stability_labels``, with the Marginal band EPS_STAB.
     Roots at the parametric singularity (denominator below the guard) are
     excluded with a RuntimeWarning each.  An undriven node has only the
     vacuum: its polynomial n Q^2 has exact double roots at the singular
@@ -858,8 +918,7 @@ def solve_steady_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColum
     there.
     """
     omegas = _drives(poly, drives)
-    rows, n, res = _node_roots(poly, omegas)
-    return _states(poly, omegas, rows, n, res)
+    return _node_states(poly, omegas, *_node_roots(poly, omegas))
 
 
 def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
@@ -873,8 +932,13 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
     ``poly.folds`` (``_segment_roots``), with no eigen-solve; a segment holds
     at most one state at any input, so the branch id is the segment itself.
     A one-node drive is solved by the root stage of ``solve_steady_columns``,
-    so its states are that call's bit for bit.  The residual rule and the
-    states stage are the same."""
+    and the states stage ``_states`` maps all roots at once, as arrays, by
+    the rules and the bits of that call's ``_node_states``, so a one-node
+    drive's states are that call's bit for bit.  The residual rule is the
+    same.  ValueError when ``inputs`` and ``drives`` differ in length."""
+    if np.size(inputs) != np.size(drives):
+        raise ValueError(f"{np.size(inputs)} inputs for {np.size(drives)} drives: "
+                         "a curve takes one input per drive")
     omegas = _drives(poly, np.append(drives, one_node_drives))
     m = len(omegas) - len(one_node_drives)
     driven = np.flatnonzero(omegas[:m] > 0.0)
@@ -885,7 +949,8 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
     rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
     if m < len(omegas):
         more, n_more, res_more = _node_roots(poly, omegas[m:])
-        rows, n = np.append(rows, more + m), np.append(n, n_more)
+        rows = np.append(rows, np.array(more, dtype=np.intp) + m)
+        n = np.append(n, n_more)
         res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
     return _states(poly, omegas, rows, n, res, seg)
 

@@ -128,7 +128,10 @@ def scan_folds(p: SystemParams | SelfConsistencyPolynomial,
                span: float) -> list[tuple[float, float]]:
     """All fold points (input_intensity, n_c) with input intensity at most
     ``span``, sorted by input.  The edge of a window anchored at zero input
-    is reported at input exactly 0.0 (see ``SelfConsistencyPolynomial``)."""
+    is reported at input exactly 0.0 (see ``SelfConsistencyPolynomial``);
+    ``span`` = inf gives every fold, and NaN is a ValueError."""
+    if math.isnan(span):
+        raise ValueError("span must be a number or inf, got nan")
     return [f for f in _polynomial(p).folds if f[0] <= span]
 
 

@@ -89,3 +89,39 @@ def test_an_unresolved_metric_outside_its_bound_still_fails():
     assert len(reasons) == 1 and "work_per_s OUTSIDE BOUND" in reasons[0]
     assert "OUTSIDE BOUND  UNRESOLVED" in bench_pairs.report_line(
         "fig3_sweeps", "work_per_s", m, 4)
+
+
+def write(path, text):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("edit, differs", [
+    (None, None),
+    # what a run leaves under bench/ is not benchmark code
+    ("bench/results/run.json", None),
+    ("bench/.work/out.csv", None),
+    ("bench/__pycache__/run.cpython-311.pyc", None),
+    ("bench/run.py", "bench/run.py"),
+    ("bench/extra/new.py", "bench/extra/new.py"),
+    ("BENCHMARK.json", "BENCHMARK.json"),
+])
+def test_the_trees_must_share_their_benchmark_code(tmp_path, capsys, edit, differs):
+    trees = {side: str(tmp_path / side) for side in ("parent", "change")}
+    for tree in trees.values():
+        write(os.path.join(tree, "bench", "run.py"), "print(1)\n")
+        write(os.path.join(tree, "bench", "workloads.py"), "W = 1\n")
+        write(os.path.join(tree, "BENCHMARK.json"), '{"workloads": []}\n')
+    if edit is not None:
+        path = os.path.join(trees["change"], edit)
+        write(path, "changed\n")
+    assert bench_pairs.first_benchmark_difference(trees["parent"], trees["change"]) == differs
+    if differs is not None:
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                              "--workload", "steady_batch", "--pairs", "1",
+                              "--seconds", "1", "--seed", "1",
+                              "--out", str(tmp_path / "out.json")])
+        assert stop.value.code == 2
+        assert f"benchmark code differs: {differs}" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -126,6 +128,22 @@ class TestIntegrate:
             integrate(p, 0.0, vacuum_state(), 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(p, 0.0, np.zeros(4), 1.0, 0.1)
+
+    @pytest.mark.parametrize("args, named", [
+        (dict(t_end=math.inf), "t_end"),  # a raw OverflowError before
+        (dict(t_end=math.nan), "t_end"),  # numpy's "cannot convert float NaN"
+        (dict(sample_dt=math.nan), "sample_dt"),
+        (dict(delta=math.inf), "delta"),  # a TypeError from scipy's stepper
+        (dict(delta=math.nan), "delta"),
+        (dict(t_end=1e300, sample_dt=1e-300), "t_end / sample_dt"),
+        (dict(initial=[0.0, 0.0, 0.0, math.nan, -0.5]), "initial state"),
+        (dict(initial=[math.inf, 0.0, 0.0, 0.0, -0.5]), "initial state"),
+    ])
+    def test_non_finite_arguments_are_value_errors_naming_them(self, args, named):
+        call = dict(delta=0.0, initial=vacuum_state(), t_end=1.0, sample_dt=0.1)
+        call.update(args)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            integrate(SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0), **call)
 
     def test_step_failure_carries_partial_trace(self):
         # far above the parametric threshold the bare field grows at ~2|G| per

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 from functools import cached_property
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -90,7 +91,8 @@ def assert_same_columns(a, b):
 # keeps its arithmetic, so the two must agree exactly, once the reference
 # also merges the polished roots (the one change: a fold state once).
 
-def reference_polynomial(p):
+def reference_pieces(p):
+    """free, drive and q (None for |G| = 0), trimmed."""
     D = np.array([p.gamma ** 2 / 4.0 + p.delta_tls ** 2, 2.0 * p.g ** 2])
     A = P.polyadd((p.kappa / 2.0) * D, [p.g ** 2 * p.gamma / 2.0])
     B = P.polyadd(p.delta_c * D, [-p.g ** 2 * p.delta_tls])
@@ -110,7 +112,7 @@ def reference_polynomial(p):
     rq = P.polysub(g_im * D, B)
     rq_terms = np.abs(g_im * D) + np.abs(p.delta_c * D) + [p.g ** 2 * abs(p.delta_tls), 0.0]
     if p.g_nl_mag == 0.0:
-        free, drive = P.polymulx(Q), DD
+        free, drive, q = P.polymulx(Q), DD, None
     elif np.all(np.abs(np.pad(rq, (0, 2 - len(rq)))) <= eps * rq_terms):
         q = P.polysub(A, g_re * D)
         q_terms = np.abs(A) + np.abs(g_re * D)[:len(A)]
@@ -120,7 +122,12 @@ def reference_polynomial(p):
         Rp = P.polyadd(A, 2.0 * p.g_nl_mag * math.cos(p.phi) * D)
         Rq = P.polysub(2.0 * p.g_nl_mag * math.sin(p.phi) * D, B)
         R = P.polyadd(P.polymul(Rp, Rp), P.polymul(Rq, Rq))
-        free, drive = P.polymulx(P.polymul(Q, Q)), P.polymul(R, DD)
+        free, drive, q = P.polymulx(P.polymul(Q, Q)), P.polymul(R, DD), Q
+    return free, drive, None if q is None else P.polytrim(q, tol=0.0)
+
+
+def reference_polynomial(p):
+    free, drive, _ = reference_pieces(p)
     return P.polytrim(P.polysub(free, p.omega_d ** 2 * drive), tol=0.0)
 
 
@@ -185,7 +192,11 @@ def reference_points():
 def test_kernel_keeps_the_scalar_arithmetic():
     compared = 0
     for q in reference_points():
-        assert np.array_equal(build_polynomial(q).coeffs, reference_polynomial(q))
+        poly = build_polynomial(q)
+        assert np.array_equal(poly.coeffs, reference_polynomial(q))
+        free, drive, q_ref = reference_pieces(q)
+        assert np.array_equal(poly.free, free) and np.array_equal(poly.drive, drive)
+        assert (poly.q is None) if q_ref is None else np.array_equal(poly.q, q_ref)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             states = solve_steady_states(q)
@@ -514,6 +525,15 @@ def test_drives_and_grids_are_validated_at_entry(bad):
     assert solve_steady_columns(build_polynomial(p), []).n_c.size == 0
 
 
+@pytest.mark.parametrize("inputs, drives", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
+                                            ([], [1.0])])
+def test_a_curve_takes_one_input_per_drive(inputs, drives):
+    # a length mismatch used to solve no node at all, and say nothing
+    poly = build_polynomial(fig3_preset("fig3c", 4.5))
+    with pytest.raises(ValueError, match=f"{len(inputs)} inputs for {len(drives)} drives"):
+        steady.solve_curve_columns(poly, inputs, drives)
+
+
 @pytest.mark.parametrize("w, what", [(1e160, "its square"),
                                      (1e154, "P = free - omega_d^2 drive"),
                                      (1e150, "P at its root")])
@@ -633,6 +653,54 @@ def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, sha
     monkeypatch.setattr(steady, "_hurwitz_conditions", no_test)
     states = solve_steady_states(p)
     assert seen == shapes and len(states) == shapes[1][0]
+
+
+def recorded_columns(poly, drives):
+    """solve_steady_columns' columns, each as its dtype and bytes, and its
+    warnings' category, message, file and line."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        cols = solve_steady_columns(poly, drives)
+    return ([(c.dtype.str, c.tobytes()) for c in cols[:6]], cols.stability, cols.segment,
+            [(w.category, str(w.message), w.filename, w.lineno) for w in seen])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(curve_params())
+# a window anchored at zero input: the undriven singular state, and a root
+# at the singularity at drive 1e-10
+@example(fig3_preset("fig3a", 4.5))
+@example(fig3_preset("fig3b", 1.5))  # above the bare threshold
+@example(fig3_preset("fig3c", 4.5))
+@example(SystemParams(kappa_l=2.0, kappa_r=0.5, g=1.5, delta_c=1.0,
+                      delta_tls=-2.0))  # |G| = 0, kappa_l != kappa_r
+@example(SystemParams(kappa_l=2.0, kappa_r=3.0, delta_c=1.0, delta_tls=-1.0,
+                      g_nl_mag=0.4, phi=2.0))  # g = 0
+@example(SystemParams(kappa_l=1.0, kappa_r=2.5, g=2.0, delta_c=0.5,
+                      delta_tls=1.0, g_nl_mag=1.0, phi=3.0))  # above, asymmetric
+@example(SystemParams(kappa_l=1.6968462675217262, kappa_r=1.6968462675217262,
+                      g=1.625, g_nl_mag=0.8484231337608631))  # bare threshold
+# g = 0 at the bare threshold: no root at any drive
+@example(SystemParams(kappa_l=1.0, kappa_r=1.0, g_nl_mag=0.5))
+def test_the_per_root_states_are_the_stacked_states(p):
+    # the one-node states stage, root by root in Python floats, against the
+    # stacked stage of a curve on the same roots, bit for bit: zero drive, a
+    # tiny one, a grid from zero and nodes on and beside every fold, all at
+    # once (the Lienard-Chipart labels) and one at a time (eigvals)
+    node_roots = steady._node_roots
+
+    def array_roots(poly, omegas):
+        rows, n, res = node_roots(poly, omegas)
+        return np.array(rows, dtype=np.intp), np.array(n), np.array(res)
+
+    poly = build_polynomial(p)
+    drives = [0.0, 1e-10] + drive_for_input_intensity(fold_grid(p, 9), p).tolist()
+    for call in [drives] + [[w] for w in drives]:
+        per_root = recorded_columns(poly, call)
+        with patch.object(steady, "_node_roots", array_roots), \
+                patch.object(steady, "_node_states", steady._states):
+            assert recorded_columns(poly, call) == per_root
 
 
 @pytest.mark.parametrize("key, warned", [

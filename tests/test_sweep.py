@@ -17,7 +17,7 @@ from cpasim import sweep
 from cpasim.cli import fig3_preset
 from cpasim.errors import AsymmetricMirrors, MalformedCurve, NonPositiveBeta
 from cpasim.model import Stability, SystemParams
-from cpasim.steady import SteadyColumns, jacobian, solve_steady_states
+from cpasim.steady import SteadyColumns, build_polynomial, jacobian, solve_steady_states
 from cpasim.sweep import (
     CPAMarker,
     HysteresisCurve,
@@ -199,6 +199,14 @@ class TestCPAMarkers:
 
 
 class TestFolds:
+    def test_a_nan_span_is_a_value_error(self, fig3_params):
+        # NaN used to give no folds, as no input is <= NaN; inf gives all
+        p = fig3_params[("fig3c", 4.5)]
+        with pytest.raises(ValueError, match="span"):
+            scan_folds(p, math.nan)
+        assert scan_folds(p, math.inf) == build_polynomial(p).folds
+        assert len(scan_folds(p, math.inf)) == 2
+
     def test_scan_matches_trace(self, fig3_params, conventional_curve):
         p, curve = conventional_curve
         with warnings.catch_warnings():

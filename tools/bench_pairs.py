@@ -23,10 +23,15 @@ and scipy versions and the repeat count are recorded once.  Only the standard
 library is used; both trees should be in the same bytecode state (both with
 or both without ``__pycache__``), since the set-up probe times imports.
 
+A gain must be measured with the same benchmark code on both sides, so
+the two trees' ``BENCHMARK.json`` and the files under ``bench/`` (apart from
+``results/``, ``.work/`` and ``__pycache__``) must be identical.
+
 Exit status: 0 when the change passes, 1 when any run is incorrect, the
 change fails a larger share of its operations than the parent, or a
 metric's median is worse than the parent's by more than its bound (OUTSIDE
-BOUND); each reason is printed to standard error.  2 for usage errors.
+BOUND); each reason is printed to standard error.  2 for usage errors and
+when the benchmark code differs, naming the first file that differs.
 """
 
 from __future__ import annotations
@@ -39,6 +44,36 @@ import statistics
 import subprocess
 import sys
 from importlib import metadata
+
+
+# what a benchmark run leaves under bench/, not benchmark code
+NOT_BENCHMARK_CODE = {"results", ".work", "__pycache__"}
+
+
+def benchmark_files(tree: str) -> set[str]:
+    """``BENCHMARK.json`` and the files under ``bench/``, relative to
+    ``tree``, without what a run leaves there."""
+    files = {"BENCHMARK.json"}
+    for root, dirs, names in os.walk(os.path.join(tree, "bench")):
+        dirs[:] = [d for d in dirs if d not in NOT_BENCHMARK_CODE]
+        files.update(os.path.relpath(os.path.join(root, name), tree) for name in names)
+    return files
+
+
+def first_benchmark_difference(a: str, b: str) -> str | None:
+    """The first file, in sorted order, of the benchmark code that differs
+    between trees ``a`` and ``b`` or is missing from one; None when the
+    code is identical."""
+    for name in sorted(benchmark_files(a) | benchmark_files(b)):
+        try:
+            with open(os.path.join(a, name), "rb") as fa, \
+                    open(os.path.join(b, name), "rb") as fb:
+                if fa.read() == fb.read():
+                    continue
+        except FileNotFoundError:
+            pass
+        return name
+    return None
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -162,6 +197,9 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "bench", "run.py")):
             ap.error(f"no bench/run.py under {tree}")
+    differs = first_benchmark_difference(trees["parent"], trees["change"])
+    if differs is not None:
+        ap.error(f"the trees' benchmark code differs: {differs}")
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     for workload in args.workload:
