@@ -164,7 +164,7 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     Raises StepFailure (carrying the partial trace) if the integrator stops
     before reaching ``t_end``, and ValueError naming the argument for a
     non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, or a
-    sample count ``t_end / sample_dt`` that overflows.
+    sample count ``t_end / sample_dt`` beyond the array index range.
     """
     for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
         if not math.isfinite(value):
@@ -180,9 +180,9 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
         raise ValueError("initial state must be finite")
 
     count = t_end / sample_dt + SAMPLE_COUNT_SLACK
-    if not count < math.inf:
-        raise ValueError(f"t_end / sample_dt overflows: t_end = {t_end!r}, "
-                         f"sample_dt = {sample_dt!r}")
+    if not count < np.iinfo(np.intp).max:
+        raise ValueError(f"t_end / sample_dt exceeds the array index range: "
+                         f"t_end = {t_end!r}, sample_dt = {sample_dt!r}")
     n_samples = int(math.floor(count)) + 1
     t_eval = np.minimum(np.arange(n_samples) * sample_dt, t_end)
     if t_eval[-1] < t_end:

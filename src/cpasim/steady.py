@@ -815,7 +815,11 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
     ``n`` of the driven nodes (``rows``, grouped) and P there: the vacuum at
     every undriven node, the roots at the parametric singularity excluded,
     and the fields and stability labels of all kept roots at once, as
-    arrays.  ``_node_states`` applies the same rules root by root."""
+    arrays.  ``_node_states`` applies the same rules root by root, to the
+    same bits, but a curve's 300 to 800 rows cost it more: on the six fig3
+    curves this stage takes 6.5 ms and ``_node_states`` 28 ms, and the
+    benchmark's ``fig3_sweeps`` run with ``_node_states`` here does 36 %
+    less work per second (2 CPUs, 10 alternating pairs)."""
     p = poly.p
     undriven = (omegas == 0.0).nonzero()[0]
     if undriven.size:
@@ -857,8 +861,10 @@ def _node_states(poly: SelfConsistencyPolynomial, omegas: np.ndarray,
     in Python floats, to ``_node_roots``' roots (node, root and P there),
     through the model functions ``_states`` applies to arrays, which give a
     float and an array element the same bits; a drive's one to five roots
-    cost less so than numpy's fixed per-call cost.  The Jacobians are
-    stacked once and labelled by ``_stability_labels``."""
+    cost less so than numpy's fixed per-call cost (with ``_states`` here
+    instead, the benchmark's ``steady_batch`` does 21 % less work per
+    second: 4051 against 3214 solves/s, 2 CPUs, 10 alternating pairs).
+    The Jacobians are stacked once and labelled by ``_stability_labels``."""
     p = poly.p
     ws = omegas.tolist()
     roots = zip(rows, ns, res)

@@ -136,6 +136,7 @@ class TestIntegrate:
         (dict(delta=math.inf), "delta"),  # a TypeError from scipy's stepper
         (dict(delta=math.nan), "delta"),
         (dict(t_end=1e300, sample_dt=1e-300), "t_end / sample_dt"),
+        (dict(t_end=1e20, sample_dt=1.0), "t_end / sample_dt"),  # numpy's error
         (dict(initial=[0.0, 0.0, 0.0, math.nan, -0.5]), "initial state"),
         (dict(initial=[math.inf, 0.0, 0.0, 0.0, -0.5]), "initial state"),
     ])
