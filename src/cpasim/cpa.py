@@ -10,11 +10,12 @@ from dataclasses import dataclass, replace
 from .errors import AsymmetricMirrors, Infeasible, NonPositiveBeta, PreconditionViolated
 from .model import (
     Stability,
+    SteadyState,
     SystemParams,
     output_intensities,
     soc_effective_params,
 )
-from .steady import build_polynomial, solve_steady_columns
+from .steady import build_polynomial, solve_node
 # not called here: the benchmark's tracer (bench/tracer.py) wraps this name
 from .steady import solve_steady_states  # noqa: F401
 
@@ -211,11 +212,11 @@ def cpa_operating_point(p: SystemParams) -> CPAReport:
         residual_out=math.nan, branch_location=None, cooperativity=coop)
 
 
-def place_cpa(point: CPAReport, p: SystemParams, states,
+def place_cpa(point: CPAReport, p: SystemParams, states: list[SteadyState],
               folds: list[tuple[float, float]]) -> CPAReport:
     """Complete an operating point of ``cpa_operating_point`` (one without
-    reasons) from ``states``, the (n_c, c_bar, stability) of every steady
-    state of ``p`` at the drive ``point.omega_d_cpa``, and ``folds``, the
+    reasons) from ``states``, every steady state of ``p`` at the drive
+    ``point.omega_d_cpa`` (``steady.solve_node``), and ``folds``, the
     curve's folds (``steady.SelfConsistencyPolynomial.folds``).
 
     The state nearest the predicted photon number must match it to
@@ -225,17 +226,16 @@ def place_cpa(point: CPAReport, p: SystemParams, states,
     window.
     """
     n_cpa, intensity = point.n_c_cpa, point.input_intensity
-    match = min(states, key=lambda s: abs(s[0] - n_cpa), default=None)
-    if match is None or abs(match[0] - n_cpa) > ROOT_MATCH_RTOL * n_cpa:
+    match = min(states, key=lambda s: abs(s.n_c - n_cpa), default=None)
+    if match is None or abs(match.n_c - n_cpa) > ROOT_MATCH_RTOL * n_cpa:
         return replace(point, reasons=["SolverRootMismatch"])
-    _, c_bar, stability = match
-    residual_out = max(output_intensities(c_bar, point.omega_d_cpa, p))
+    residual_out = max(output_intensities(match.c_bar, point.omega_d_cpa, p))
     feasible = residual_out < NULLING_RTOL * intensity
-    location, window = _branch_location(folds, intensity, stability)
+    location, window = _branch_location(folds, intensity, match.stability)
     return replace(point, feasible=feasible,
                    reasons=[] if feasible else ["OutputsNotNulled"],
                    residual_out=residual_out, branch_location=location,
-                   fold_window=window, stability=stability)
+                   fold_window=window, stability=match.stability)
 
 
 def verify_cpa(p: SystemParams) -> CPAReport:
@@ -253,9 +253,7 @@ def verify_cpa(p: SystemParams) -> CPAReport:
     if point.reasons:
         return point
     poly = build_polynomial(p)
-    cols = solve_steady_columns(poly, [point.omega_d_cpa])
-    states = zip(cols.n_c.tolist(), cols.c_bar.tolist(), cols.stability)
-    return place_cpa(point, p, states, poly.folds)
+    return place_cpa(point, p, solve_node(poly, point.omega_d_cpa), poly.folds)
 
 
 def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:

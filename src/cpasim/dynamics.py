@@ -164,7 +164,8 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     Raises StepFailure (carrying the partial trace) if the integrator stops
     before reaching ``t_end``, and ValueError naming the argument for a
     non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, or a
-    sample count ``t_end / sample_dt`` beyond the array index range.
+    sample count ``t_end / sample_dt`` beyond the array index range or too
+    large to allocate.
     """
     for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
         if not math.isfinite(value):
@@ -184,7 +185,12 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
         raise ValueError(f"t_end / sample_dt exceeds the array index range: "
                          f"t_end = {t_end!r}, sample_dt = {sample_dt!r}")
     n_samples = int(math.floor(count)) + 1
-    t_eval = np.minimum(np.arange(n_samples) * sample_dt, t_end)
+    try:
+        t_eval = np.minimum(np.arange(n_samples) * sample_dt, t_end)
+    except MemoryError:
+        raise ValueError(f"t_end / sample_dt gives {n_samples} samples, too many "
+                         f"to allocate: t_end = {t_end!r}, sample_dt = {sample_dt!r}"
+                         ) from None
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)
 

@@ -3,14 +3,14 @@ root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One ``build_polynomial(p)`` per parameter set holds its drive-free factors
 (assembled in Python float lists, with np.convolve for the products), its
-parameters and, once asked for, its folds.  Two solves return the kept
-states of any number of drives as columns.  ``solve_steady_columns`` solves
-one drive at a time in Python floats: one companion-matrix eigvals and a
-Newton polish per root, each kept root's state from the model's formulas,
-and one stacked eigvals for their labels (``solve_steady_states`` is its
-one-node call).  ``solve_curve_columns`` brackets a whole curve's roots at
-once on the monotone segments between its folds and maps them all at once,
-as arrays, by the same formulas, which give the same bits."""
+parameters and, once asked for, its folds.  Two solves use it.
+``solve_node`` solves one drive in Python floats: one companion-matrix
+eigvals and a Newton polish per root, each kept root's state from the
+model's formulas, and one stacked eigvals for their labels
+(``solve_steady_states`` is its call at ``p.omega_d``).
+``solve_curve_columns`` brackets a whole curve's roots at once on the
+monotone segments between its folds and maps them all at once, as arrays,
+by the same formulas, which give the same bits, into columns."""
 
 from __future__ import annotations
 
@@ -553,12 +553,11 @@ def _polish(c: list[float], dc: list[float], n0: float) -> float:
 
 
 class SteadyColumns(NamedTuple):
-    """The steady states kept by one kernel call, as columns: entry k of
-    each is one state, and the states are grouped by ``node`` (the index of
-    their drive in the call) and sorted by photon number within a node.
-    ``segment`` is each state's monotone segment of the curve (its branch)
-    from a curve solve, -1 at its one-node drives; None from
-    ``solve_steady_columns``."""
+    """The steady states of a curve solve (``solve_curve_columns``), as
+    columns: entry k of each is one state, and the states are grouped by
+    ``node`` (the index of their drive in the call) and sorted by photon
+    number within a node.  ``segment`` is each state's monotone segment of
+    the curve (its branch)."""
 
     node: np.ndarray  # int
     n_c: np.ndarray
@@ -567,7 +566,7 @@ class SteadyColumns(NamedTuple):
     sigma_z: np.ndarray
     residual: np.ndarray
     stability: list[Stability]
-    segment: np.ndarray | None = None  # int
+    segment: np.ndarray  # int
 
 
 def _too_large(w: float, what: str) -> ValueError:
@@ -677,35 +676,27 @@ def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return n
 
 
-def _node_roots(poly: SelfConsistencyPolynomial, omegas: np.ndarray):
-    """The roots of each driven node by the root rule
+def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, float]]:
+    """The roots at one drive ``w`` > 0 (a Python float) by the root rule
     (``nonnegative_real_roots``), in Python floats: P from
     ``_node_polynomials``, each root Newton-polished (``_polish``),
     residual-checked (``_accepted``'s rule) and merged again: Newton may swap
     a near-double pair, and it pulls both members of the pair at a fold's own
     input to within the merge radius, so a state on a fold is reported once.
-    An undriven node has none.  Returns lists of each root's node, the root
-    and P there, grouped by node."""
-    driven = [(node, w) for node, w in enumerate(omegas.tolist()) if w != 0.0]
-    coeffs = _node_polynomials(poly, [w for _, w in driven]).tolist()
-    rows, ns, res = [], [], []
-    for (node, w), c in zip(driven, coeffs):
-        dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
-        mag_c = [abs(ck) for ck in c]
-        kept = []
-        for n0 in nonnegative_real_roots(c):
-            n = _polish(c, dc, n0)
-            if n != n:  # a NaN step: P overflowed near its root
-                raise _too_large(w, f"P at its root n_c = {n0:.9g}")
-            p_n, mag = _horner_pair(c, mag_c, n)
-            if not abs(p_n) > EPS_RES * max(1.0, mag):  # the residual rule
-                kept.append((n, p_n))
-        kept.sort()
-        for k in _kept([n for n, _ in kept]):
-            rows.append(node)
-            ns.append(kept[k][0])
-            res.append(kept[k][1])
-    return rows, ns, res
+    Returns each root and P there, ascending."""
+    (c,) = _node_polynomials(poly, [w]).tolist()
+    dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
+    mag_c = [abs(ck) for ck in c]
+    kept = []
+    for n0 in nonnegative_real_roots(c):
+        n = _polish(c, dc, n0)
+        if n != n:  # a NaN step: P overflowed near its root
+            raise _too_large(w, f"P at its root n_c = {n0:.9g}")
+        p_n, mag = _horner_pair(c, mag_c, n)
+        if not abs(p_n) > EPS_RES * max(1.0, mag):  # the residual rule
+            kept.append((n, p_n))
+    kept.sort()
+    return [kept[k] for k in _kept([n for n, _ in kept])]
 
 
 def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
@@ -809,17 +800,17 @@ def _warn_undriven(poly: SelfConsistencyPolynomial) -> None:
 
 
 def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarray,
-            n: np.ndarray, res: np.ndarray,
-            segment: np.ndarray | None = None) -> SteadyColumns:
+            n: np.ndarray, res: np.ndarray, segment: np.ndarray) -> SteadyColumns:
     """The states stage of a curve solve, from the residual-accepted roots
-    ``n`` of the driven nodes (``rows``, grouped) and P there: the vacuum at
-    every undriven node, the roots at the parametric singularity excluded,
-    and the fields and stability labels of all kept roots at once, as
-    arrays.  ``_node_states`` applies the same rules root by root, to the
-    same bits, but a curve's 300 to 800 rows cost it more: on the six fig3
-    curves this stage takes 6.5 ms and ``_node_states`` 28 ms, and the
-    benchmark's ``fig3_sweeps`` run with ``_node_states`` here does 36 %
-    less work per second (2 CPUs, 10 alternating pairs)."""
+    ``n`` of the driven nodes (``rows``, grouped), P there and their
+    ``segment``: the vacuum at every undriven node, the roots at the
+    parametric singularity excluded, and the fields and stability labels of
+    all kept roots at once, as arrays.  ``_node_states`` applies the same
+    rules root by root, to the same bits, but a curve's 300 to 800 rows cost
+    it more: on the six fig3 curves this stage takes 6.5 ms and
+    ``_node_states`` 28 ms, and the benchmark's ``fig3_sweeps`` run with
+    ``_node_states`` here does 36 % less work per second (2 CPUs, 10
+    alternating pairs)."""
     p = poly.p
     undriven = (omegas == 0.0).nonzero()[0]
     if undriven.size:
@@ -828,8 +819,7 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
         at = np.searchsorted(rows, undriven)
         rows = np.insert(rows, at, undriven)
         n, res = np.insert(n, at, 0.0), np.insert(res, at, 0.0)
-        if segment is not None:
-            segment = np.insert(segment, at, 0)
+        segment = np.insert(segment, at, 0)
         vacuum = at + np.arange(len(undriven))
 
     w = omegas[rows]
@@ -842,10 +832,8 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
         for n_c in n[singular].tolist():
             _warn_singular(n_c)
         keep = ~singular
-        rows, n, w, res = rows[keep], n[keep], w[keep], res[keep]
+        rows, n, w, res, segment = rows[keep], n[keep], w[keep], res[keep], segment[keep]
         kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
-        if segment is not None:
-            segment = segment[keep]
     if undriven.size:
         _warn_undriven(poly)
 
@@ -855,28 +843,21 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
 
 
-def _node_states(poly: SelfConsistencyPolynomial, omegas: np.ndarray,
-                 rows: list[int], ns: list[float], res: list[float]) -> SteadyColumns:
-    """The one-node states stage: ``_states``' rules applied root by root,
-    in Python floats, to ``_node_roots``' roots (node, root and P there),
-    through the model functions ``_states`` applies to arrays, which give a
-    float and an array element the same bits; a drive's one to five roots
-    cost less so than numpy's fixed per-call cost (with ``_states`` here
-    instead, the benchmark's ``steady_batch`` does 21 % less work per
-    second: 4051 against 3214 solves/s, 2 CPUs, 10 alternating pairs).
-    The Jacobians are stacked once and labelled by ``_stability_labels``."""
+def _node_states(poly: SelfConsistencyPolynomial, w: float) -> list[SteadyState]:
+    """The one-node stage at drive ``w`` (a Python float, validated): the
+    roots of ``_node_roots``, or at zero drive the vacuum, mapped by
+    ``_states``' rules root by root, in Python floats, through the model
+    functions ``_states`` applies to arrays, which give a float and an array
+    element the same bits; a drive's one to five roots cost less so than
+    numpy's fixed per-call cost (with ``_states`` here instead, the
+    benchmark's ``steady_batch`` does 21 % less work per second: 4051
+    against 3214 solves/s, 2 CPUs, 10 alternating pairs).  The Jacobians are
+    stacked once and labelled by ``_stability_labels``."""
     p = poly.p
-    ws = omegas.tolist()
-    roots = zip(rows, ns, res)
-    undriven = [node for node, w in enumerate(ws) if w == 0.0]
-    if undriven:
-        # the vacuum, an undriven node's one state, in node order
-        roots = sorted([*roots, *((node, 0.0, 0.0) for node in undriven)],
-                       key=lambda root: root[0])
-    cols = [], [], [], [], [], [], []  # the SteadyColumns, then the Jacobians
-    for node, n, r in roots:
+    states, jacobians = [], []
+    # at zero drive the one state is the vacuum, n = 0 with P = 0 there
+    for n, r in _node_roots(poly, w) if w else [(0.0, 0.0)]:
         kappa0, delta0, den = dressed_cavity(n, p)
-        w = ws[node]
         if w == 0.0:
             den = 1.0  # the vacuum is reported at any denominator: its field is 0
         elif at_singularity(den, p):
@@ -884,87 +865,70 @@ def _node_states(poly: SelfConsistencyPolynomial, omegas: np.ndarray,
             continue
         c = driven_field(kappa0, delta0, den, w, p)
         s_minus, s_z = atomic_expectations(c, p)
-        for col, x in zip(cols, (node, n, c, s_minus, s_z, r,
-                                 _jacobian_entries(c, s_minus, s_z, p))):
-            col.append(x)
-    if undriven:
+        states.append((n, c, s_minus, s_z, r))
+        jacobians.append(_jacobian_entries(c, s_minus, s_z, p))
+    if w == 0.0:
         _warn_undriven(poly)
-    *cols, jacobians = cols
-    return SteadyColumns(
-        *(np.array(col, dtype=t) for col, t in
-          zip(cols, (np.intp, float, complex, complex, float, float))),
-        _stability_labels(np.array(jacobians, dtype=float).reshape(-1, 5, 5)))
+    labels = _stability_labels(np.array(jacobians, dtype=float).reshape(-1, 5, 5))
+    return [SteadyState(n, c, s_minus, s_z, label, r)
+            for (n, c, s_minus, s_z, r), label in zip(states, labels)]
 
 
-def solve_steady_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:
-    """All self-consistent steady states of ``poly.p`` at each of ``drives``,
-    a sequence of drive amplitudes omega_d (finite and >= 0, and with a
-    finite square, else ValueError) that replaces ``poly.p.omega_d``, as
-    columns (see ``SteadyColumns``).
+def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadyState]:
+    """All self-consistent steady states of ``poly.p`` at the drive
+    amplitude ``omega_d`` (finite and >= 0, and with a finite square, else
+    ValueError), which replaces ``poly.p.omega_d``, sorted by photon number.
 
     This is the one-node solve, which needs no folds;
     ``solve_curve_columns`` solves a curve on its monotone segments instead.
-    Each drive's roots come from the root stage ``_node_roots``, in Python
-    floats: one companion-matrix eigvals (``nonnegative_real_roots``), a
-    Newton polish per root, the residual check against EPS_RES times
-    the polynomial scale, and the merge again (a state on a fold is
-    reported once).  The states stage (``_node_states``) then maps each
-    kept root, in Python floats, to a full mean-field state by the model's
-    own formulas (``dressed_cavity``, ``driven_field``,
-    ``atomic_expectations``) and labels all of them from their stacked
-    Jacobians by ``_stability_labels``, with the Marginal band EPS_STAB.
-    Roots at the parametric singularity (denominator below the guard) are
-    excluded with a RuntimeWarning each.  An undriven node has only the
-    vacuum: its polynomial n Q^2 has exact double roots at the singular
-    states, which are excluded with a RuntimeWarning.
+    The roots come from the root stage ``_node_roots``, in Python floats:
+    one companion-matrix eigvals (``nonnegative_real_roots``), a Newton
+    polish per root, the residual check against EPS_RES times the
+    polynomial scale, and the merge again (a state on a fold is reported
+    once).  The states stage (``_node_states``) then maps each kept root,
+    in Python floats, to a full mean-field state by the model's own
+    formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)
+    and labels all of them from their stacked Jacobians by
+    ``_stability_labels``, with the Marginal band EPS_STAB.  Roots at the
+    parametric singularity (denominator below the guard) are excluded with
+    a RuntimeWarning each.  At zero drive there is only the vacuum: the
+    polynomial n Q^2 has exact double roots at the singular states, which
+    are excluded with a RuntimeWarning.
 
-    Emits one ParametricRegimeWarning per call when the bare cavity is
-    at/above the parametric threshold: the reported roots are still
-    residual-verified, but branches at large n_c are typically unstable
-    there.
+    Emits a ParametricRegimeWarning when the bare cavity is at/above the
+    parametric threshold: the reported roots are still residual-verified,
+    but branches at large n_c are typically unstable there.
     """
-    omegas = _drives(poly, drives)
-    return _node_states(poly, omegas, *_node_roots(poly, omegas))
+    (w,) = _drives(poly, [omega_d]).tolist()
+    return _node_states(poly, w)
 
 
-def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives,
-                        one_node_drives=()) -> SteadyColumns:
+def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives) -> SteadyColumns:
     """The steady states of ``poly``'s curve at per-mirror inputs
     ``inputs``, driven by ``drives`` (one amplitude each, validated as in
-    ``solve_steady_columns``), then at ``one_node_drives``, as columns with
-    each state's segment (-1 for the one-node drives).
+    ``solve_node``), as columns with each state's segment.
 
     The curve's roots are bracketed on the monotone segments between
     ``poly.folds`` (``_segment_roots``), with no eigen-solve; a segment holds
     at most one state at any input, so the branch id is the segment itself.
-    A one-node drive is solved by the root stage of ``solve_steady_columns``,
-    and the states stage ``_states`` maps all roots at once, as arrays, by
-    the rules and the bits of that call's ``_node_states``, so a one-node
-    drive's states are that call's bit for bit.  The residual rule is the
-    same.  ValueError when ``inputs`` and ``drives`` differ in length."""
+    The states stage ``_states`` maps all roots at once, as arrays, by the
+    rules and the bits of ``solve_node``'s ``_node_states``.  The residual
+    rule is the same.  Emits one ParametricRegimeWarning per call, as
+    ``solve_node`` does.  ValueError when ``inputs`` and ``drives`` differ
+    in length."""
     if np.size(inputs) != np.size(drives):
         raise ValueError(f"{np.size(inputs)} inputs for {np.size(drives)} drives: "
                          "a curve takes one input per drive")
-    omegas = _drives(poly, np.append(drives, one_node_drives))
-    m = len(omegas) - len(one_node_drives)
-    driven = np.flatnonzero(omegas[:m] > 0.0)
+    omegas = _drives(poly, drives)
+    driven = np.flatnonzero(omegas > 0.0)
     node, n, seg, res, mag = _segment_roots(
         poly, np.asarray(inputs, dtype=float)[driven],
         _node_polynomials(poly, omegas[driven].tolist()))
     ok = _accepted(res, mag)
-    rows, n, res, seg = driven[node[ok]], n[ok], res[ok], seg[ok]
-    if m < len(omegas):
-        more, n_more, res_more = _node_roots(poly, omegas[m:])
-        rows = np.append(rows, np.array(more, dtype=np.intp) + m)
-        n = np.append(n, n_more)
-        res, seg = np.append(res, res_more), np.append(seg, np.full(len(more), -1))
-    return _states(poly, omegas, rows, n, res, seg)
+    return _states(poly, omegas, driven[node[ok]], n[ok], res[ok], seg[ok])
 
 
 def solve_steady_states(p: SystemParams) -> list[SteadyState]:
     """All self-consistent steady states at ``p``, sorted by photon number:
-    the one-node call of ``solve_steady_columns``, one SteadyState per row."""
-    cols = solve_steady_columns(build_polynomial(p), [p.omega_d])
-    return list(map(SteadyState, cols.n_c.tolist(), cols.c_bar.tolist(),
-                    cols.sigma_minus.tolist(), cols.sigma_z.tolist(),
-                    cols.stability, cols.residual.tolist()))
+    ``solve_node`` at ``p.omega_d``."""
+    return solve_node(build_polynomial(p), p.omega_d)

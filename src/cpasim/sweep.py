@@ -25,7 +25,8 @@ from .model import (
     drive_for_input_intensity,
     output_intensities,
 )
-from .steady import SelfConsistencyPolynomial, build_polynomial, solve_curve_columns
+from .steady import (SelfConsistencyPolynomial, _node_states, build_polynomial,
+                     solve_curve_columns)
 # not called here: the benchmark's tracer (bench/tracer.py) wraps this name
 from .steady import solve_steady_states  # noqa: F401
 
@@ -147,9 +148,10 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
     expression.  A root's branch id is the monotone segment of I(n) it was
     found on; two roots of one node on the same segment raise MalformedCurve.
     When the CPA input (``cpa.cpa_operating_point``) lies in the grid's
-    range, its drive is one more node of the same call, solved as
-    ``verify_cpa``'s one-node solve is, and ``cpa.place_cpa`` places its
-    states against the curve's folds, as ``verify_cpa`` does.
+    range, its states come from the one-node stage of ``verify_cpa``'s
+    solve on the same polynomial, with no second regime warning, and
+    ``cpa.place_cpa`` places them against the curve's folds, as
+    ``verify_cpa`` does.
     """
     xs = [float(x) for x in input_grid]
     if not all(map(math.isfinite, xs)):
@@ -173,11 +175,8 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
     if point is None or point.reasons or not (
             xs[0] <= point.input_intensity <= xs[-1]):
         point = None
-    roots = solve_curve_columns(poly, grid, drives,
-                                [] if point is None else [point.omega_d_cpa])
-    # the grid's roots, then the CPA node's
-    m = int(np.searchsorted(roots.node, len(xs)))
-    node, n, ids = roots.node[:m], roots.n_c[:m], roots.segment[:m]
+    roots = solve_curve_columns(poly, grid, drives)
+    node, n, ids = roots.node, roots.n_c, roots.segment
     bad = np.flatnonzero((node[1:] == node[:-1]) & (ids[1:] <= ids[:-1]))
     if bad.size:
         at = node[bad[0]]
@@ -185,13 +184,14 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
             f"two steady states on one monotone segment at input "
             f"{xs[at]:.9g} (n_c = {n[node == at].tolist()}, segments "
             f"{ids[node == at].tolist()})")
-    outputs = np.maximum(*output_intensities(roots.c_bar[:m], drives[node], p))
+    outputs = np.maximum(*output_intensities(roots.c_bar, drives[node], p))
 
     markers = []
     if point is not None:
-        placed = place_cpa(point, p, zip(
-            roots.n_c[m:].tolist(), roots.c_bar[m:].tolist(),
-            roots.stability[m:]), folds)
+        # the one-node stage of solve_node, at the drive as a Python float:
+        # the curve's call has given this parameter set's regime warning
+        placed = place_cpa(point, p, _node_states(poly, float(point.omega_d_cpa)),
+                           folds)
         if placed.branch_location is not None:
             markers.append(CPAMarker(
                 input_intensity=placed.input_intensity,
@@ -199,7 +199,7 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
                 branch=placed.branch_location,
                 observable=placed.stability is Stability.STABLE))
     curve = HysteresisCurve(
-        grid[node], n, outputs, roots.stability[:m], ids,
+        grid[node], n, outputs, roots.stability, ids,
         folds=[f for f in folds if xs[0] <= f[0] <= xs[-1]],
         pattern=PatternClass.MONOSTABLE, cpa_markers=markers)
     curve.pattern = classify_pattern(curve)
@@ -266,8 +266,11 @@ def boundary_map(gamma: float, g_fixed: float, delta_tls_fixed: float,
 
     The mask equals g_fixed > g_c(beta) equivalently |delta_tls_fixed| below
     the critical detuning; infeasible nodes report a critical detuning of 0.
+    The betas must be finite, positive and ascending, else ValueError.
     """
     betas = np.asarray([float(b) for b in beta_grid])
+    if not np.isfinite(betas).all():
+        raise ValueError("beta grid must be finite")
     if np.any(betas <= 0.0):
         raise ValueError("beta grid must be strictly positive")
     if np.any(np.diff(betas) < 0.0):

@@ -1,10 +1,12 @@
 """tools/bench_pairs.py's verdict: a comparison fails on an incorrect run, a
 larger share of failed operations in the change, or a metric outside its
 bound, and passes otherwise.  A metric whose parent runs spread wider than
-its bound is reported unresolved, which fails nothing."""
+its bound is reported unresolved, which fails nothing.  The summary records
+each tree's source line count."""
 
 import copy
 import importlib.util
+import json
 import os
 
 import pytest
@@ -125,3 +127,29 @@ def test_the_trees_must_share_their_benchmark_code(tmp_path, capsys, edit, diffe
                               "--out", str(tmp_path / "out.json")])
         assert stop.value.code == 2
         assert f"benchmark code differs: {differs}" in capsys.readouterr().err
+
+
+def test_the_summary_records_each_trees_source_lines(tmp_path, capsys):
+    # two trees whose benchmark is a stub that reports one correct run
+    stub = ("import json\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 1,\n"
+            "                  'metrics': {'work_per_s': {'value': 1.0}}}))\n")
+    spec = {"workloads": [{"name": "steady_batch"}], "end_to_end": [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
+    trees = {side: str(tmp_path / side) for side in ("parent", "change")}
+    for tree in trees.values():
+        write(os.path.join(tree, "bench", "run.py"), stub)
+        write(os.path.join(tree, "BENCHMARK.json"), json.dumps(spec))
+    write(os.path.join(trees["parent"], "src", "cpasim", "a.py"), "x = 1\ny = 2\n")
+    write(os.path.join(trees["change"], "src", "cpasim", "a.py"), "x = 1\n")
+    write(os.path.join(trees["change"], "src", "cpasim", "b.py"), "z = 3\nw = 4\n")
+    # only the package's own modules count
+    write(os.path.join(trees["change"], "src", "cpasim", "notes.txt"), "text\n")
+    write(os.path.join(trees["change"], "tools", "c.py"), "v = 5\n")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                             "--workload", "steady_batch", "--pairs", "1",
+                             "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh)["src_lines"] == {"parent": 2, "change": 3}
+    assert capsys.readouterr().out.count("src/cpasim lines: parent 2, change 3 (+1)") == 1

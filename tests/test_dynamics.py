@@ -139,6 +139,8 @@ class TestIntegrate:
         (dict(t_end=1e20, sample_dt=1.0), "t_end / sample_dt"),  # numpy's error
         (dict(initial=[0.0, 0.0, 0.0, math.nan, -0.5]), "initial state"),
         (dict(initial=[math.inf, 0.0, 0.0, 0.0, -0.5]), "initial state"),
+        # indexable, but 6.94 EiB of samples: numpy's MemoryError before
+        (dict(t_end=1e18, sample_dt=1.0), "t_end / sample_dt"),
     ])
     def test_non_finite_arguments_are_value_errors_naming_them(self, args, named):
         call = dict(delta=0.0, initial=vacuum_state(), t_end=1.0, sample_dt=0.1)

@@ -1,7 +1,8 @@
-"""The stacked steady-state kernel, steady.solve_steady_columns: solving many
-drives at once changes no result, every state it maps at once equals the
-model's scalar formulas, a state on a fold is reported once, a curve is one
-kernel call with no parameter set per node, warnings come once per call,
+"""The steady-state kernels, the one-node solve steady.solve_node and the
+curve solve steady.solve_curve_columns: the curve's stacked states stage
+gives every one-node state bit for bit, every state equals the model's
+scalar formulas, a state on a fold is reported once, a curve is one kernel
+call with no parameter set per node, warnings come once per call,
 attributed to the caller's line, and the Lienard-Chipart stability labels
 equal classify_stability's."""
 
@@ -12,7 +13,6 @@ import warnings
 from dataclasses import replace
 from functools import cached_property
 from fractions import Fraction
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -45,12 +45,11 @@ from cpasim.steady import (
     HURWITZ_RTOL,
     IMAG_RTOL,
     MERGE_RADIUS,
-    SteadyColumns,
     bare_threshold_margin,
     build_polynomial,
     classify_stability,
     jacobian,
-    solve_steady_columns,
+    solve_node,
     solve_steady_states,
 )
 from cpasim.sweep import scan_folds, trace_hysteresis
@@ -65,25 +64,30 @@ def states_of(cols):
                     cols.stability, cols.residual.tolist()))
 
 
-def one_by_one(p, drives):
-    """One solve_steady_states call per drive, stacked as the columns the
-    kernel must give for all the drives at once."""
-    node, states = [], []
+def one_node_roots(poly, drives):
+    """Every drive's one-node roots (``_node_roots``), as the curve's states
+    stage ``_states`` takes them after ``poly``: the drives, each root's
+    drive index, the roots, P there and a segment of -1 each."""
+    rows, n, res = [], [], []
     for k, w in enumerate(drives):
-        found = solve_steady_states(replace(p, omega_d=w))
-        node += [k] * len(found)
-        states += found
-    return SteadyColumns(
-        np.array(node, dtype=np.intp), np.array([s.n_c for s in states]),
-        np.array([s.c_bar for s in states], dtype=complex),
-        np.array([s.sigma_minus_bar for s in states], dtype=complex),
-        np.array([s.sigma_z_bar for s in states]),
-        np.array([s.residual for s in states]), [s.stability for s in states])
+        for root, p_root in (steady._node_roots(poly, w) if w else []):
+            rows.append(k)
+            n.append(root)
+            res.append(p_root)
+    return (np.array(drives, dtype=float), np.array(rows, dtype=np.intp),
+            np.array(n, dtype=float), np.array(res, dtype=float),
+            np.full(len(rows), -1))
 
 
-def assert_same_columns(a, b):
-    assert a.node.tolist() == b.node.tolist()
-    assert states_of(a) == states_of(b)
+def assert_stacked_equals_one_node_calls(poly, drives):
+    """The curve's states stage on every drive's one-node roots at once
+    against one solve_node per drive; returns the stacked columns."""
+    cols = steady._states(poly, *one_node_roots(poly, drives))
+    per_drive = [solve_node(poly, w) for w in drives]
+    assert cols.node.tolist() == [k for k, states in enumerate(per_drive)
+                                  for _ in states]
+    assert states_of(cols) == [s for states in per_drive for s in states]
+    return cols
 
 
 # The scalar path the kernel replaced, as the reference: numpy.polynomial's
@@ -209,15 +213,17 @@ def test_kernel_keeps_the_scalar_arithmetic():
 
 @pytest.mark.parametrize("key", FIG3)
 def test_batch_equals_one_node_calls_on_the_fig3_grids(key):
+    # the batch is the curve's stacked states stage, fed the 301 drives'
+    # one-node roots at once (the Lienard-Chipart labels)
     p = fig3_preset(*key)
-    drives = drive_for_input_intensity(np.linspace(0.0, reproduce_span(p), 301), p)
+    drives = drive_for_input_intensity(np.linspace(0.0, reproduce_span(p), 301),
+                                       p).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         poly = build_polynomial(p)
-        assert_same_columns(solve_steady_columns(poly, drives), one_by_one(p, drives))
+        assert_stacked_equals_one_node_calls(poly, drives)
         # in any order: the zero-drive node last
-        assert_same_columns(solve_steady_columns(poly, drives[::-1]),
-                            one_by_one(p, drives[::-1]))
+        assert_stacked_equals_one_node_calls(poly, drives[::-1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -238,12 +244,12 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
     top = 1.5 * max(folds, default=1.0)
     grid = np.union1d(np.linspace(0.0 if from_zero else top / count, top, count),
                       folds)
-    drives = drive_for_input_intensity(grid, p)
+    drives = drive_for_input_intensity(grid, p).tolist()
+    poly = build_polynomial(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batched = solve_steady_columns(build_polynomial(p), drives)
-        assert_same_columns(batched, one_by_one(p, drives))
-    if build_polynomial(p).degree == 0:
+        batched = assert_stacked_equals_one_node_calls(poly, drives)
+    if poly.degree == 0:
         assert not grid[batched.node].any()  # states only where x = 0
     # otherwise, root counts against the dense sign-change oracle, below
     # threshold and away from the folds' near-double roots.  An even node
@@ -353,61 +359,75 @@ def test_each_row_caps_the_last_segment_by_its_own_root_bound():
 
 
 def counting_curve_solve(monkeypatch):
-    """Count the curve kernel's calls, with the shape of every eigvals stack
-    inside each, and of eigvals stacks in all; any solve outside the kernel
-    fails.  The curve is read from the kernel's columns: no SteadyState is
-    built."""
-    eigvals, kernel = np.linalg.eigvals, sweep.solve_curve_columns
-    shapes, kernel_calls = [], []
+    """Count the calls of the curve kernel and of the one-node stage, with
+    the shape of every eigvals stack inside each, the eigvals stacks in all
+    and the SteadyStates built; any other solve fails.  The curve is read
+    from the kernel's columns: only the one-node stage builds SteadyStates."""
+    eigvals, kernel, node = np.linalg.eigvals, sweep.solve_curve_columns, sweep._node_states
+    shapes, calls, built = [], [], []
 
     def counting_eigvals(a):
         shapes.append(np.shape(a))
         return eigvals(a)
 
-    def counting_kernel(poly, inputs, drives, one_node_drives=()):
+    def counting_kernel(poly, inputs, drives):
         before = len(shapes)
-        out = kernel(poly, inputs, drives, one_node_drives)
-        kernel_calls.append((len(drives), len(one_node_drives), shapes[before:]))
+        out = kernel(poly, inputs, drives)
+        calls.append(("curve", len(drives), shapes[before:]))
         return out
+
+    def counting_node(poly, w):
+        before = len(shapes)
+        out = node(poly, w)
+        calls.append(("node", len(out), shapes[before:]))
+        return out
+
+    def counting_state(*args):
+        built.append(args)
+        return SteadyState(*args)
 
     def elsewhere(*args, **kwargs):
         raise AssertionError("trace_hysteresis solved outside its kernel call")
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     monkeypatch.setattr(sweep, "solve_curve_columns", counting_kernel)
+    monkeypatch.setattr(sweep, "_node_states", counting_node)
+    monkeypatch.setattr(steady, "SteadyState", counting_state)
     for module, name in ((sweep, "solve_steady_states"),
-                         (steady, "solve_steady_states"),
-                         (steady, "SteadyState"),
-                         (cpa, "verify_cpa"), (cpa, "solve_steady_states")):
+                         (steady, "solve_steady_states"), (steady, "solve_node"),
+                         (cpa, "verify_cpa"), (cpa, "solve_steady_states"),
+                         (cpa, "solve_node")):
         monkeypatch.setattr(module, name, elsewhere)
-    return shapes, kernel_calls
+    return shapes, calls, built
 
 
-@pytest.mark.parametrize("start, kernel_eigvals", [(0.0, 1), (1.0, 1)])
-def test_a_curve_is_one_kernel_call(monkeypatch, start, kernel_eigvals):
-    # no per-node loop and no second solve: the grid and the CPA drive are
-    # one kernel call.  The grid's roots are bracketed on the curve's
-    # segments with no eigen-solve; the one eigvals is the CPA node's
-    # one-node companion matrix, a single 5x5 matrix.  The undriven node at I = 0 reuses the
-    # zeros of Q the geometry found, and the stability labels take none: no
-    # Jacobian of this curve is undecided by the Lienard-Chipart test
+@pytest.mark.parametrize("start, companions", [(0.0, 1), (1.0, 1)])
+def test_a_curve_is_one_kernel_call(monkeypatch, start, companions):
+    # no per-node loop and no second solve: the grid is one kernel call,
+    # whose roots are bracketed on the curve's segments with no eigen-solve.
+    # The undriven node at I = 0 reuses the zeros of Q the geometry found,
+    # and the stability labels take none: no Jacobian of this curve is
+    # undecided by the Lienard-Chipart test.  The CPA drive's one-node stage
+    # takes one companion matrix and one stack of its three Jacobians, and
+    # builds the only SteadyStates
     p = fig3_preset("fig3c", 4.5)
     grid = np.linspace(start, reproduce_span(p), 301)
-    shapes, kernel_calls = counting_curve_solve(monkeypatch)
+    shapes, calls, built = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, grid)
-    assert kernel_calls == [(301, 1, [(5, 5)] * kernel_eigvals)]
+    assert calls == [("curve", 301, []), ("node", 3, [(5, 5)] * companions + [(3, 5, 5)])]
+    assert len(built) == 3
     # plus the curve geometry's two: the roots of Q and of V
-    assert len(shapes) == kernel_eigvals + 2
+    assert len(shapes) == companions + 1 + 2
     assert [m.branch for m in curve.cpa_markers] == [
         BranchLocation.INSIDE_BISTABLE_STABLE]
 
 
 def test_a_curve_solve_makes_no_eigen_solve(monkeypatch):
-    # below the CPA input the kernel has no one-node drive: no eigvals at all
+    # below the CPA input there is no one-node stage: no eigvals at all
     p = fig3_preset("fig3c", 4.5)
-    shapes, kernel_calls = counting_curve_solve(monkeypatch)
+    shapes, calls, built = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, np.linspace(0.0, 20.0, 301))
-    assert kernel_calls == [(301, 0, [])]
+    assert calls == [("curve", 301, [])] and built == []
     assert len(shapes) == 2 and curve.cpa_markers == []
     assert set(curve.branch_id.tolist()) == {0, 1, 2}
 
@@ -478,7 +498,7 @@ def test_regime_warning_once_per_kernel_call_at_the_callers_line():
         warnings.simplefilter("always")
         trace_hysteresis(p, grid)
     regime = [w for w in seen if w.category is ParametricRegimeWarning]
-    # one for the whole curve: the CPA point is a node of the same call
+    # one for the whole curve: the CPA node's one-node stage adds none
     assert len(regime) == 1
     assert seen and all(here(w) for w in seen)
 
@@ -490,8 +510,8 @@ def test_regime_warning_once_per_kernel_call_at_the_callers_line():
 
 
 def test_a_curve_builds_no_parameter_set_per_node(monkeypatch):
-    # the grid and the CPA drive reach the kernel as an array of drives: a
-    # curve validates no parameter set at all
+    # the grid reaches the kernel as an array of drives and the CPA drive
+    # the one-node stage as a float: a curve validates no parameter set
     p = fig3_preset("fig3c", 4.5)
     built = []
     post_init = SystemParams.__post_init__
@@ -511,18 +531,24 @@ def test_a_curve_builds_no_parameter_set_per_node(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_drives_and_grids_are_validated_at_entry(bad):
-    # a non-finite or negative entry is a ValueError at the boundary, not a
-    # numpy.linalg error from inside the stacked solve
+    # a non-finite or negative drive is a ValueError at the boundary, not a
+    # numpy.linalg error from inside the solve
     p = fig3_preset("fig3c", 4.5)
+    poly = build_polynomial(p)
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_columns(build_polynomial(p), [1.0, bad])
+        solve_node(poly, bad)
+    with pytest.raises(ValueError, match="omega_d"):
+        steady.solve_curve_columns(poly, [1.0, 2.0], [1.0, bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [0.0, 1.0, bad])
+    # a sequence is not one drive, nor a nested one a curve's drives
     with pytest.raises(ValueError, match="omega_d"):
-        solve_steady_columns(build_polynomial(p), [[1.0]])
-    assert solve_steady_columns(build_polynomial(p), []).n_c.size == 0
+        solve_node(poly, [1.0])
+    with pytest.raises(ValueError, match="omega_d"):
+        steady.solve_curve_columns(poly, [[1.0]], [[1.0]])
+    assert steady.solve_curve_columns(poly, [], []).n_c.size == 0
 
 
 @pytest.mark.parametrize("inputs, drives", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
@@ -544,7 +570,7 @@ def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
     poly = build_polynomial(p)
     message = re.escape(f"drive omega_d = {w!r} is too large: {what}")
     with pytest.raises(ValueError, match=message):
-        solve_steady_columns(poly, [1.0, w])
+        solve_node(poly, w)
     if w > 1e150:  # the curve forms P by the same rule
         with pytest.raises(ValueError, match=message):
             steady.solve_curve_columns(poly, [1.0], [w])
@@ -557,24 +583,23 @@ def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=message):
-                solve_steady_columns(above, [1.0, w])
+                solve_node(above, w)
         assert seen == []
 
 
 def assert_states_match_the_scalar_formulas(p, grid):
-    """Every state of the kernel, and every curve point's field and output
-    intensity at its own photon number, equal the model's scalar functions,
-    exactly."""
-    drives = drive_for_input_intensity(grid, p).tolist()
-    cols = solve_steady_columns(build_polynomial(p), drives)
-    for node, s in zip(cols.node.tolist(), states_of(cols)):
-        w = drives[node]
+    """Every one-node state at the drives of ``grid``, and every curve
+    point's field and output intensity at its own photon number, equal the
+    model's scalar functions, exactly."""
+    poly = build_polynomial(p)
+    for w in drive_for_input_intensity(grid, p).tolist():
         q = replace(p, omega_d=w)
-        # the vacuum of an undriven node is reported even where the
-        # denominator at n = 0 is singular
-        assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
-        assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
-                                                   s.sigma_z_bar)
+        for s in solve_node(poly, w):
+            # the vacuum of an undriven node is reported even where the
+            # denominator at n = 0 is singular
+            assert s.c_bar == (intracavity_field(s.n_c, q) if w > 0.0 else 0.0)
+            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                       s.sigma_z_bar)
     for point in trace_hysteresis(p, grid).points:
         q = replace(p, omega_d=drive_for_input_intensity(point.input_intensity, p))
         c_bar = intracavity_field(point.n_c, q) if q.omega_d > 0.0 else 0j
@@ -613,18 +638,20 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
     # a tiny drive pulls the pair at fig3a/4.5's undriven singular state so
     # close to it that one polished root's denominator is under the guard
     p = fig3_preset("fig3a", 4.5)
+    poly = build_polynomial(p)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        cols = solve_steady_columns(build_polynomial(p), [1e-10, 1.0])
+        tiny = solve_node(poly, 1e-10)
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "parametric singularity" in str(seen[0].message) and here(seen[0])
     # the near-vacuum root
-    assert (cols.n_c[cols.node == 0] < 1e-20).tolist() == [True]
-    for node, s in zip(cols.node.tolist(), states_of(cols)):
-        q = replace(p, omega_d=(1e-10, 1.0)[node])
-        assert s.c_bar == intracavity_field(s.n_c, q)
-        assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
-                                                   s.sigma_z_bar)
+    assert [s.n_c < 1e-20 for s in tiny] == [True]
+    for w, states in ((1e-10, tiny), (1.0, solve_node(poly, 1.0))):
+        q = replace(p, omega_d=w)
+        for s in states:
+            assert s.c_bar == intracavity_field(s.n_c, q)
+            assert atomic_expectations(s.c_bar, q) == (s.sigma_minus_bar,
+                                                       s.sigma_z_bar)
 
 
 # The one-node root stage: one companion eigvals per drive and a Newton
@@ -655,14 +682,23 @@ def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, sha
     assert seen == shapes and len(states) == shapes[1][0]
 
 
-def recorded_columns(poly, drives):
-    """solve_steady_columns' columns, each as its dtype and bytes, and its
-    warnings' category, message, file and line."""
+def recorded(stage, *args):
+    """``stage(*args)`` and its warnings' category, message, file and line."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        cols = solve_steady_columns(poly, drives)
-    return ([(c.dtype.str, c.tobytes()) for c in cols[:6]], cols.stability, cols.segment,
-            [(w.category, str(w.message), w.filename, w.lineno) for w in seen])
+        out = stage(*args)
+    return out, [(w.category.__name__, str(w.message), w.filename, w.lineno)
+                 for w in seen]
+
+
+def column_bytes(node, states):
+    """``node`` and the states' columns, each as its dtype and bytes, and
+    their labels."""
+    cols = [np.array(node, dtype=np.intp)] + [
+        np.array([getattr(s, name) for s in states], dtype=t) for name, t in (
+            ("n_c", float), ("c_bar", complex), ("sigma_minus_bar", complex),
+            ("sigma_z_bar", float), ("residual", float))]
+    return [(c.dtype.str, c.tobytes()) for c in cols], [s.stability for s in states]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -685,22 +721,26 @@ def recorded_columns(poly, drives):
 @example(SystemParams(kappa_l=1.0, kappa_r=1.0, g_nl_mag=0.5))
 def test_the_per_root_states_are_the_stacked_states(p):
     # the one-node states stage, root by root in Python floats, against the
-    # stacked stage of a curve on the same roots, bit for bit: zero drive, a
-    # tiny one, a grid from zero and nodes on and beside every fold, all at
-    # once (the Lienard-Chipart labels) and one at a time (eigvals)
-    node_roots = steady._node_roots
-
-    def array_roots(poly, omegas):
-        rows, n, res = node_roots(poly, omegas)
-        return np.array(rows, dtype=np.intp), np.array(n), np.array(res)
-
+    # stacked stage of a curve fed the same roots, bit for bit: a tiny
+    # drive, a grid from zero drive and nodes on and beside every fold, one
+    # drive at a time (eigvals) and all at once, past HURWITZ_MIN_ROWS
+    # wherever the drives have roots (the Lienard-Chipart labels)
     poly = build_polynomial(p)
-    drives = [0.0, 1e-10] + drive_for_input_intensity(fold_grid(p, 9), p).tolist()
-    for call in [drives] + [[w] for w in drives]:
-        per_root = recorded_columns(poly, call)
-        with patch.object(steady, "_node_roots", array_roots), \
-                patch.object(steady, "_node_states", steady._states):
-            assert recorded_columns(poly, call) == per_root
+    drives = [1e-10] + drive_for_input_intensity(
+        fold_grid(p, HURWITZ_MIN_ROWS), p).tolist()
+    per_root = [recorded(steady._node_states, poly, w) for w in drives]
+    for w, (states, seen) in zip(drives, per_root):
+        cols, stacked_seen = recorded(steady._states, poly, *one_node_roots(poly, [w]))
+        assert column_bytes(cols.node, states_of(cols)) == column_bytes(
+            [0] * len(states), states)
+        assert stacked_seen == seen
+    cols, seen = recorded(steady._states, poly, *one_node_roots(poly, drives))
+    assert column_bytes(cols.node, states_of(cols)) == column_bytes(
+        [k for k, (states, _) in enumerate(per_root) for _ in states],
+        [s for states, _ in per_root for s in states])
+    # the stacked stage names the undriven singular states after every
+    # excluded root, not in drive order
+    assert sorted(seen) == sorted(w for _, ws in per_root for w in ws)
 
 
 @pytest.mark.parametrize("key, warned", [
@@ -726,19 +766,19 @@ def test_an_undriven_one_node_solve_is_the_vacuum(key, warned):
 
 def test_a_one_node_root_at_the_singularity_is_excluded():
     # the tiny drive of test_a_root_at_the_singularity_is_excluded_at_the_
-    # callers_line, solved alone: the same warning, at the caller's line,
-    # and the same kept state as that node of the stacked call
+    # callers_line, solved from its parameter set: the same warning, at the
+    # caller's line, and the same kept state as solve_node at that drive
     p = replace(fig3_preset("fig3a", 4.5), omega_d=1e-10)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         states = solve_steady_states(p)
-        cols = solve_steady_columns(build_polynomial(p), [1e-10, 1.0])
+        node = solve_node(build_polynomial(p), 1e-10)
     assert [w.category for w in seen] == [RuntimeWarning] * 2
     assert str(seen[0].message) == str(seen[1].message) == (
         "root n_c=0.738878529 lies at the parametric singularity "
         "(denominator under the guard) and was excluded")
     assert all(here(w) for w in seen)
-    assert states == states_of(cols)[:1] and states[0].n_c < 1e-20
+    assert states == node and len(states) == 1 and states[0].n_c < 1e-20
 
 
 def test_the_root_rule():
@@ -800,11 +840,14 @@ def test_a_flat_folds_state_is_reported_once():
 # characteristic polynomial against classify_stability's eigenvalues
 
 def states_and_jacobians(p, grid):
-    """The kernel's states over ``grid`` and the stack of their Jacobians."""
+    """The states over ``grid``, labelled as one stack by the curve's states
+    stage (fed every node's one-node roots), and the stack of their
+    Jacobians."""
+    poly = build_polynomial(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        states = states_of(solve_steady_columns(
-            build_polynomial(p), drive_for_input_intensity(grid, p)))
+        states = states_of(steady._states(poly, *one_node_roots(
+            poly, drive_for_input_intensity(grid, p).tolist())))
     return states, np.array([jacobian(s, p) for s in states]).reshape(-1, 5, 5)
 
 

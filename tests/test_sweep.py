@@ -428,6 +428,13 @@ class TestBoundaryMap:
         with pytest.raises(ValueError):
             boundary_map(1.0, 1.0, 1.0, [-0.1, 0.05])
 
+    @pytest.mark.parametrize("betas", [[math.nan], [0.01, math.inf],
+                                       [0.01, math.nan, 0.02]])
+    def test_a_non_finite_beta_is_a_value_error(self, betas):
+        # NaN curves, or g_c = inf, came back before
+        with pytest.raises(ValueError, match="beta grid must be finite"):
+            boundary_map(1.0, 1.0, 20.0, betas)
+
 
 
 # At the required cavity detuning with g^2 delta_tls = 0, Q and R share the

@@ -19,9 +19,11 @@ fraction, against the metric's bound.  A metric is UNRESOLVED when the
 parent's interquartile range exceeds the bound times the parent's median,
 unless every run of the change beats every run of the parent: its runs
 then spread too widely to call it unchanged.  The machine, Python, numpy
-and scipy versions and the repeat count are recorded once.  Only the standard
-library is used; both trees should be in the same bytecode state (both with
-or both without ``__pycache__``), since the set-up probe times imports.
+and scipy versions and the repeat count are recorded once, and so are the
+line counts of each tree's ``src/cpasim/*.py``, which are also printed.
+Only the standard library is used; both trees should be in the same
+bytecode state (both with or both without ``__pycache__``), since the
+set-up probe times imports.
 
 A gain must be measured with the same benchmark code on both sides, so
 the two trees' ``BENCHMARK.json`` and the files under ``bench/`` (apart from
@@ -37,6 +39,7 @@ when the benchmark code differs, naming the first file that differs.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -74,6 +77,15 @@ def first_benchmark_difference(a: str, b: str) -> str | None:
             pass
         return name
     return None
+
+
+def src_lines(tree: str) -> int:
+    """The number of lines in ``tree``'s ``src/cpasim/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "cpasim", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -216,8 +228,12 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "scipy": version("scipy"),
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": {},
     }
+    lines = summary["src_lines"]
+    print(f"src/cpasim lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.pairs):
