@@ -3,14 +3,14 @@ root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One ``build_polynomial(p)`` per parameter set holds its drive-free factors
 (assembled in Python float lists, with np.convolve for the products), its
-parameters and, once asked for, its folds.  Two solves use it.
-``solve_node`` solves one drive in Python floats: one companion-matrix
-eigvals and a Newton polish per root, each kept root's state from the
-model's formulas, and one stacked eigvals for their labels
-(``solve_steady_states`` is its call at ``p.omega_d``).
-``solve_curve_columns`` brackets a whole curve's roots at once on the
-monotone segments between its folds and maps them all at once, as arrays,
-by the same formulas, which give the same bits, into columns."""
+parameters and, once asked for, its folds.  Every solve brackets its roots
+on the monotone segments of the curve between the folds, one root rule in
+two implementations.  ``solve_node`` solves one drive in Python floats
+(``_node_roots``), maps each root to its state by the model's formulas and
+labels them from one stacked eigen-solve (``solve_steady_states`` is its
+call at ``p.omega_d``).  ``solve_curve_columns`` solves a whole curve at
+once, as arrays (``_segment_roots``), by the same formulas, which give the
+same bits, into columns."""
 
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ParametricRegimeWarning
 from .model import (
@@ -36,8 +37,6 @@ from .model import (
     driven_field,
 )
 
-# Roots with n_c >= -EPS_ROOT are clamped to zero; more negative ones dropped.
-EPS_ROOT = 1e-12
 # Imaginary parts up to this fraction of max(1, |Re|) are rounding, not
 # complex roots.
 IMAG_RTOL = 1e-7
@@ -47,20 +46,12 @@ MERGE_RADIUS = 1e-8
 EPS_STAB = 1e-9
 # The residual rule (_accepted): |P| within EPS_RES times the polynomial scale.
 EPS_RES = 1e-9
-# Newton polish (_polish): at most NEWTON_STEPS steps per root.
-NEWTON_STEPS = 40
-# A step longer than NEWTON_JUMP max(1, |n0|) abandons the polish: the root
-# keeps its companion-matrix value n0.
-NEWTON_JUMP = 0.1
-# A step shorter than NEWTON_STOP max(1, |n0|) ends the polish.
+# The bracketed roots (_segment_roots, _node_roots): a root's Newton stops at
+# |P| <= ROUNDING_FLOOR eps sum |c_k| n^k, on a step shorter than
+# NEWTON_STOP max(1, n), or after BRACKET_STEPS steps.  A curve tabulates
+# I(n) at SEGMENT_TABLE cosine-spaced points per monotone segment for a
+# starting bracket.
 NEWTON_STOP = 1e-15
-# A polished root that drifted more than NEWTON_DRIFT max(1, |n0|) from n0,
-# or went negative, keeps n0.
-NEWTON_DRIFT = 1e-3
-# The curve's bracketed roots (_segment_roots): I(n) is tabulated at
-# SEGMENT_TABLE cosine-spaced points per monotone segment for a starting
-# bracket, and a root's Newton stops at |P| <= ROUNDING_FLOOR eps sum |c_k| n^k,
-# on a step shorter than NEWTON_STOP max(1, n), or after BRACKET_STEPS steps.
 SEGMENT_TABLE = 48
 ROUNDING_FLOOR = 4.0
 BRACKET_STEPS = 100
@@ -78,7 +69,7 @@ HURWITZ_MIN_ROWS = 24
 @dataclass(frozen=True)
 class SelfConsistencyPolynomial:
     """The real-coefficient polynomial in n_c of one parameter set ``p``
-    (built by ``build_polynomial``) whose nonnegative roots are the candidate
+    (built by ``build_polynomial``) whose positive roots are the candidate
     steady-state photon numbers, at any drive.
 
     The drive enters only as a factor, P = free - omega_d^2 drive
@@ -86,8 +77,8 @@ class SelfConsistencyPolynomial:
     (coeffs[k] multiplies n_c**k), degree <= 5, with a constant term <= 0.
     ``q`` is the cleared denominator Q (free = n Q^2); it is None for
     |G| = 0, where the positive Q was divided out and free = n Q.
-    ``coeffs`` and ``folds`` are formed on first use: a one-node solve
-    needs neither.
+    ``coeffs``, ``folds`` and ``edges`` are formed on first use, once per
+    polynomial: every solve brackets its roots between the folds.
     """
 
     free: np.ndarray
@@ -104,15 +95,13 @@ class SelfConsistencyPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, n_c):
-        return npoly.polyval(n_c, self.coeffs)
+        return _value(self.coeffs.tolist(), n_c)
 
     @cached_property
     def singular_states(self) -> list[float]:
         """Positive zeros of Q: the undriven parametric-singularity states,
         where I(n) = 0 (none for |G| = 0, where Q = A^2 + B^2 > 0)."""
-        if self.q is None:
-            return []
-        return [n for n in nonnegative_real_roots(self.q) if n > 0.0]
+        return [] if self.q is None else positive_roots(self.q.tolist())
 
     @cached_property
     def folds(self) -> list[tuple[float, float]]:
@@ -129,25 +118,35 @@ class SelfConsistencyPolynomial:
         monotone, so such a segment (a branch) holds at most one state at
         any input.
         """
-        free, drive, q = self.free, self.drive, self.q
-        if q is None:
-            v = npoly.polysub(npoly.polymul(npoly.polyder(free), drive),
-                              npoly.polymul(free, npoly.polyder(drive)))
-            folds = []
+        return sorted((at, e) for e, at, _, _ in self.edges)
+
+    @cached_property
+    def edges(self) -> list[tuple[float, float, float, float]]:
+        """The folds' n_c ascending, the edges of the curve's monotone
+        segments, as (e, I(e), a, b) (see ``folds``).  Near an edge P is the
+        local quadratic P(n) = a (I(e) - x) + b (n - e)^2 at input x, with
+        a = 2 kappa drive(e) and b = P''(e) / 2 at the edge's own input (NaN
+        where that is zero: a cusp, where no quadratic places the pair)."""
+        free, drive = self.free.tolist(), self.drive.tolist()
+        if self.q is None:
+            v = _add(_mul(_der(free), drive), [-x for x in _mul(free, _der(drive))])
         else:
             # free = n Q^2, so W = Q ((Q + 2 n Q') drive - n Q drive')
-            v = npoly.polysub(
-                npoly.polymul(npoly.polyadd(q, 2.0 * npoly.polymulx(npoly.polyder(q))),
-                              drive),
-                npoly.polymul(npoly.polymulx(q), npoly.polyder(drive)))
-            folds = [(0.0, n) for n in self.singular_states]
-        for n in nonnegative_real_roots(v):
-            if n == 0.0:
-                continue
-            den = 2.0 * self.p.kappa * float(npoly.polyval(n, drive))
-            folds.append((float(npoly.polyval(n, free)) / den if den > 0.0
-                          else math.inf, n))
-        return sorted(folds)
+            q = self.q.tolist()
+            v = _add(_mul(_add(q, [2.0 * x for x in _mulx(_der(q))]), drive),
+                     [-x for x in _mul(_mulx(q), _der(drive))])
+        singular, zeros = self.singular_states, positive_roots(v)
+        if not singular and not zeros:
+            return []
+        kappa2 = 2.0 * self.p.kappa
+        free2, drive2 = _der(_der(free)), _der(_der(drive))
+        edges = []
+        for k, e in enumerate(singular + zeros):
+            a = kappa2 * _value(drive, e)
+            at = 0.0 if k < len(singular) else _value(free, e) / a if a > 0.0 else math.inf
+            edges.append((e, at, a, 0.5 * (_value(free2, e) - kappa2 * at * _value(drive2, e))
+                          or math.nan))
+        return sorted(edges)
 
 
 # Series arithmetic on ascending coefficient lists of Python floats, kept
@@ -169,6 +168,20 @@ def _add(a: list[float], b: list[float]) -> list[float]:
     if len(a) < len(b):
         a, b = b, a
     return _trim([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
+def _der(c: list[float]) -> list[float]:
+    """The derivative's coefficients; a constant's is [0.0] (signed)."""
+    return [k * c[k] for k in range(1, len(c))] or [c[0] * 0.0]
+
+
+def _value(c: list[float], x):
+    """The series at x (a float, or elementwise for an array) by Horner's
+    rule, in numpy.polynomial's polyval order."""
+    out = c[-1] + x * 0.0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
 
 
 def _mulx(c: list[float]) -> list[float]:
@@ -259,46 +272,35 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
                                      q=q, p=p)
 
 
-def _kept(roots: list[float]) -> list[int]:
-    """The indices of the ascending ``roots`` kept by the merge rule: a root
-    within MERGE_RADIUS (relative) of the last one kept merges into it, so a
-    near-double pair keeps its lower member."""
-    kept, last = [], None
-    for k, x in enumerate(roots):
-        if last is None or not x - last <= MERGE_RADIUS * max(1.0, x):
-            kept.append(k)
-            last = x
-    return kept
+def positive_roots(c: list[float]) -> list[float]:
+    """The sorted distinct real roots n > 0 of a polynomial (ascending
+    coefficients, a Python float list, trailing zeros ignored): the zeros of
+    Q and V behind the folds.  P's own roots are bracketed between the folds
+    (``_node_roots``, ``_segment_roots``).
 
-
-def nonnegative_real_roots(coeffs) -> list[float]:
-    """The root rule: the sorted distinct real roots n >= 0 of a polynomial
-    (ascending coefficients, trailing zeros ignored), in Python floats.
-
-    The roots come from one eigvals of numpy.polynomial's companion matrix,
-    unrotated (Edelman & Murakami, Math. Comp. 64, 1995).  Imaginary parts
-    within IMAG_RTOL are rounding, roots down to -EPS_ROOT are clamped to 0,
-    and roots within MERGE_RADIUS merge into the lower one.  One-node solves
-    and the folds take their roots from here; a curve's own roots are
-    bracketed on the monotone segments between its folds instead
-    (``_segment_roots``).
+    Coefficients that never change sign leave no positive root (Descartes'
+    rule of signs), with no eigen-solve.  Otherwise the roots are the
+    eigenvalues of numpy.polynomial's companion matrix, unrotated (Edelman &
+    Murakami, Math. Comp. 64, 1995).  Imaginary parts within IMAG_RTOL are
+    rounding, and roots within MERGE_RADIUS merge into the lower one.
     """
-    c = [float(x) for x in coeffs]
-    d = len(c) - 1
-    while d > 0 and c[d] == 0.0:
-        d -= 1
-    if d == 0:
+    if not min(c) < 0.0 < max(c):
         return []
+    d = len(c) - 1
+    while c[d] == 0.0:
+        d -= 1
     if d == 1:
         z = [-c[0] / c[1]]
     else:
         m = np.eye(d, k=-1)
         m[:, -1] = [0.0 - ck / c[d] for ck in c[:d]]
-        z = np.linalg.eigvals(m).tolist()
-    found = sorted(max(x.real, 0.0) for x in z
-                   if abs(x.imag) <= IMAG_RTOL * max(1.0, abs(x.real))
-                   and x.real >= -EPS_ROOT)
-    return [found[k] for k in _kept(found)]
+        z = _eigenvalues(m).tolist()
+    roots = []
+    for x in sorted(x.real for x in z
+                    if x.real > 0.0 and abs(x.imag) <= IMAG_RTOL * max(1.0, x.real)):
+        if not (roots and x - roots[-1] <= MERGE_RADIUS * max(1.0, x)):
+            roots.append(x)
+    return roots
 
 
 def self_consistency_residual(n_c: float, p: SystemParams) -> float:
@@ -380,6 +382,22 @@ def _stability(margin: float) -> Stability:
     if margin > EPS_STAB:
         return Stability.UNSTABLE
     return Stability.MARGINAL
+
+
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The complex eigenvalues of each real square matrix of a stack, those
+    of numpy.linalg.eigvals to the bit: the LAPACK gufunc it calls, under
+    its error state, without its argument checks and real-result
+    conversion.  On the 2x2 to 6x6 matrices of a solve those cost more
+    than LAPACK itself: 19 against 7 us on a 6x6 companion matrix, 26
+    against 17 on three 5x5 Jacobians (one process, best of 7)."""
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.eigvals(a, signature="d->D")
 
 
 def classify_stability(j: np.ndarray) -> StabilityReport:
@@ -485,12 +503,12 @@ def _stability_labels(j: np.ndarray) -> list[Stability]:
     from ``_hurwitz_test``, with a stacked eigvals for its undecided rows,
     or for the whole stack when it has fewer than HURWITZ_MIN_ROWS rows."""
     if len(j) < HURWITZ_MIN_ROWS:
-        margins = np.linalg.eigvals(j).real.max(axis=1)
+        margins = _eigenvalues(j).real.max(axis=1)
         return [_stability(m) for m in margins.tolist()]
     labels, undecided = _hurwitz_test(j)
     if undecided.any():
         at = np.flatnonzero(undecided)
-        margins = np.linalg.eigvals(j[at]).real.max(axis=1)
+        margins = _eigenvalues(j[at]).real.max(axis=1)
         for k, margin in zip(at.tolist(), margins.tolist()):
             labels[k] = _stability(margin)
     return labels
@@ -515,41 +533,6 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     for k in range(c.shape[1] - 2, -1, -1):
         out = c[:, k] + out * x
     return out
-
-
-def _horner_pair(a: list[float], b: list[float], x: float) -> tuple[float, float]:
-    """Two coefficient lists of one length at x, in Python floats, in
-    ``_horner``'s order."""
-    f, g = a[-1], b[-1]
-    for ak, bk in zip(a[-2::-1], b[-2::-1]):
-        f, g = ak + f * x, bk + g * x
-    return f, g
-
-
-def _polish(c: list[float], dc: list[float], n0: float) -> float:
-    """Newton polish of one root n0 of P (ascending coefficients ``c``, P'
-    in ``dc``, zero-padded to the same length), in Python floats.  A root
-    whose Newton step is huge (tiny derivative: a near-double root) or that
-    ends off the axis or far away keeps its companion-matrix value, which is
-    then the more trustworthy one."""
-    scale = max(1.0, abs(n0))
-    jump_at, stop_at = NEWTON_JUMP * scale, NEWTON_STOP * scale
-    n = n0
-    for _ in range(NEWTON_STEPS):
-        f, fp = _horner_pair(c, dc, n)
-        if fp == 0.0:
-            break  # a zero derivative stops the root where it is
-        step = f / fp
-        if abs(step) > jump_at:
-            return n0
-        n -= step
-        # a root that converged stops; so does a NaN step (P overflowed),
-        # whose NaN root further steps would keep
-        if not abs(step) >= stop_at:
-            break
-    if n < 0.0 or abs(n - n0) > NEWTON_DRIFT * scale:
-        return n0
-    return n
 
 
 class SteadyColumns(NamedTuple):
@@ -607,9 +590,11 @@ def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> n
     that bound overflows, a ValueError names the largest drive."""
     w2 = [_squared(w) for w in omegas]
     top = max(w2, default=0.0)
-    if not (top * max(map(abs, poly.drive.tolist()))
-            + max(map(abs, poly.free.tolist()))) < math.inf:
+    free, drive = poly.free.tolist(), poly.drive.tolist()
+    if not (top * max(map(abs, drive)) + max(map(abs, free))) < math.inf:
         raise _too_large(omegas[w2.index(top)], "P = free - omega_d^2 drive")
+    if len(w2) == 1:  # one drive costs less in Python floats, to the same bits
+        return np.array([[f - top * d for f, d in zip_longest(free, drive, fillvalue=0.0)]])
     rows = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
     rows[:, :len(poly.free)] = poly.free
     rows[:, :len(poly.drive)] -= np.multiply.outer(w2, poly.drive)
@@ -676,30 +661,125 @@ def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return n
 
 
+def _taken_once(x, at, a, b, scale, p_e, mag_e):
+    """Whether the near-double pair at an edge e is one state at input x,
+    the edge itself: x is the edge's own input I(e) = ``at``; P at e,
+    ``p_e``, is within the rounding floor of the Newton stop,
+    ROUNDING_FLOOR eps ``mag_e`` (sum |c_k| e^k), so that no Newton step
+    resolves the pair; or the pair (n - e)^2 = t2 = a (x - I(e)) / b of P's
+    local quadratic (``SelfConsistencyPolynomial.edges``) lies within
+    MERGE_RADIUS if real, or within IMAG_RTOL if complex, relative to
+    ``scale``.  Never at a pole of I, and not by the floor at an edge at
+    zero input, where I(e) = 0 exactly and the quadratic places the pair
+    (``_node_roots``).  For Python floats (b nonzero), or elementwise for
+    arrays."""
+    t2 = a * (x - at) / b
+    radius = (t2 >= 0.0) * (0.5 * MERGE_RADIUS) + (t2 < 0.0) * IMAG_RTOL
+    floor = (abs(p_e) <= ROUNDING_FLOOR * sys.float_info.epsilon * mag_e) & (at > 0.0)
+    return ((x == at) | floor | (abs(t2) ** 0.5 <= radius * scale)) & (at < math.inf)
+
+
+def _newton(lead: float, terms: list[tuple[float, float, float]], n: float,
+            lo: float, hi: float, rising: bool) -> tuple[float, float, float]:
+    """``_bracketed_newton`` for one root, in Python floats, by the same
+    steps and stopping rule: the root in (lo, hi), from n, of P with leading
+    coefficient ``lead`` and ``terms`` (c_k, (k + 1) c_(k+1), |c_k|) for
+    k = d - 1 down to 0, where P rises through the root iff ``rising``.
+    Returns the root, P there and sum |c_k| n^k there."""
+    floor = ROUNDING_FLOOR * sys.float_info.epsilon
+    stop = False
+    for k in range(BRACKET_STEPS + 1):
+        f, fp, mag = lead, 0.0, abs(lead)
+        for ck, dk, mk in terms:
+            f, fp, mag = ck + f * n, dk + fp * n, mk + mag * n
+        if stop or k == BRACKET_STEPS or abs(f) <= floor * mag:
+            return n, f, mag
+        if f < 0.0 if rising else f > 0.0:
+            lo = n
+        else:
+            hi = n
+        step = n - f / fp if fp else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        stop = abs(step - n) <= NEWTON_STOP * (n if n > 1.0 else 1.0)
+        n = step
+
+
 def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, float]]:
-    """The roots at one drive ``w`` > 0 (a Python float) by the root rule
-    (``nonnegative_real_roots``), in Python floats: P from
-    ``_node_polynomials``, each root Newton-polished (``_polish``),
-    residual-checked (``_accepted``'s rule) and merged again: Newton may swap
-    a near-double pair, and it pulls both members of the pair at a fold's own
-    input to within the merge radius, so a state on a fold is reported once.
-    Returns each root and P there, ascending."""
-    (c,) = _node_polynomials(poly, [w]).tolist()
-    dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
+    """The roots at one drive ``w`` > 0 (a Python float) by the segment
+    rule of ``_segment_roots``, in Python floats, with P from
+    ``_node_polynomials`` and the input x = w^2 / (2 kappa).
+
+    Segment s, (e_(s-1), e_s], holds a root iff x lies between I at its
+    ends, the lower end excluded; past the last edge P keeps the sign of
+    its leading coefficient above Fujiwara's bound on its roots, which caps
+    that segment.  Each root's ``_newton`` starts at the linear
+    interpolation of I between the segment's ends, or, beside an edge at
+    zero input (an undriven singular state, where I(e) = 0 exactly), at the
+    pair member of P's local quadratic there when that lies inside the
+    segment: a pair closer than P's rounding floor resolves keeps the
+    quadratic's places.  An edge whose pair ``_taken_once`` reports once
+    gives the edge state itself, two roots within MERGE_RADIUS are one, and
+    each root must pass the residual rule (``_accepted``'s), as in
+    ``_segment_roots``.  Coefficients of P with one sign change leave it one
+    positive root (Descartes' rule of signs): the whole axis is then one
+    segment, with no folds.  ValueError naming the drive where P overflows
+    at a root.  Returns each root and P there, ascending."""
+    c = _trim(_node_polynomials(poly, [w])[0].tolist())
+    d = len(c) - 1
+    if d == 0:
+        return []
+    kappa2 = 2.0 * poly.p.kappa
+    x = w ** 2 / kappa2
     mag_c = [abs(ck) for ck in c]
-    kept = []
-    for n0 in nonnegative_real_roots(c):
-        n = _polish(c, dc, n0)
-        if n != n:  # a NaN step: P overflowed near its root
-            raise _too_large(w, f"P at its root n_c = {n0:.9g}")
-        p_n, mag = _horner_pair(c, mag_c, n)
+    terms = [(c[k], (k + 1) * c[k + 1], mag_c[k]) for k in range(d - 1, -1, -1)]
+    signs = [ck > 0.0 for ck in c if ck != 0.0]
+    edges = poly.edges if sum(u != v for u, v in zip(signs, signs[1:])) > 1 else []
+    last = len(edges)
+    # each edge with P and its magnitude there: the edge state, if taken
+    edge_states = [(e, _value(c, e), _value(mag_c, e)) for e, _, _, _ in edges]
+    once = [_taken_once(x, at, a, b, max(1.0, e), p_e, mag_e)
+            for (e, at, a, b), (_, p_e, mag_e) in zip(edges, edge_states)]
+    found = [state for state, o in zip(edge_states, once) if o]
+    lo, i_lo = 0.0, 0.0
+    for s in range(last + 1):
+        if s < last:
+            hi, i_hi = edges[s][0], edges[s][1]
+            rising = i_lo < x <= i_hi
+            held = (rising or i_hi <= x < i_lo) and not once[s] and not (s and once[s - 1])
+        else:
+            rising = c[d] > 0.0
+            held = (i_lo < x if rising else i_lo > x) and not (s and once[s - 1])
+            if held:
+                hi = max(lo, 2.0 * max((mag_c[k] / mag_c[d]) ** (1.0 / (d - k))
+                                       for k in range(d)))
+                i_hi = _value(poly.free.tolist(), hi) / (
+                    kappa2 * _value(poly.drive.tolist(), hi))
+        if held:
+            frac = (x - i_lo) / (i_hi - i_lo) if i_hi != i_lo else math.nan
+            n = lo + (min(max(frac, 0.0), 1.0) if math.isfinite(frac) else 0.5) * (hi - lo)
+            for k, side in ((s - 1, 1.0), (s, -1.0)):
+                if 0 <= k < last and edges[k][1] == 0.0:
+                    e, _, a, b = edges[k]
+                    t2 = a * x / b
+                    if t2 > 0.0 and lo < e + side * t2 ** 0.5 < hi:
+                        n = e + side * t2 ** 0.5
+            found.append(_newton(c[d], terms, n, lo, hi, rising))
+        if s < last:
+            lo, i_lo = hi, i_hi
+    kept, found = [], sorted(found)
+    for k, (n, p_n, mag) in enumerate(found):
+        if k and n - found[k - 1][0] <= MERGE_RADIUS * max(1.0, n):
+            continue  # the merge rule of _segment_roots
+        if not abs(p_n) < math.inf:
+            raise _too_large(w, f"P at its root n_c = {n:.9g}")
         if not abs(p_n) > EPS_RES * max(1.0, mag):  # the residual rule
             kept.append((n, p_n))
-    kept.sort()
-    return [kept[k] for k in _kept([n for n, _ in kept])]
+    return kept
 
 
-def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
+def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarray,
+                   coeffs: np.ndarray):
     """The roots of row i of ``coeffs``, P = free - omega_d^2 drive at the
     driven input x[i] > 0, on the monotone segments of
     I(n) = free / (2 kappa drive) between the curve's edges (the n of
@@ -708,20 +788,21 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
     Segment s is (e_(s-1), e_s], from n = 0, and the last one runs up to
     Fujiwara's bound of each row's own roots.  It holds one root at input x
     iff x lies between I at its ends, the lower end excluded; I at the edges
-    are the folds' own inputs.  Each (node, segment) pair starts at the linear
-    interpolation of I in its cell of a table of SEGMENT_TABLE points, and
-    all pairs run one ``_bracketed_newton``.  A node whose near-double pair
-    at an edge the companion root rule reports once (a real pair within
-    MERGE_RADIUS, or a complex one within IMAG_RTOL, by P's local quadratic
-    there; a node on the fold's input among them) takes the edge state
-    itself, on the segment below the edge.
+    are the folds' own inputs.  That test, and the edge test below, take the
+    drive's own input x_w[i] = omega_d^2 / (2 kappa), as ``_node_roots``
+    does, so a curve and a one-node solve at one drive find the same states;
+    x[i], within rounding of it, places the start.  Each (node, segment)
+    pair starts at the linear interpolation of I in its cell of a table of
+    SEGMENT_TABLE points, and all pairs run one ``_bracketed_newton``.  A
+    node whose near-double pair at an edge ``_taken_once`` reports once
+    takes the edge state itself, on the segment below the edge, and two
+    roots within MERGE_RADIUS are one.  ``_node_roots`` is this rule for one
+    drive, in Python floats.
 
     Returns the node (an index into x), root, segment, P there and P's
     float-evaluation magnitude there, grouped by node and ascending in n."""
     kappa = poly.p.kappa
-    by_n = sorted(poly.folds, key=lambda f: f[1])
-    edges = np.array([n for _, n in by_n])
-    at_edges = np.array([i for i, _ in by_n])
+    edges, at_edges, a, b = np.array(poly.edges).reshape(-1, 4).T
     lo_n = np.append(0.0, edges)
     bounds = _root_bounds(coeffs)
     hi_n = np.append(edges, max(bounds[bounds < math.inf].max(initial=0.0),
@@ -729,8 +810,8 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
     n_tab = lo_n[:, None] + (hi_n - lo_n)[:, None] * _COSINE
     n_tab[:, -1] = hi_n
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = npoly.polyval(n_tab, poly.free) / (
-            2.0 * kappa * npoly.polyval(n_tab, poly.drive))
+        table = _value(poly.free.tolist(), n_tab) / (
+            2.0 * kappa * _value(poly.drive.tolist(), n_tab))
     table[:, 0] = np.append(0.0, at_edges)
     table[:-1, -1] = at_edges
     rising = np.sign(table[:, -1] - table[:, 0])
@@ -738,22 +819,15 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
     # the segment's direction (none on a flat segment)
     cell = np.zeros((len(x), len(lo_n)), dtype=np.intp)
     for k in np.flatnonzero(np.abs(rising) == 1.0).tolist():
-        cell[:, k] = np.searchsorted(rising[k] * table[k], rising[k] * x)
+        cell[:, k] = np.searchsorted(rising[k] * table[k], rising[k] * x_w)
     has = (cell > 0) & (cell < SEGMENT_TABLE)
 
-    # the near-double pairs at the edges: (n - e)^2 from P's local quadratic,
-    # P(e) + P''(e) (n - e)^2 / 2 = 2 kappa drive(e) (I(e) - x) + ..., with
-    # P'' at the edge's own input
-    free2, drive2 = npoly.polyder(poly.free, 2), npoly.polyder(poly.drive, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = (2.0 * kappa * npoly.polyval(edges, poly.drive) * (x[:, None] - at_edges)
-              / (0.5 * (npoly.polyval(edges, free2)
-                        - 2.0 * kappa * at_edges * npoly.polyval(edges, drive2))))
-        scale = np.maximum(1.0, edges)
-        once = (x[:, None] == at_edges) | np.where(
-            t2 >= 0.0, 2.0 * np.sqrt(t2) <= MERGE_RADIUS * scale,
-            np.sqrt(-t2) <= IMAG_RTOL * scale)
-    once &= at_edges < math.inf
+    with np.errstate(invalid="ignore"):
+        # P and its magnitude at every edge, row by row
+        both = np.concatenate((coeffs, np.abs(coeffs)))
+        p_e = _horner(np.repeat(both, len(edges), axis=0),
+                      np.tile(edges, len(both))).reshape(2, len(x), len(edges))
+        once = _taken_once(x_w[:, None], at_edges, a, b, np.maximum(1.0, edges), *p_e)
     has[:, :-1] &= ~once
     has[:, 1:] &= ~once
 
@@ -776,6 +850,12 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
     n, c = np.append(n, edges[j]), np.concatenate((c, coeffs[i]))
     order = np.lexsort((seg, node))
     node, seg, n, c = node[order], seg[order], n[order], c[order]
+    # two roots of a node within MERGE_RADIUS, a pair beside an edge that
+    # P's rounding floor leaves unresolved, are one state: the lower
+    kept = np.ones(len(n), dtype=bool)
+    kept[1:] = (node[1:] != node[:-1]) | ~(
+        n[1:] - n[:-1] <= MERGE_RADIUS * np.maximum(1.0, n[1:]))
+    node, seg, n, c = node[kept], seg[kept], n[kept], c[kept]
     m = len(n)
     both = np.concatenate((c, np.abs(c)))
     p_mag = _horner(both, np.concatenate((n, n)))
@@ -866,7 +946,8 @@ def _node_states(poly: SelfConsistencyPolynomial, w: float) -> list[SteadyState]
         c = driven_field(kappa0, delta0, den, w, p)
         s_minus, s_z = atomic_expectations(c, p)
         states.append((n, c, s_minus, s_z, r))
-        jacobians.append(_jacobian_entries(c, s_minus, s_z, p))
+        for row in _jacobian_entries(c, s_minus, s_z, p):
+            jacobians.extend(row)
     if w == 0.0:
         _warn_undriven(poly)
     labels = _stability_labels(np.array(jacobians, dtype=float).reshape(-1, 5, 5))
@@ -879,13 +960,21 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     amplitude ``omega_d`` (finite and >= 0, and with a finite square, else
     ValueError), which replaces ``poly.p.omega_d``, sorted by photon number.
 
-    This is the one-node solve, which needs no folds;
-    ``solve_curve_columns`` solves a curve on its monotone segments instead.
-    The roots come from the root stage ``_node_roots``, in Python floats:
-    one companion-matrix eigvals (``nonnegative_real_roots``), a Newton
-    polish per root, the residual check against EPS_RES times the
-    polynomial scale, and the merge again (a state on a fold is reported
-    once).  The states stage (``_node_states``) then maps each kept root,
+    This is the one-node solve.  The roots come from the root stage
+    ``_node_roots``, in Python floats: a bracketed Newton on each monotone
+    segment of the curve between ``poly``'s folds that holds one, the edge
+    rule at the folds, the merge, and the residual check against EPS_RES
+    times the polynomial scale; ``solve_curve_columns`` applies the same
+    rule to a whole curve at once.  Against the exact roots of P (rational
+    arithmetic from the same float parameters), the states outside
+    1e-6 max(1, e) of every edge e (the n_c of a fold or singular state)
+    are the exact roots there, one for one, to 1e-9 relative where they lie
+    farther than 1e-4 from every edge; closer in, a near-double pair that P's
+    rounding floor cannot resolve may be reported as one state, two or
+    none (``tests/test_exact_roots.py``).  Roots are sought up to
+    Fujiwara's bound of P's float coefficients: coefficients within their
+    rounding of zero are zero (``_poly_pieces``).  The states stage
+    (``_node_states``) then maps each kept root,
     in Python floats, to a full mean-field state by the model's own
     formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)
     and labels all of them from their stacked Jacobians by
@@ -921,9 +1010,10 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives) -> Stea
                          "a curve takes one input per drive")
     omegas = _drives(poly, drives)
     driven = np.flatnonzero(omegas > 0.0)
+    ws = omegas[driven].tolist()
     node, n, seg, res, mag = _segment_roots(
         poly, np.asarray(inputs, dtype=float)[driven],
-        _node_polynomials(poly, omegas[driven].tolist()))
+        np.array([w ** 2 for w in ws]) / (2.0 * poly.p.kappa), _node_polynomials(poly, ws))
     ok = _accepted(res, mag)
     return _states(poly, omegas, driven[node[ok]], n[ok], res[ok], seg[ok])
 

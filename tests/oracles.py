@@ -6,6 +6,7 @@ the polynomial assembly or the solver being tested.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -203,3 +204,200 @@ def root_scan_bound(poly):
     d = len(c) - 1
     return 2.0 * max((abs(c[d - k]) / abs(c[d])) ** (1.0 / k)
                      for k in range(1, d + 1))
+
+
+# The exact root oracle: the self-consistency polynomial rebuilt in rational
+# arithmetic from the float parameters, P = n Q^2 - omega_d^2 R D^2, with
+# its real roots counted by a Sturm sequence and isolated by bisection.  Every
+# operation after reading the floats is exact, so it settles pairs closer
+# than any float grid.  Polynomials are ascending lists of Fractions.
+
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trimmed([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def _poly_scale(a, s):
+    return _trimmed([s * x for x in a])
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_der(a):
+    return _trimmed([k * x for k, x in enumerate(a)][1:])
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by the nonzero b."""
+    a, q = list(a), [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(_trimmed(a)) >= len(b):
+        a = _trimmed(a)
+        k, f = len(a) - len(b), a[-1] / b[-1]
+        q[k] = f
+        for i, y in enumerate(b):
+            a[i + k] -= f * y
+    return _trimmed(q), _trimmed(a)
+
+
+def _poly_gcd(a, b):
+    """The monic greatest common divisor of a and b, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_scale(a, 1 / a[-1])
+
+
+def _poly_value(a, x):
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def exact_polynomials(p):
+    """P and Q of ``p`` in Fractions: D, A, B, Q = A^2 + B^2 - 4|G|^2 D^2,
+    R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2 and P = n Q^2 - omega_d^2 R D^2,
+    built from the floats p.kappa, p.gamma, ..., math.cos(p.phi) and
+    math.sin(p.phi)."""
+    f = Fraction
+    g2, kappa, gamma = f(p.g) ** 2, f(p.kappa), f(p.gamma)
+    dtls, dc, mag = f(p.delta_tls), f(p.delta_c), f(p.g_nl_mag)
+    re_g, im_g = mag * f(math.cos(p.phi)), mag * f(math.sin(p.phi))
+    D = [gamma ** 2 / 4 + dtls ** 2, 2 * g2]
+    A = _poly_add(_poly_scale(D, kappa / 2), [g2 * gamma / 2])
+    B = _poly_add(_poly_scale(D, dc), [-g2 * dtls])
+    DD = _poly_mul(D, D)
+    Q = _poly_add(_poly_add(_poly_mul(A, A), _poly_mul(B, B)),
+                  _poly_scale(DD, -4 * mag ** 2))
+    Rp = _poly_add(A, _poly_scale(D, 2 * re_g))
+    Rq = _poly_add(_poly_scale(D, 2 * im_g), _poly_scale(B, -1))
+    R = _poly_add(_poly_mul(Rp, Rp), _poly_mul(Rq, Rq))
+    P = _poly_add([Fraction(0)] + _poly_mul(Q, Q),
+                  _poly_scale(_poly_mul(R, DD), -f(p.omega_d) ** 2))
+    return P, Q
+
+
+def _states_polynomial(p):
+    """The square-free part of P without the zeros it shares with Q (where
+    the field is undefined), scaled to coprime integer coefficients: its
+    real roots are simple, and they are the distinct steady-state photon
+    numbers, exactly."""
+    P, Q = exact_polynomials(p)
+    if not P:
+        return []
+    sf = _poly_divmod(P, _poly_gcd(P, _poly_der(P)))[0]
+    if Q:
+        sf = _poly_divmod(sf, _poly_gcd(sf, Q))[0]
+    return _integers(sf)
+
+
+def _integers(a):
+    """``a`` times a positive rational: coprime integers."""
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _sturm(a):
+    """The Sturm sequence of ``a``, each member scaled to integers by a
+    positive factor, which keeps its signs."""
+    chain = [[Fraction(c) for c in a], _poly_der([Fraction(c) for c in a])]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_poly_scale(rem, -1))
+    return [_integers(c) for c in chain]
+
+
+def _sign_at(a, m, k):
+    """The sign of the integer polynomial ``a`` at the dyadic m / 2^k, k >= 0,
+    from 2^(k deg) a(m / 2^k) in integers."""
+    d = len(a) - 1
+    acc = a[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * m + (a[i] << (k * (d - i)))
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain, m, k):
+    signs = [v for v in (_sign_at(c, m, k) for c in chain) if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _bound_exponent(a):
+    """K with every root of ``a`` of modulus below 2^K (Cauchy)."""
+    top = 1 + Fraction(max(abs(c) for c in a[:-1]), abs(a[-1]))
+    return max(0, top.numerator.bit_length() - top.denominator.bit_length() + 1)
+
+
+def _isolated(p, hi):
+    """The square-free states polynomial of ``p`` and, for each of its roots
+    in (0, hi], an interval (lo_m, hi_m, k) holding that root alone, the
+    interval (lo_m / 2^k, hi_m / 2^k]."""
+    a = _states_polynomial(p)
+    if len(a) < 2:
+        return a, []
+    chain = _sturm(a)
+    top = 1 << _bound_exponent(a)
+    if Fraction(hi) < top if hi < math.inf else False:
+        # hi itself as a dyadic (a float is one), at a level k >= 0
+        num, den = Fraction(hi).as_integer_ratio()
+        k = den.bit_length() - 1
+        stack = [(0, num, k)]
+    else:
+        stack = [(0, top, 0)]
+    found = []
+    while stack:
+        lo, up, k = stack.pop()
+        count = _variations(chain, lo, k) - _variations(chain, up, k)
+        if count == 1:
+            found.append((lo, up, k))
+        elif count > 1:
+            stack += [(2 * lo, lo + up, k + 1), (lo + up, 2 * up, k + 1)]
+    return a, sorted(found, key=lambda f: Fraction(f[0], 1 << f[2]))
+
+
+def exact_root_count(p, hi=math.inf):
+    """The number of distinct steady-state photon numbers n of ``p`` (exact
+    real roots of P where Q is nonzero, with P rebuilt in rationals from
+    the float parameters, ``exact_polynomials``) with 0 < n <= hi."""
+    return len(_isolated(p, hi)[1])
+
+
+def exact_roots(p, hi=math.inf, bits=60):
+    """Those photon numbers (see ``exact_root_count``), ascending, as
+    Fractions within 2^-bits (relative) of the exact roots: each isolated by
+    Sturm bisection, then bisected on the sign of the square-free
+    polynomial, in integers at dyadic points."""
+    a, intervals = _isolated(p, hi)
+    roots = []
+    for lo, up, k in intervals:
+        s_up = _sign_at(a, up, k)
+        while s_up and (up - lo) << bits > up:
+            mid, lo, up, k = lo + up, 2 * lo, 2 * up, k + 1
+            s_mid = _sign_at(a, mid, k)
+            if s_mid == s_up:
+                up = mid
+            elif s_mid:
+                lo = mid
+            else:
+                lo = up = mid
+        roots.append(Fraction(up if not s_up else lo + up, 1 << (k + bool(s_up))))
+    return roots

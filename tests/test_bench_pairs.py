@@ -2,7 +2,8 @@
 larger share of failed operations in the change, or a metric outside its
 bound, and passes otherwise.  A metric whose parent runs spread wider than
 its bound is reported unresolved, which fails nothing.  The summary records
-each tree's source line count."""
+each tree's source line count, and each run the rate of a calibration loop
+timed before it, which no gate reads."""
 
 import copy
 import importlib.util
@@ -153,3 +154,35 @@ def test_the_summary_records_each_trees_source_lines(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["src_lines"] == {"parent": 2, "change": 3}
     assert capsys.readouterr().out.count("src/cpasim lines: parent 2, change 3 (+1)") == 1
+
+
+def test_each_run_records_a_calibration_rate_no_gate_reads(tmp_path, monkeypatch):
+    rates = iter([1000.0, 2000.0])
+    monkeypatch.setattr(bench_pairs, "calibration_rate", lambda: next(rates))
+    stub = ("import json\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 1,\n"
+            "                  'metrics': {'work_per_s': {'value': 1.0}}}))\n")
+    spec = {"workloads": [{"name": "steady_batch"}], "end_to_end": [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
+    trees = {side: str(tmp_path / side) for side in ("parent", "change")}
+    for tree in trees.values():
+        write(os.path.join(tree, "bench", "run.py"), stub)
+        write(os.path.join(tree, "BENCHMARK.json"), json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                             "--workload", "steady_batch", "--pairs", "1",
+                             "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        runs = json.load(fh)["workloads"]["steady_batch"]["runs"]
+    # pair 0 runs the parent first
+    assert [runs[side][0]["calibration_per_s"] for side in ("parent", "change")] == [
+        1000.0, 2000.0]
+    # the machine's speed moves no metric: a slower calibration beside the
+    # same work is no worse
+    s = summary([dict(run(40.0, 25.0), calibration_per_s=1.0)] * 4,
+                [dict(run(40.0, 25.0), calibration_per_s=9.0)] * 4)
+    assert bench_pairs.failures(s) == []
+
+
+def test_the_calibration_loop_is_stdlib_timing():
+    assert bench_pairs.calibration_rate(1000) > 0.0

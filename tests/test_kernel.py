@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from oracles import count_sign_changes, root_scan_bound
+from oracles import count_sign_changes, exact_roots, root_scan_bound
 from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
 from test_sweep import reproduce_span
@@ -39,7 +39,6 @@ from cpasim.model import (
 )
 from cpasim.steady import (
     EPS_RES,
-    EPS_ROOT,
     EPS_STAB,
     HURWITZ_MIN_ROWS,
     HURWITZ_RTOL,
@@ -92,8 +91,9 @@ def assert_stacked_equals_one_node_calls(poly, drives):
 
 # The scalar path the kernel replaced, as the reference: numpy.polynomial's
 # series arithmetic and roots, and one Newton polish per root.  The kernel
-# keeps its arithmetic, so the two must agree exactly, once the reference
-# also merges the polished roots (the one change: a fold state once).
+# keeps its arithmetic, so the pieces must agree exactly; its roots come
+# from the segment rule, which must agree with the reference's to 1e-9, or,
+# where they differ, with the exact oracle.
 
 def reference_pieces(p):
     """free, drive and q (None for |G| = 0), trimmed."""
@@ -139,7 +139,7 @@ def reference_roots(p):
     c = reference_polynomial(p)
     found = sorted(max(float(z.real), 0.0) for z in P.polyroots(c)
                    if abs(z.imag) <= IMAG_RTOL * max(1.0, abs(z.real))
-                   and z.real >= -EPS_ROOT)
+                   and z.real >= -1e-12)
     merged = []
     for n in found:
         if not (merged and n - merged[-1] <= MERGE_RADIUS * max(1.0, n)):
@@ -193,8 +193,25 @@ def reference_points():
         base, omega_d=12.213355328251328))
 
 
+def assert_a_fold_pair_settles_it(q, found):
+    """Where the roots ``found`` differ from the reference's: the node lies
+    on or beside a fold's input, and the roots off that fold's near-double
+    pair equal the exact oracle's, the pair's at most two states within
+    1e-6 of the fold.  The reference places a near-double pair only to
+    sqrt(eps cond) (the companion matrix), and neither rule resolves the
+    pair below P's rounding floor, where the exact pair can be real or
+    complex."""
+    x = q.omega_d ** 2 / (2.0 * q.kappa)
+    (e,) = [n for y, n in build_polynomial(q).folds if abs(x - y) <= 1e-13 * y]
+    exact = [float(r) for r in exact_roots(q)]
+    pair = [n for n in found if abs(n - e) <= 1e-6 * e]
+    assert len(pair) <= 2
+    assert [n for n in found if n not in pair] == pytest.approx(
+        [n for n in exact if abs(n - e) > 1e-4 * e], rel=1e-9)
+
+
 def test_kernel_keeps_the_scalar_arithmetic():
-    compared = 0
+    compared = settled = 0
     for q in reference_points():
         poly = build_polynomial(q)
         assert np.array_equal(poly.coeffs, reference_polynomial(q))
@@ -206,9 +223,14 @@ def test_kernel_keeps_the_scalar_arithmetic():
             states = solve_steady_states(q)
         if any(w.category is RuntimeWarning for w in seen):
             continue  # a root excluded at the parametric singularity
-        assert [(s.n_c, s.residual) for s in states] == reference_roots(q)
-        compared += 1
-    assert compared >= 2100
+        found = [s.n_c for s in states]
+        reference = [n for n, _ in reference_roots(q)]
+        if len(found) == len(reference) and found == pytest.approx(reference, rel=1e-9):
+            compared += 1
+        else:
+            assert_a_fold_pair_settles_it(q, found)
+            settled += 1
+    assert compared >= 2100 and settled <= 10
 
 
 @pytest.mark.parametrize("key", FIG3)
@@ -264,10 +286,9 @@ def test_batch_equals_one_node_calls(p, from_zero, count):
 @pytest.mark.parametrize("key, fold_input", [(("fig3b", 1.5), 216.44245026471066),
                                              (("fig3c", 4.5), 29.8036457363407)])
 def test_state_on_a_fold_is_reported_once(key, fold_input):
-    # Newton pulls both members of the near-double pair at a fold's own
-    # input to within the merge radius; they used to be reported twice.  A
-    # curve takes the edge state itself there: the fold's own photon number,
-    # which the companion root matches to the double root's sqrt(eps)
+    # the near-double pair at a fold's own input is one state, the edge
+    # state itself: the fold's own photon number, in a curve and in a
+    # one-node solve alike (they used to report it twice)
     p = fig3_preset(*key)
     x, n_fold = max(scan_folds(p, 2.0 * fold_input))
     assert x == pytest.approx(fold_input, rel=1e-12)
@@ -295,16 +316,11 @@ def test_state_on_a_fold_is_reported_once(key, fold_input):
 # g = 0 at the bare threshold: I(n) = 0 everywhere, no root at any drive
 @example(SystemParams(kappa_l=1.0, kappa_r=1.0, g_nl_mag=0.5))
 def test_a_curve_has_the_one_node_solves_state_counts(p):
-    # the curve's bracketed roots against one-node solve_steady_states (the
-    # companion matrix) at every node: a grid from zero input, nodes on and
-    # 1e-9 and 1e-14 beside every positive fold, and the CPA node.  They may
-    # differ by one state only in the near-double pair at a fold, within
-    # 2e-14 of its input: on it, where the curve takes the edge state once
-    # by definition and the companion resolves the pair by the rounding of
-    # omega_d^2, or just beside it, where the pair lies at the companion's
-    # own MERGE_RADIUS or IMAG_RTOL threshold and its eigenvalues' rounding
-    # decides.  The companion places a near-double root only to
-    # sqrt(eps cond), up to 1.2e-6 relative on the examples seen
+    # the curve's bracketed roots against one-node solve_steady_states, one
+    # root rule in two implementations, at every node: a grid from zero
+    # input, nodes on and 1e-9 and 1e-14 beside every positive fold, and the
+    # CPA node.  The counts are equal everywhere, and so are the roots, to
+    # P's rounding floor at a near-double pair
     folds = positive_folds(p)
     nodes = [x * f for x, _ in folds
              for f in (1.0 - 1e-9, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 1.0 + 1e-9)]
@@ -320,13 +336,8 @@ def test_a_curve_has_the_one_node_solves_state_counts(p):
         for x in grid.tolist():
             ns = curve.n_c[curve.input_intensity == x].tolist()
             ref = [s.n_c for s in solve_steady_states(at_input(p, x))]
-            if len(ns) == len(ref):
-                continue
-            assert abs(len(ns) - len(ref)) == 1
-            (e,) = [n for y, n in folds if abs(x - y) <= 2e-14 * y]
-            pair = 1e-4 * e
-            assert [n for n in ns if abs(n - e) > pair] == pytest.approx(
-                [n for n in ref if abs(n - e) > pair], rel=1e-12)
+            assert len(ns) == len(ref)
+            assert ns == pytest.approx(ref, rel=1e-6)
 
 
 def test_a_newton_step_that_leaves_its_bracket_bisects():
@@ -363,7 +374,7 @@ def counting_curve_solve(monkeypatch):
     the shape of every eigvals stack inside each, the eigvals stacks in all
     and the SteadyStates built; any other solve fails.  The curve is read
     from the kernel's columns: only the one-node stage builds SteadyStates."""
-    eigvals, kernel, node = np.linalg.eigvals, sweep.solve_curve_columns, sweep._node_states
+    eigvals, kernel, node = steady._eigenvalues, sweep.solve_curve_columns, sweep._node_states
     shapes, calls, built = [], [], []
 
     def counting_eigvals(a):
@@ -389,7 +400,7 @@ def counting_curve_solve(monkeypatch):
     def elsewhere(*args, **kwargs):
         raise AssertionError("trace_hysteresis solved outside its kernel call")
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(steady, "_eigenvalues", counting_eigvals)
     monkeypatch.setattr(sweep, "solve_curve_columns", counting_kernel)
     monkeypatch.setattr(sweep, "_node_states", counting_node)
     monkeypatch.setattr(steady, "SteadyState", counting_state)
@@ -401,23 +412,24 @@ def counting_curve_solve(monkeypatch):
     return shapes, calls, built
 
 
-@pytest.mark.parametrize("start, companions", [(0.0, 1), (1.0, 1)])
-def test_a_curve_is_one_kernel_call(monkeypatch, start, companions):
+@pytest.mark.parametrize("start, geometry", [(0.0, 1), (1.0, 1)])
+def test_a_curve_is_one_kernel_call(monkeypatch, start, geometry):
     # no per-node loop and no second solve: the grid is one kernel call,
     # whose roots are bracketed on the curve's segments with no eigen-solve.
     # The undriven node at I = 0 reuses the zeros of Q the geometry found,
     # and the stability labels take none: no Jacobian of this curve is
     # undecided by the Lienard-Chipart test.  The CPA drive's one-node stage
-    # takes one companion matrix and one stack of its three Jacobians, and
-    # builds the only SteadyStates
+    # brackets its roots on the same segments and takes one stack of its
+    # three Jacobians, and builds the only SteadyStates
     p = fig3_preset("fig3c", 4.5)
     grid = np.linspace(start, reproduce_span(p), 301)
     shapes, calls, built = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, grid)
-    assert calls == [("curve", 301, []), ("node", 3, [(5, 5)] * companions + [(3, 5, 5)])]
+    assert calls == [("curve", 301, []), ("node", 3, [(3, 5, 5)])]
     assert len(built) == 3
-    # plus the curve geometry's two: the roots of Q and of V
-    assert len(shapes) == companions + 1 + 2
+    # plus the curve geometry's: the roots of V (Q's coefficients keep one
+    # sign, so it has no positive root and takes no eigvals)
+    assert shapes[:geometry] == [(6, 6)] and len(shapes) == geometry + 1
     assert [m.branch for m in curve.cpa_markers] == [
         BranchLocation.INSIDE_BISTABLE_STABLE]
 
@@ -428,15 +440,16 @@ def test_a_curve_solve_makes_no_eigen_solve(monkeypatch):
     shapes, calls, built = counting_curve_solve(monkeypatch)
     curve = trace_hysteresis(p, np.linspace(0.0, 20.0, 301))
     assert calls == [("curve", 301, [])] and built == []
-    assert len(shapes) == 2 and curve.cpa_markers == []
+    assert shapes == [(6, 6)] and curve.cpa_markers == []
     assert set(curve.branch_id.tolist()) == {0, 1, 2}
 
 
 def counting_builds(monkeypatch):
     """Count ``build_polynomial`` calls, through every module that imports
-    it, and the computations of a polynomial's folds."""
+    it, and the computations of a polynomial's folds (its ``edges``, which
+    ``folds`` reads)."""
     calls = {"builds": 0, "folds": 0}
-    build, folds = steady.build_polynomial, steady.SelfConsistencyPolynomial.folds.func
+    build, folds = steady.build_polynomial, steady.SelfConsistencyPolynomial.edges.func
 
     def counting_build(p):
         calls["builds"] += 1
@@ -449,8 +462,8 @@ def counting_builds(monkeypatch):
     for module in (steady, sweep, cpa, cli):
         monkeypatch.setattr(module, "build_polynomial", counting_build)
     prop = cached_property(counting_folds)
-    prop.__set_name__(steady.SelfConsistencyPolynomial, "folds")
-    monkeypatch.setattr(steady.SelfConsistencyPolynomial, "folds", prop)
+    prop.__set_name__(steady.SelfConsistencyPolynomial, "edges")
+    monkeypatch.setattr(steady.SelfConsistencyPolynomial, "edges", prop)
     return calls
 
 
@@ -475,15 +488,31 @@ def test_verify_cpa_builds_one_polynomial_and_its_folds_once(monkeypatch):
             assert calls == {"builds": k, "folds": k}
 
 
-def test_a_one_node_solve_computes_no_folds(monkeypatch):
+def sign_changes(c):
+    signs = [x > 0.0 for x in c if x != 0.0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def test_a_one_node_solve_computes_its_folds_once_per_build(monkeypatch):
+    # a one-node solve brackets its roots between the folds, which its
+    # polynomial computes once, for every drive; where P's coefficients
+    # change sign once (a single positive root, by Descartes' rule of
+    # signs) the whole axis is its one segment and no folds are needed
     points = [at_input(p, x) for p in map(fig3_preset, *zip(*FIG3))
               for x in (0.0, 1.0, 0.5 * reproduce_span(p))]
+    with_folds = sum(q.omega_d > 0.0 and sign_changes(build_polynomial(q).coeffs) > 1
+                     for q in points)
+    assert 0 < with_folds < len(points)
     calls = counting_builds(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for q in points:
             solve_steady_states(q)
-    assert calls == {"builds": len(points), "folds": 0}
+        assert calls == {"builds": len(points), "folds": with_folds}
+        poly = steady.build_polynomial(at_input(fig3_preset("fig3c", 4.5), 20.0))
+        for x in (20.0, 25.0, 1.0):
+            solve_node(poly, drive_for_input_intensity(x, poly.p))
+    assert calls == {"builds": len(points) + 1, "folds": with_folds + 1}
 
 
 def here(w):
@@ -654,20 +683,24 @@ def test_a_root_at_the_singularity_is_excluded_at_the_callers_line():
                                                        s.sigma_z_bar)
 
 
-# The one-node root stage: one companion eigvals per drive and a Newton
-# polish per root in Python floats
+# The one-node root stage: a bracketed Newton per monotone segment of the
+# curve, in Python floats
 
 @pytest.mark.parametrize("p, shapes", [
-    # three roots of the quintic inside fig3c/4.5's window
-    (at_input(fig3_preset("fig3c", 4.5), 20.0), [(5, 5), (3, 5, 5)]),
-    # |G| = 0: the cubic, one root
+    # three roots of the quintic inside fig3c/4.5's window; Q's coefficients
+    # keep one sign
+    (at_input(fig3_preset("fig3c", 4.5), 20.0), [(6, 6), (3, 5, 5)]),
+    # |G| = 0: the cubic, one root, and V's coefficients keep one sign
     (SystemParams(kappa_l=2.0, kappa_r=3.0, g=1.5, delta_c=1.0, delta_tls=-1.0,
-                  omega_d=2.0), [(3, 3), (1, 5, 5)]),
+                  omega_d=2.0), [(1, 5, 5)]),
+    # a window anchored at zero input: Q has a positive root
+    (at_input(fig3_preset("fig3a", 4.5), 0.1), [(2, 2), (6, 6), (3, 5, 5)]),
 ])
 def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, shapes):
-    # one eigvals of the companion matrix, one of the Jacobian stack, which
-    # is below HURWITZ_MIN_ROWS
-    seen, eigvals = [], np.linalg.eigvals
+    # no eigvals of P: the folds' companion matrices of Q and V, each
+    # skipped where Descartes' rule of signs leaves no positive root, and
+    # one eigvals of the Jacobian stack, which is below HURWITZ_MIN_ROWS
+    seen, eigvals = [], steady._eigenvalues
 
     def counting_eigvals(a):
         seen.append(np.shape(a))
@@ -676,10 +709,10 @@ def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, sha
     def no_test(j):
         raise AssertionError("a one-node solve ran the Lienard-Chipart test")
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(steady, "_eigenvalues", counting_eigvals)
     monkeypatch.setattr(steady, "_hurwitz_conditions", no_test)
     states = solve_steady_states(p)
-    assert seen == shapes and len(states) == shapes[1][0]
+    assert seen == shapes and len(states) == shapes[-1][0]
 
 
 def recorded(stage, *args):
@@ -781,14 +814,16 @@ def test_a_one_node_root_at_the_singularity_is_excluded():
     assert states == node and len(states) == 1 and states[0].n_c < 1e-20
 
 
-def test_the_root_rule():
-    roots = steady.nonnegative_real_roots
+def test_the_root_rule(monkeypatch):
+    def roots(c):
+        return steady.positive_roots(list(c))
+
     # a near-double pair within MERGE_RADIUS is one root, its lower member
     pair = roots(P.polyfromroots([1.0, 1.0 + 1e-10, 3.0]))
     assert len(pair) == 2 and pair == pytest.approx([1.0, 3.0], rel=1e-9)
-    # down to -EPS_ROOT a root is clamped to 0; below it is dropped
-    assert roots(P.polyfromroots([-1e-13, 2.0])) == pytest.approx([0.0, 2.0])
-    assert roots(P.polyfromroots([-1e-6, 2.0])) == pytest.approx([2.0])
+    # only positive roots count
+    assert roots(P.polyfromroots([-1e-13, 2.0])) == pytest.approx([2.0])
+    assert roots(P.polyfromroots([0.0, -1.0, 2.0])) == pytest.approx([2.0])
     # an imaginary part within IMAG_RTOL is rounding: the pair is one root
     assert roots(P.polyadd(P.polyfromroots([2.0, 2.0]), [1e-20])) == pytest.approx(
         [2.0])
@@ -797,20 +832,13 @@ def test_the_root_rule():
     assert roots([-2.0, 1.0, 0.0, 0.0]) == [2.0]
     assert roots([5.0]) == roots([0.0, 0.0]) == roots([2.0, 1.0]) == []
 
+    # coefficients that keep one sign have no positive root: no eigen-solve
+    def no_eigvals(a):
+        raise AssertionError("an eigen-solve for coefficients of one sign")
 
-def test_polish_keeps_its_fallbacks():
-    def polish(c, n0):
-        dc = [ck * k for k, ck in enumerate(c)][1:] + [0.0]
-        return steady._polish(c, dc, n0)
-
-    # (n - 2)(n - 3) converges
-    assert polish([6.0, -5.0, 1.0], 2.0005) == pytest.approx(2.0, abs=1e-15)
-    assert polish([-1.0, 0.0, 1.0], 0.0) == 0.0  # a zero derivative stops
-    assert polish([-1.0, 0.0, 1.0], 0.5) == 0.5  # a step past NEWTON_JUMP
-    assert polish([-0.05, 1.0], 0.0) == 0.0  # drifted past NEWTON_DRIFT
-    assert polish([1e-13, 1.0], 0.0) == 0.0  # went negative
-    # P and P' overflow: a NaN step, whose NaN root is kept
-    assert math.isnan(polish([0.0, 0.0, 0.0, 0.0, 1.0, 1.0], 1e80))
+    monkeypatch.setattr(steady, "_eigenvalues", no_eigvals)
+    assert roots(P.polyfromroots([-1.0, -2.0, -3.0])) == []
+    assert roots([0.0, -1.0, 0.0, -2.0]) == []
 
 
 FLAT_FOLD = SystemParams(kappa_l=1.805564499711501, kappa_r=2.789917444759545,
@@ -820,16 +848,15 @@ FLAT_FOLD_INPUT, FLAT_FOLD_N = 0.13581843111452677, 1.0539852863445822
 
 
 def test_a_flat_folds_pair_keeps_its_polished_roots():
-    # at the fold's own input, Newton's first step from one member of the
-    # near-double pair jumps, so that member keeps its companion value;
-    # the residual check passes both (P ~ (n - e)^2 is flat there)
+    # at the fold's own input the near-double pair, flat there (P ~ (n - e)^2),
+    # is the edge state itself, exactly the fold's photon number.  The
+    # companion matrix gave two states, n_c = 1.0539852913550016 and
+    # 1.0539864454594072, where the exact pair is complex by a hair
     assert max(scan_folds(FLAT_FOLD, 0.2)) == (FLAT_FOLD_INPUT, FLAT_FOLD_N)
     states = solve_steady_states(at_input(FLAT_FOLD, FLAT_FOLD_INPUT))
-    assert [s.n_c for s in states][1:] == [1.0539852913550016, 1.0539864454594072]
+    assert [s.n_c for s in states][1:] == [FLAT_FOLD_N]
 
 
-@pytest.mark.xfail(strict=True, reason="a one-node solve reports a flat fold's "
-                   "near-double pair twice at the fold's own input")
 def test_a_flat_folds_state_is_reported_once():
     states = solve_steady_states(at_input(FLAT_FOLD, FLAT_FOLD_INPUT))
     near = [s.n_c for s in states if abs(s.n_c - FLAT_FOLD_N) <= 1e-4 * FLAT_FOLD_N]

@@ -21,9 +21,12 @@ unless every run of the change beats every run of the parent: its runs
 then spread too widely to call it unchanged.  The machine, Python, numpy
 and scipy versions and the repeat count are recorded once, and so are the
 line counts of each tree's ``src/cpasim/*.py``, which are also printed.
-Only the standard library is used; both trees should be in the same
-bytecode state (both with or both without ``__pycache__``), since the
-set-up probe times imports.
+Before each run a fixed stdlib-only loop is timed in this process, and its
+rate is stored beside that run's metrics (``calibration_per_s``): it tells
+how fast the machine was at that moment, so that files from different
+sittings can be compared.  No gate reads it.  Only the standard library is
+used; both trees should be in the same bytecode state (both with or both
+without ``__pycache__``), since the set-up probe times imports.
 
 A gain must be measured with the same benchmark code on both sides, so
 the two trees' ``BENCHMARK.json`` and the files under ``bench/`` (apart from
@@ -46,11 +49,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib import metadata
 
 
 # what a benchmark run leaves under bench/, not benchmark code
 NOT_BENCHMARK_CODE = {"results", ".work", "__pycache__"}
+# the calibration loop's length: about 13 ms on a 2-CPU machine
+CALIBRATION_STEPS = 200_000
 
 
 def benchmark_files(tree: str) -> set[str]:
@@ -88,7 +94,18 @@ def src_lines(tree: str) -> int:
     return total
 
 
+def calibration_rate(steps: int = CALIBRATION_STEPS) -> float:
+    """Steps per second of a fixed loop of float multiply-adds in this
+    interpreter."""
+    start = time.perf_counter()
+    x = 0.0
+    for k in range(steps):
+        x = 0.5 * x + k
+    return steps / (time.perf_counter() - start)
+
+
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    calibration = calibration_rate()
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -98,6 +115,7 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["seed"] = seed
+    result["calibration_per_s"] = calibration
     return result
 
 
