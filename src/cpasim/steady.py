@@ -718,7 +718,7 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     zero input (an undriven singular state, where I(e) = 0 exactly), at the
     pair member of P's local quadratic there when that lies inside the
     segment: a pair closer than P's rounding floor resolves keeps the
-    quadratic's places.  An edge whose pair ``_taken_once`` reports once
+    quadratic's places (a curve moves only starts within that floor).  An edge whose pair ``_taken_once`` reports once
     gives the edge state itself, two roots within MERGE_RADIUS are one, and
     each root must pass the residual rule (``_accepted``'s), as in
     ``_segment_roots``.  Coefficients of P with one sign change leave it one
@@ -842,6 +842,17 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarr
         frac = (x[node] - table[seg, k - 1]) / (table[seg, k] - table[seg, k - 1])
     n = lo + np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5) * (hi - lo)
     c = coeffs[node]
+    if len(edges):
+        # beside an edge at zero input, a start where P is within its
+        # rounding floor, which no step would move, moves to the pair member
+        # of P's local quadratic inside the cell (_node_roots moves every
+        # start; here that would move the fig3 curves' last bits)
+        p_n, mag_n = _horner(np.concatenate((c, np.abs(c))), np.tile(n, 2)).reshape(2, -1)
+        flat = np.abs(p_n) <= ROUNDING_FLOOR * np.finfo(float).eps * mag_n
+        for k, side in ((np.maximum(seg - 1, 0), 1.0), (np.minimum(seg, len(edges) - 1), -1.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                member = edges[k] + side * np.sqrt(a[k] * x_w[node] / b[k])
+            n = np.where(flat & (at_edges[k] == 0.0) & (lo < member) & (member < hi), member, n)
     n = _bracketed_newton(c, n, lo, hi, -rising[seg])
 
     # the edge states, then P and its magnitude at every root

@@ -18,6 +18,7 @@ from test_kernel import FLAT_FOLD, FLAT_FOLD_INPUT, FLAT_FOLD_N
 from cpasim.cli import fig3_preset
 from cpasim.model import SystemParams
 from cpasim.steady import build_polynomial, solve_steady_states
+from cpasim.sweep import trace_hysteresis
 
 
 def solved(q):
@@ -63,11 +64,17 @@ def test_the_oracle_settles_the_pair_at_a_singular_state(x):
     # hugs the undriven singular state at n = 7.204021, closer than P's
     # rounding floor resolves.  The exact count is 3, and P's local
     # quadratic there places the pair to 1e-12 (the companion matrix was
-    # 3e-9 off at 2.5e-13 to 1e-12)
-    q = at_input(fig3_preset("fig3a", 1.5), x)
+    # 3e-9 off at 2.5e-13 to 1e-12).  A curve keeps the pair too, placed by
+    # the quadratic where its start is within that floor, else by Newton
+    p = fig3_preset("fig3a", 1.5)
+    q = at_input(p, x)
     exact = [float(r) for r in exact_roots(q)]
     assert len(exact) == 3
     assert solved(q) == pytest.approx(exact, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = trace_hysteresis(p, [0.0, x])
+    assert curve.n_c[curve.input_intensity == x].tolist() == pytest.approx(exact, rel=1e-7)
 
 
 # The contract (steady.solve_node): outside BAND of every edge of the curve
