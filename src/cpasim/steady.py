@@ -846,7 +846,9 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarr
         # beside an edge at zero input, a start where P is within its
         # rounding floor, which no step would move, moves to the pair member
         # of P's local quadratic inside the cell (_node_roots moves every
-        # start; here that would move the fig3 curves' last bits)
+        # start; here that would move the fig3 curves' last bits).  The
+        # clipped index of a first or last segment names an edge on the far
+        # side, whose member falls outside the cell
         p_n, mag_n = _horner(np.concatenate((c, np.abs(c))), np.tile(n, 2)).reshape(2, -1)
         flat = np.abs(p_n) <= ROUNDING_FLOOR * np.finfo(float).eps * mag_n
         for k, side in ((np.maximum(seg - 1, 0), 1.0), (np.minimum(seg, len(edges) - 1), -1.0)):
