@@ -20,11 +20,15 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
+
+try:  # the LAPACK gufunc behind np.linalg.eigvals: private numpy API
+    from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
+except ImportError:  # moved or renamed: np.linalg.eigvals serves, slower
+    _lapack_eigvals = None
 
 from .errors import ParametricRegimeWarning
 from .model import (
@@ -389,15 +393,22 @@ def _nonconvergence(err, flag):
 
 
 def _eigenvalues(a: np.ndarray) -> np.ndarray:
-    """The complex eigenvalues of each real square matrix of a stack, those
-    of numpy.linalg.eigvals to the bit: the LAPACK gufunc it calls, under
-    its error state, without its argument checks and real-result
-    conversion.  On the 2x2 to 6x6 matrices of a solve those cost more
-    than LAPACK itself: 19 against 7 us on a 6x6 companion matrix, 26
-    against 17 on three 5x5 Jacobians (one process, best of 7)."""
+    """The eigenvalues of each real square matrix of a stack (float64),
+    those of numpy.linalg.eigvals to the bit, as complex numbers: the LAPACK
+    gufunc it calls, under its error state, with its finiteness check (a
+    LinAlgError for an inf or NaN entry, as there) but without its other
+    argument checks and its real-result conversion.  On the 2x2 to 6x6
+    matrices of a solve those cost more than LAPACK itself: 19 against 7 us
+    on a 6x6 companion matrix, 26 against 17 on three 5x5 Jacobians (one
+    process, best of 7).  The gufunc is private numpy API; where a numpy
+    release has moved it, this is numpy.linalg.eigvals itself."""
+    if _lapack_eigvals is None:
+        return np.linalg.eigvals(a)
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
     with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        return _umath_linalg.eigvals(a, signature="d->D")
+        return _lapack_eigvals(a, signature="d->D")
 
 
 def classify_stability(j: np.ndarray) -> StabilityReport:
@@ -590,11 +601,9 @@ def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> n
     that bound overflows, a ValueError names the largest drive."""
     w2 = [_squared(w) for w in omegas]
     top = max(w2, default=0.0)
-    free, drive = poly.free.tolist(), poly.drive.tolist()
-    if not (top * max(map(abs, drive)) + max(map(abs, free))) < math.inf:
+    if not (top * max(map(abs, poly.drive.tolist()))
+            + max(map(abs, poly.free.tolist()))) < math.inf:
         raise _too_large(omegas[w2.index(top)], "P = free - omega_d^2 drive")
-    if len(w2) == 1:  # one drive costs less in Python floats, to the same bits
-        return np.array([[f - top * d for f, d in zip_longest(free, drive, fillvalue=0.0)]])
     rows = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
     rows[:, :len(poly.free)] = poly.free
     rows[:, :len(poly.drive)] -= np.multiply.outer(w2, poly.drive)
@@ -718,8 +727,9 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     zero input (an undriven singular state, where I(e) = 0 exactly), at the
     pair member of P's local quadratic there when that lies inside the
     segment: a pair closer than P's rounding floor resolves keeps the
-    quadratic's places (a curve moves only starts within that floor).  An edge whose pair ``_taken_once`` reports once
-    gives the edge state itself, two roots within MERGE_RADIUS are one, and
+    quadratic's places (a curve moves only starts within that floor).  An
+    edge whose pair ``_taken_once`` reports once gives the edge state
+    itself, two roots within MERGE_RADIUS are one, and
     each root must pass the residual rule (``_accepted``'s), as in
     ``_segment_roots``.  Coefficients of P with one sign change leave it one
     positive root (Descartes' rule of signs): the whole axis is then one

@@ -715,6 +715,45 @@ def test_a_one_node_solve_is_two_eigvals_and_no_hurwitz_test(monkeypatch, p, sha
     assert seen == shapes and len(states) == shapes[-1][0]
 
 
+def test_eigenvalues_are_numpys_to_the_bit(monkeypatch):
+    # every matrix the solves of the fig3 presets' windows and of random
+    # parameter sets hand to steady._eigenvalues (the companion matrices of
+    # Q and V and the Jacobian stacks) gets numpy.linalg.eigvals' bits, and
+    # a matrix with an inf or NaN entry raises its LinAlgError, also where
+    # the private LAPACK gufunc is missing and numpy.linalg.eigvals serves
+    seen, eigvals = [], steady._eigenvalues
+
+    def recording_eigvals(a):
+        seen.append(a.copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(steady, "_eigenvalues", recording_eigvals)
+    rng = np.random.default_rng(7)
+    points = []
+    for preset in FIG3:
+        p = fig3_preset(*preset)
+        ins = [at for at, _ in build_polynomial(p).folds if at < math.inf]
+        points.append(at_input(p, 0.5 * (min(ins) + max(ins))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p in points + [random_params(rng) for _ in range(40)]:
+            solve_steady_states(p)
+    monkeypatch.undo()
+    assert {a.shape[-1] for a in seen} >= {2, 5, 6}
+    for lapack in (steady._lapack_eigvals, None):
+        monkeypatch.setattr(steady, "_lapack_eigvals", lapack)
+        for a in seen:
+            got, want = steady._eigenvalues(a), np.linalg.eigvals(a)
+            assert got.real.tobytes() == want.real.tobytes()
+            assert np.array_equal(got.imag, np.imag(want))
+        for a in (seen[0], seen[-1]):
+            for bad in (math.inf, -math.inf, math.nan):
+                b = a.copy()
+                b[..., 0, -1] = bad
+                with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                    steady._eigenvalues(b)
+
+
 def recorded(stage, *args):
     """``stage(*args)`` and its warnings' category, message, file and line."""
     with warnings.catch_warnings(record=True) as seen:
