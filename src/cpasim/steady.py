@@ -607,8 +607,8 @@ def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> n
         raise _too_large(omegas[w2.index(top)], "P = free - omega_d^2 drive")
     if len(w2) == 1:
         # one drive, a one-node solve's P, in Python floats: the same bits,
-        # and steady_batch's solves 4 % faster (median and tail; in-process
-        # A/B over seed 1's 2 000 points, 12 interleaved passes)
+        # and the median steady_batch solve 4 % faster, the tail 1-3 %
+        # (in-process A/B over seed 1's 2 000 points, 10-12 passes)
         return np.array([[f - top * d for f, d in zip_longest(free, drive, fillvalue=0.0)]])
     rows = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
     rows[:, :len(poly.free)] = poly.free
