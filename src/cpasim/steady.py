@@ -402,7 +402,8 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
     matrices of a solve those cost more than LAPACK itself: 19 against 7 us
     on a 6x6 companion matrix, 26 against 17 on three 5x5 Jacobians (one
     process, best of 7).  The gufunc is private numpy API; where a numpy
-    release has moved it, this is numpy.linalg.eigvals itself."""
+    release has moved it, this is numpy.linalg.eigvals itself, whose result
+    is real where every eigenvalue is."""
     if _lapack_eigvals is None:
         return np.linalg.eigvals(a)
     if not np.isfinite(a).all():
