@@ -2,15 +2,16 @@
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One ``build_polynomial(p)`` per parameter set holds its drive-free factors
-(assembled in Python float lists, with np.convolve for the products), its
-parameters and, once asked for, its folds.  Every solve brackets its roots
-on the monotone segments of the curve between the folds, one root rule in
-two implementations.  ``solve_node`` solves one drive in Python floats
-(``_node_roots``), maps each root to its state by the model's formulas and
-labels them from one stacked eigen-solve (``solve_steady_states`` is its
-call at ``p.omega_d``).  ``solve_curve_columns`` solves a whole curve at
-once, as arrays (``_segment_roots``), by the same formulas, which give the
-same bits, into columns."""
+(assembled in Python float lists, with np.convolve for the products of
+longer series), its parameters and, once asked for, its folds.  Every
+solve brackets its roots on the monotone segments of the curve between
+the folds, one root rule in two implementations.  ``solve_node`` solves
+one drive in Python floats (``_node_roots``), maps each root to its state
+by the model's formulas and labels them from one stacked eigen-solve
+(``solve_steady_states`` is its call at ``p.omega_d``).
+``solve_curve_columns`` solves a whole curve at once, as arrays
+(``_segment_roots``), by the same formulas, which give the same bits, into
+columns."""
 
 from __future__ import annotations
 
@@ -202,6 +203,19 @@ def _mul(a: list[float], b: list[float]) -> list[float]:
     return np.convolve(a, b).tolist()
 
 
+def _square(c: list[float]) -> list[float]:
+    """``_mul(c, c)`` for a series of one or two terms (D, A, B and the
+    linear factors of R and Q), to the bit, in Python floats: each
+    coefficient is one rounded product, or the middle one a rounded product
+    doubled, which numpy's dot gives whether or not it fuses the
+    multiply-add (the doubling is exact), and its sum starts at 0.0, which
+    makes a zero +0.0."""
+    if len(c) == 1:
+        return [c[0] * c[0]]
+    c0, c1 = c
+    return [c0 * c0, 2.0 * (c0 * c1) + 0.0, c1 * c1]
+
+
 def _poly_pieces(p: SystemParams):
     """Coefficient lists (ascending in n_c) of the building blocks:
 
@@ -223,10 +237,10 @@ def _poly_pieces(p: SystemParams):
     B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    AA, DD = _mul(A, A), _mul(D, D)
+    AA, DD = _square(A), _square(D)
     g4 = 4.0 * p.g_nl_mag ** 2
     GDD = [g4 * x for x in DD]
-    Q = _add(_add(AA, _mul(B, B)), [-x for x in GDD])
+    Q = _add(_add(AA, _square(B)), [-x for x in GDD])
     # a coefficient of Q within the rounding of its terms is zero (A >= 0 and
     # A, D have one length, so its terms are A^2 + GDD plus |B|^2).  Its n^2
     # coefficient is 4 g^4 times the bare threshold margin, and for g = 0 all
@@ -236,7 +250,7 @@ def _poly_pieces(p: SystemParams):
     eps = 4.0 * sys.float_info.epsilon
     terms = [x + y for x, y in zip(AA, GDD)]
     B_abs = [abs(b) for b in B]
-    for k, x in enumerate(_mul(B_abs, B_abs)):
+    for k, x in enumerate(_square(B_abs)):
         terms[k] += x
     Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
     # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
@@ -245,7 +259,7 @@ def _poly_pieces(p: SystemParams):
     terms[0] += p.g ** 2 * abs(p.delta_tls)
     if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
         Rp = _add(A, [2.0 * g_re * d for d in D])
-        return DD, Q, _add(_mul(Rp, Rp), _mul(Rq, Rq)), None
+        return DD, Q, _add(_square(Rp), _square(Rq)), None
     # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
     # threshold, where rounding left in it would put a spurious root near 1e15
     q = [a - 2.0 * g_re * d for a, d in zip(A, D)]
@@ -270,7 +284,7 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     if p.g_nl_mag == 0.0:
         free, drive, q = _mulx(Q), DD, None
     elif q_shared is not None:
-        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, np.array(q_shared)
+        free, drive, q = _mulx(_square(q_shared)), DD, np.array(q_shared)
     else:
         free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), np.array(Q)
     return SelfConsistencyPolynomial(free=np.array(free), drive=np.array(drive),

@@ -233,6 +233,19 @@ def test_kernel_keeps_the_scalar_arithmetic():
     assert compared >= 2100 and settled <= 10
 
 
+def test_a_linear_series_squares_to_np_convolves_bits():
+    # the squares of D, A, B and the linear factors of R and Q are Python
+    # floats (steady._square): signed zeros, overflow and underflow included,
+    # each coefficient has np.convolve's bits
+    rng = np.random.default_rng(11)
+    cases = [[-0.0, 1.0], [0.0, -1.0], [-0.0, -0.0], [3.0, -0.0], [1e-200, 1e-200],
+             [1e308, 1e-308], [-2.5], [-0.0]]
+    cases += [(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-30, 30, 2)).tolist()
+              for _ in range(2000)]
+    for c in cases:
+        assert np.array(steady._square(c)).tobytes() == np.convolve(c, c).tobytes()
+
+
 @pytest.mark.parametrize("key", FIG3)
 def test_batch_equals_one_node_calls_on_the_fig3_grids(key):
     # the batch is the curve's stacked states stage, fed the 301 drives'
