@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
-from .model import SystemParams, balanced_input_fields
+from .model import SystemParams, output_intensities
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -89,14 +89,11 @@ def mean_field_rhs(state: np.ndarray, t: float, p: SystemParams,
 
 
 def _observables(p: SystemParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Photon number and the larger mirror output intensity of each row,
-    c_out = sqrt(kappa_mirror) c - c_in as in ``model.output_fields``."""
+    """Photon number and the larger mirror output intensity of each row
+    (``model.output_intensities``)."""
     n_c = states[:, 0] ** 2 + states[:, 1] ** 2
-    c_in_l, c_in_r = balanced_input_fields(p)
     c = states[:, 0] + 1j * states[:, 1]
-    out = np.maximum(np.abs(math.sqrt(p.kappa_l) * c - c_in_l) ** 2,
-                     np.abs(math.sqrt(p.kappa_r) * c - c_in_r) ** 2)
-    return n_c, out
+    return n_c, np.maximum(*output_intensities(c, p.omega_d, p))
 
 
 def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,

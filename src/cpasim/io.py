@@ -226,8 +226,10 @@ def _write(path, text: str) -> None:
 
 def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     """Write a result to CSV with 17-significant-digit decimal formatting and
-    deterministic row order.  Schema depends on the result type."""
+    deterministic row order.  Schema depends on the result type.
+    ``gamma_scale`` must be positive and finite (ValidationError)."""
     gs = float(gamma_scale)
+    check_positive("gamma_scale", gs)
     lines: list[str] = []
     if isinstance(result, HysteresisCurve):
         # the curve's rows are in the schema's order already: one %-format
@@ -489,8 +491,10 @@ def emit_svg(result, path, gamma_scale: float = 1.0, title: str | None = None) -
 
     Stable branches are solid, unstable dashed, marginal dotted; folds are
     diamonds; absorption points are labeled dots (A-series observable,
-    B-series on unstable branches)."""
+    B-series on unstable branches).  ``gamma_scale`` must be positive and
+    finite (ValidationError)."""
     gs = float(gamma_scale)
+    check_positive("gamma_scale", gs)
     if isinstance(result, HysteresisCurve):
         svg = _svg_curve(result, gs, title)
     elif isinstance(result, BoundaryMap):

@@ -264,6 +264,13 @@ def balanced_input_fields(p: SystemParams) -> tuple[complex, complex]:
     return c_in_l, c_in_r
 
 
+def _check_nonnegative(values, name: str) -> None:
+    """ValueError naming ``name`` unless ``values`` (a number or an array)
+    is >= 0 throughout: a negative or NaN value fails."""
+    if not (values >= 0 if np.ndim(values) == 0 else np.all(np.greater_equal(values, 0))):
+        raise ValueError(f"{name} must be nonnegative and not NaN")
+
+
 def drive_for_input_intensity(input_intensity, p: SystemParams):
     """Total drive amplitude giving per-mirror input intensity I = |c_in|^2.
 
@@ -271,14 +278,15 @@ def drive_for_input_intensity(input_intensity, p: SystemParams):
     balanced split each mirror then carries exactly intensity I.)  An array
     of intensities gives the array of drives; numpy's square root is
     correctly rounded, as math.sqrt is, so each drive has the same bits.
+    ValueError for a negative or NaN intensity.
     """
-    scalar = np.ndim(input_intensity) == 0
-    if (input_intensity < 0) if scalar else np.any(np.less(input_intensity, 0)):
-        raise ValueError("input intensity must be nonnegative")
-    sqrt = math.sqrt if scalar else np.sqrt
+    _check_nonnegative(input_intensity, "input intensity")
+    sqrt = math.sqrt if np.ndim(input_intensity) == 0 else np.sqrt
     return 2.0 * math.sqrt(p.kappa / 2.0) * sqrt(input_intensity)
 
 
-def input_intensity_for_drive(omega_d: float, p: SystemParams) -> float:
-    """Inverse of :func:`drive_for_input_intensity`: I = Omega_d^2 / (2 kappa)."""
+def input_intensity_for_drive(omega_d, p: SystemParams):
+    """Inverse of :func:`drive_for_input_intensity`: I = Omega_d^2 / (2 kappa),
+    for a number or an array; ValueError for a negative or NaN drive."""
+    _check_nonnegative(omega_d, "drive omega_d")
     return omega_d ** 2 / (2.0 * p.kappa)

@@ -2,16 +2,16 @@
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One ``build_polynomial(p)`` per parameter set holds its drive-free factors
-(assembled in Python float lists, with np.convolve for the products of
-longer series), its parameters and, once asked for, its folds.  Every
-solve brackets its roots on the monotone segments of the curve between
-the folds, one root rule in two implementations.  ``solve_node`` solves
-one drive in Python floats (``_node_roots``), maps each root to its state
-by the model's formulas and labels them from one stacked eigen-solve
+(assembled in Python float lists, in IEEE arithmetic of a fixed order, so
+the same on every machine), its parameters and, once asked for, its folds.
+Every solve brackets its roots on the monotone segments of the curve
+between the folds, one root rule in two implementations.  ``solve_node``
+solves one drive in Python floats (``_node_roots``), maps each root to its
+state by the model's formulas and labels them from one stacked eigen-solve
 (``solve_steady_states`` is its call at ``p.omega_d``).
-``solve_curve_columns`` solves a whole curve at once, as arrays
-(``_segment_roots``), by the same formulas, which give the same bits, into
-columns."""
+``solve_curve_columns`` solves the drives of a whole curve at once, as
+arrays (``_segment_roots``), by the same formulas, which give the same
+bits, into columns."""
 
 from __future__ import annotations
 
@@ -156,10 +156,10 @@ class SelfConsistencyPolynomial:
 
 
 # Series arithmetic on ascending coefficient lists of Python floats, kept
-# trimmed of trailing zeros as numpy.polynomial keeps them, so every
-# coefficient is the same float, without its per-call overhead.  Operands
-# are trimmed: a product's leading coefficient is then nonzero, and only a
-# sum can cancel.
+# trimmed of trailing zeros.  Every operation is IEEE arithmetic in a fixed
+# order, with no BLAS kernel, so each coefficient is the same float on every
+# machine.  Operands are trimmed: a product's leading coefficient is then
+# nonzero, and only a sum can cancel.
 
 def _trim(c):
     """``c`` (a list or an array) without trailing zeros, keeping at least
@@ -177,13 +177,13 @@ def _add(a: list[float], b: list[float]) -> list[float]:
 
 
 def _der(c: list[float]) -> list[float]:
-    """The derivative's coefficients; a constant's is [0.0] (signed)."""
-    return [k * c[k] for k in range(1, len(c))] or [c[0] * 0.0]
+    """The derivative's coefficients; a constant's is [0.0]."""
+    return [k * c[k] for k in range(1, len(c))] or [0.0]
 
 
 def _value(c: list[float], x):
     """The series at x (a float, or elementwise for an array) by Horner's
-    rule, in numpy.polynomial's polyval order."""
+    rule."""
     out = c[-1] + x * 0.0
     for ck in c[-2::-1]:
         out = ck + out * x
@@ -191,29 +191,17 @@ def _value(c: list[float], x):
 
 
 def _mulx(c: list[float]) -> list[float]:
-    if len(c) == 1 and c[0] == 0.0:
-        return c
-    return [c[0] * 0.0] + c
+    return [0.0] + c if c[-1] else c
 
 
 def _mul(a: list[float], b: list[float]) -> list[float]:
-    """The product of two series by np.convolve, as numpy.polynomial forms
-    it: its sums go through numpy's dot, whose fused multiply-adds a Python
-    sum of rounded products would not repeat."""
-    return np.convolve(a, b).tolist()
-
-
-def _square(c: list[float]) -> list[float]:
-    """``_mul(c, c)`` for a series of one or two terms (D, A, B and the
-    linear factors of R and Q), to the bit, in Python floats: each
-    coefficient is one rounded product, or the middle one a rounded product
-    doubled, which numpy's dot gives whether or not it fuses the
-    multiply-add (the doubling is exact), and its sum starts at 0.0, which
-    makes a zero +0.0."""
-    if len(c) == 1:
-        return [c[0] * c[0]]
-    c0, c1 = c
-    return [c0 * c0, 2.0 * (c0 * c1) + 0.0, c1 * c1]
+    """The product of two series: coefficient k sums the rounded products
+    a[i] b[k - i] from 0.0 in ascending i."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _poly_pieces(p: SystemParams):
@@ -237,10 +225,10 @@ def _poly_pieces(p: SystemParams):
     B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
     g_re = p.g_nl_mag * math.cos(p.phi)
     g_im = p.g_nl_mag * math.sin(p.phi)
-    AA, DD = _square(A), _square(D)
+    AA, DD = _mul(A, A), _mul(D, D)
     g4 = 4.0 * p.g_nl_mag ** 2
     GDD = [g4 * x for x in DD]
-    Q = _add(_add(AA, _square(B)), [-x for x in GDD])
+    Q = _add(_add(AA, _mul(B, B)), [-x for x in GDD])
     # a coefficient of Q within the rounding of its terms is zero (A >= 0 and
     # A, D have one length, so its terms are A^2 + GDD plus |B|^2).  Its n^2
     # coefficient is 4 g^4 times the bare threshold margin, and for g = 0 all
@@ -250,7 +238,7 @@ def _poly_pieces(p: SystemParams):
     eps = 4.0 * sys.float_info.epsilon
     terms = [x + y for x, y in zip(AA, GDD)]
     B_abs = [abs(b) for b in B]
-    for k, x in enumerate(_square(B_abs)):
+    for k, x in enumerate(_mul(B_abs, B_abs)):
         terms[k] += x
     Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
     # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
@@ -259,7 +247,7 @@ def _poly_pieces(p: SystemParams):
     terms[0] += p.g ** 2 * abs(p.delta_tls)
     if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
         Rp = _add(A, [2.0 * g_re * d for d in D])
-        return DD, Q, _add(_square(Rp), _square(Rq)), None
+        return DD, Q, _add(_mul(Rp, Rp), _mul(Rq, Rq)), None
     # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
     # threshold, where rounding left in it would put a spurious root near 1e15
     q = [a - 2.0 * g_re * d for a, d in zip(A, D)]
@@ -284,7 +272,7 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     if p.g_nl_mag == 0.0:
         free, drive, q = _mulx(Q), DD, None
     elif q_shared is not None:
-        free, drive, q = _mulx(_square(q_shared)), DD, np.array(q_shared)
+        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, np.array(q_shared)
     else:
         free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), np.array(Q)
     return SelfConsistencyPolynomial(free=np.array(free), drive=np.array(drive),
@@ -555,7 +543,7 @@ def _warn(message: str, category: type[Warning]) -> None:
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row i of ascending coefficients ``c`` (zero-padded at the top) at
-    x[i], in numpy.polynomial's polyval order."""
+    x[i], by Horner's rule."""
     out = c[:, -1]
     for k in range(c.shape[1] - 2, -1, -1):
         out = c[:, k] + out * x
@@ -701,8 +689,8 @@ def _taken_once(x, at, a, b, scale, p_e, mag_e):
     MERGE_RADIUS if real, or within IMAG_RTOL if complex, relative to
     ``scale``.  Never at a pole of I, and not by the floor at an edge at
     zero input, where I(e) = 0 exactly and the quadratic places the pair
-    (``_node_roots``).  For Python floats (b nonzero), or elementwise for
-    arrays."""
+    (``_node_roots``, ``_segment_roots``).  For Python floats (b nonzero),
+    or elementwise for arrays."""
     t2 = a * (x - at) / b
     radius = (t2 >= 0.0) * (0.5 * MERGE_RADIUS) + (t2 < 0.0) * IMAG_RTOL
     floor = (abs(p_e) <= ROUNDING_FLOOR * sys.float_info.epsilon * mag_e) & (at > 0.0)
@@ -748,9 +736,8 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     zero input (an undriven singular state, where I(e) = 0 exactly), at the
     pair member of P's local quadratic there when that lies inside the
     segment: a pair closer than P's rounding floor resolves keeps the
-    quadratic's places (a curve moves only starts within that floor).  An
-    edge whose pair ``_taken_once`` reports once gives the edge state
-    itself, two roots within MERGE_RADIUS are one, and
+    quadratic's places.  An edge whose pair ``_taken_once`` reports once
+    gives the edge state itself, two roots within MERGE_RADIUS are one, and
     each root must pass the residual rule (``_accepted``'s), as in
     ``_segment_roots``.  Coefficients of P with one sign change leave it one
     positive root (Descartes' rule of signs): the whole axis is then one
@@ -809,26 +796,24 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     return kept
 
 
-def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarray,
-                   coeffs: np.ndarray):
+def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
     """The roots of row i of ``coeffs``, P = free - omega_d^2 drive at the
-    driven input x[i] > 0, on the monotone segments of
-    I(n) = free / (2 kappa drive) between the curve's edges (the n of
+    drive's input x[i] = omega_d^2 / (2 kappa) > 0, on the monotone segments
+    of I(n) = free / (2 kappa drive) between the curve's edges (the n of
     ``poly.folds``).
 
     Segment s is (e_(s-1), e_s], from n = 0, and the last one runs up to
     Fujiwara's bound of each row's own roots.  It holds one root at input x
     iff x lies between I at its ends, the lower end excluded; I at the edges
-    are the folds' own inputs.  That test, and the edge test below, take the
-    drive's own input x_w[i] = omega_d^2 / (2 kappa), as ``_node_roots``
-    does, so a curve and a one-node solve at one drive find the same states;
-    x[i], within rounding of it, places the start.  Each (node, segment)
-    pair starts at the linear interpolation of I in its cell of a table of
-    SEGMENT_TABLE points, and all pairs run one ``_bracketed_newton``.  A
-    node whose near-double pair at an edge ``_taken_once`` reports once
-    takes the edge state itself, on the segment below the edge, and two
-    roots within MERGE_RADIUS are one.  ``_node_roots`` is this rule for one
-    drive, in Python floats.
+    are the folds' own inputs.  Each (node, segment) pair starts at the
+    linear interpolation of I in its cell of a table of SEGMENT_TABLE
+    points, or, beside an edge at zero input, at the pair member of P's
+    local quadratic there when that lies inside the cell, and all pairs run
+    one ``_bracketed_newton``.  A node whose near-double pair at an edge
+    ``_taken_once`` reports once takes the edge state itself, on the segment
+    below the edge, and two roots within MERGE_RADIUS are one.
+    ``_node_roots`` is this rule for one drive, in Python floats, so a curve
+    and a one-node solve at one drive find the same states.
 
     Returns the node (an index into x), root, segment, P there and P's
     float-evaluation magnitude there, grouped by node and ascending in n."""
@@ -850,7 +835,7 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarr
     # the segment's direction (none on a flat segment)
     cell = np.zeros((len(x), len(lo_n)), dtype=np.intp)
     for k in np.flatnonzero(np.abs(rising) == 1.0).tolist():
-        cell[:, k] = np.searchsorted(rising[k] * table[k], rising[k] * x_w)
+        cell[:, k] = np.searchsorted(rising[k] * table[k], rising[k] * x)
     has = (cell > 0) & (cell < SEGMENT_TABLE)
 
     with np.errstate(invalid="ignore"):
@@ -858,7 +843,7 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarr
         both = np.concatenate((coeffs, np.abs(coeffs)))
         p_e = _horner(np.repeat(both, len(edges), axis=0),
                       np.tile(edges, len(both))).reshape(2, len(x), len(edges))
-        once = _taken_once(x_w[:, None], at_edges, a, b, np.maximum(1.0, edges), *p_e)
+        once = _taken_once(x[:, None], at_edges, a, b, np.maximum(1.0, edges), *p_e)
     has[:, :-1] &= ~once
     has[:, 1:] &= ~once
 
@@ -869,23 +854,21 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, x_w: np.ndarr
     # to the largest, which a row with a far smaller root cannot bisect down
     # from in BRACKET_STEPS
     hi = np.where(seg == len(edges), np.minimum(hi, np.maximum(bounds[node], lo)), hi)
+    x_n = x[node]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (x[node] - table[seg, k - 1]) / (table[seg, k] - table[seg, k - 1])
-    n = lo + np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5) * (hi - lo)
+        frac = (x_n - table[seg, k - 1]) / (table[seg, k] - table[seg, k - 1])
+        n = lo + np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5) * (hi - lo)
+        if poly.singular_states:
+            # beside an edge at zero input, the pair member of P's local
+            # quadratic inside the cell.  The clipped index of a first or
+            # last segment names an edge on the far side, whose member falls
+            # outside the cell
+            for k, side in ((np.maximum(seg - 1, 0), 1.0),
+                            (np.minimum(seg, len(edges) - 1), -1.0)):
+                member = edges[k] + side * np.sqrt(a[k] * x_n / b[k])
+                n = np.where((at_edges[k] == 0.0) & (lo < member) & (member < hi),
+                             member, n)
     c = coeffs[node]
-    if len(edges):
-        # beside an edge at zero input, a start where P is within its
-        # rounding floor, which no step would move, moves to the pair member
-        # of P's local quadratic inside the cell (_node_roots moves every
-        # start; here that would move the fig3 curves' last bits).  The
-        # clipped index of a first or last segment names an edge on the far
-        # side, whose member falls outside the cell
-        p_n, mag_n = _horner(np.concatenate((c, np.abs(c))), np.tile(n, 2)).reshape(2, -1)
-        flat = np.abs(p_n) <= ROUNDING_FLOOR * np.finfo(float).eps * mag_n
-        for k, side in ((np.maximum(seg - 1, 0), 1.0), (np.minimum(seg, len(edges) - 1), -1.0)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                member = edges[k] + side * np.sqrt(a[k] * x_w[node] / b[k])
-            n = np.where(flat & (at_edges[k] == 0.0) & (lo < member) & (member < hi), member, n)
     n = _bracketed_newton(c, n, lo, hi, -rising[seg])
 
     # the edge states, then P and its magnitude at every root
@@ -1036,28 +1019,25 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     return _node_states(poly, w)
 
 
-def solve_curve_columns(poly: SelfConsistencyPolynomial, inputs, drives) -> SteadyColumns:
-    """The steady states of ``poly``'s curve at per-mirror inputs
-    ``inputs``, driven by ``drives`` (one amplitude each, validated as in
-    ``solve_node``), as columns with each state's segment.
+def solve_curve_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:
+    """The steady states of ``poly``'s curve at the drive amplitudes
+    ``drives`` (validated as in ``solve_node``), as columns with each
+    state's segment.
 
     The curve's roots are bracketed on the monotone segments between
-    ``poly.folds`` (``_segment_roots``), with no eigen-solve; a segment holds
-    at most one state at any input, so the branch id is the segment itself.
-    The states stage ``_states`` maps all roots at once, as arrays, by the
-    rules and the bits of ``solve_node``'s ``_node_states``.  The residual
-    rule is the same.  Emits one ParametricRegimeWarning per call, as
-    ``solve_node`` does.  ValueError when ``inputs`` and ``drives`` differ
-    in length."""
-    if np.size(inputs) != np.size(drives):
-        raise ValueError(f"{np.size(inputs)} inputs for {np.size(drives)} drives: "
-                         "a curve takes one input per drive")
+    ``poly.folds`` (``_segment_roots``), at each drive's own input
+    omega_d^2 / (2 kappa), with no eigen-solve; a segment holds at most one
+    state at any input, so the branch id is the segment itself.  The states
+    stage ``_states`` maps all roots at once, as arrays, by the rules and
+    the bits of ``solve_node``'s ``_node_states``.  The residual rule is the
+    same.  Emits one ParametricRegimeWarning per call, as ``solve_node``
+    does."""
     omegas = _drives(poly, drives)
     driven = np.flatnonzero(omegas > 0.0)
     ws = omegas[driven].tolist()
     node, n, seg, res, mag = _segment_roots(
-        poly, np.asarray(inputs, dtype=float)[driven],
-        np.array([w ** 2 for w in ws]) / (2.0 * poly.p.kappa), _node_polynomials(poly, ws))
+        poly, np.array([w ** 2 for w in ws]) / (2.0 * poly.p.kappa),
+        _node_polynomials(poly, ws))
     ok = _accepted(res, mag)
     return _states(poly, omegas, driven[node[ok]], n[ok], res[ok], seg[ok])
 

@@ -175,7 +175,7 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
     if point is None or point.reasons or not (
             xs[0] <= point.input_intensity <= xs[-1]):
         point = None
-    roots = solve_curve_columns(poly, grid, drives)
+    roots = solve_curve_columns(poly, drives)
     node, n, ids = roots.node, roots.n_c, roots.segment
     bad = np.flatnonzero((node[1:] == node[:-1]) & (ids[1:] <= ids[:-1]))
     if bad.size:

@@ -6,6 +6,7 @@ the polynomial assembly or the solver being tested.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -269,26 +270,56 @@ def _poly_value(a, x):
     return out
 
 
-def exact_polynomials(p):
-    """P and Q of ``p`` in Fractions: D, A, B, Q = A^2 + B^2 - 4|G|^2 D^2,
-    R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2 and P = n Q^2 - omega_d^2 R D^2,
-    built from the floats p.kappa, p.gamma, ..., math.cos(p.phi) and
-    math.sin(p.phi)."""
-    f = Fraction
+def exact_pieces(p, absolute=False):
+    """D^2, Q = A^2 + B^2 - 4|G|^2 D^2, R = Rp^2 + Rq^2, A - 2 Re(G) D and
+    Rq of ``p`` in Fractions, where D, A, B, Rp = A + 2 Re(G) D and
+    Rq = 2 Im(G) D - B are built from the floats p.kappa, p.gamma, ...,
+    math.cos(p.phi) and math.sin(p.phi).  With ``absolute`` every term
+    enters with its absolute value: each coefficient is then the magnitude
+    of its sum, which bounds the rounding of a float computation of it."""
+    f, s = Fraction, (abs if absolute else lambda x: x)
     g2, kappa, gamma = f(p.g) ** 2, f(p.kappa), f(p.gamma)
-    dtls, dc, mag = f(p.delta_tls), f(p.delta_c), f(p.g_nl_mag)
-    re_g, im_g = mag * f(math.cos(p.phi)), mag * f(math.sin(p.phi))
+    dtls, dc, mag = s(f(p.delta_tls)), s(f(p.delta_c)), f(p.g_nl_mag)
+    re_g, im_g = s(mag * f(math.cos(p.phi))), s(mag * f(math.sin(p.phi)))
+    minus = 1 if absolute else -1
     D = [gamma ** 2 / 4 + dtls ** 2, 2 * g2]
     A = _poly_add(_poly_scale(D, kappa / 2), [g2 * gamma / 2])
-    B = _poly_add(_poly_scale(D, dc), [-g2 * dtls])
+    B = _poly_add(_poly_scale(D, dc), [minus * g2 * dtls])
     DD = _poly_mul(D, D)
     Q = _poly_add(_poly_add(_poly_mul(A, A), _poly_mul(B, B)),
-                  _poly_scale(DD, -4 * mag ** 2))
+                  _poly_scale(DD, minus * 4 * mag ** 2))
     Rp = _poly_add(A, _poly_scale(D, 2 * re_g))
-    Rq = _poly_add(_poly_scale(D, 2 * im_g), _poly_scale(B, -1))
+    Rq = _poly_add(_poly_scale(D, 2 * im_g), _poly_scale(B, minus))
     R = _poly_add(_poly_mul(Rp, Rp), _poly_mul(Rq, Rq))
+    return DD, Q, R, _poly_add(A, _poly_scale(D, minus * 2 * re_g)), Rq
+
+
+def exact_factors(p):
+    """free, drive and q (None for |G| = 0) of ``p`` in Fractions, in the
+    form ``steady.build_polynomial`` takes: Q divided out for |G| = 0, the
+    shared factor A + 2 Re(G) D divided out where Rq is zero to within 4 eps
+    of its magnitude, else free = n Q^2, drive = R D^2 and q = Q.  Returns
+    them and the magnitudes of their sums (``exact_pieces``)."""
+    value, magnitude = exact_pieces(p), exact_pieces(p, absolute=True)
+    eps = Fraction(sys.float_info.epsilon)
+    shared = all(abs(r) <= 4 * eps * m for r, m in zip(value[4], magnitude[4]))
+
+    def form(DD, Q, R, q_shared, _):
+        if p.g_nl_mag == 0.0:
+            return [Fraction(0)] + Q, DD, None
+        if shared:
+            return [Fraction(0)] + _poly_mul(q_shared, q_shared), DD, q_shared
+        return [Fraction(0)] + _poly_mul(Q, Q), _poly_mul(R, DD), Q
+
+    return form(*value), form(*magnitude)
+
+
+def exact_polynomials(p):
+    """P = n Q^2 - omega_d^2 R D^2 and Q of ``p`` in Fractions
+    (``exact_pieces``)."""
+    DD, Q, R, _, _ = exact_pieces(p)
     P = _poly_add([Fraction(0)] + _poly_mul(Q, Q),
-                  _poly_scale(_poly_mul(R, DD), -f(p.omega_d) ** 2))
+                  _poly_scale(_poly_mul(R, DD), -Fraction(p.omega_d) ** 2))
     return P, Q
 
 

@@ -297,6 +297,21 @@ class TestCSV:
             emit_csv(object(), tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("emit", [emit_csv, emit_svg])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_a_gamma_scale_must_be_positive_and_finite(tmp_path, emit, scale):
+    # 0 used to write inf/NaN rows for a trace (with a raw RuntimeWarning),
+    # -1 negative intensities and NaN NaN rows; no file is written
+    p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, omega_d=2.0)
+    path = tmp_path / "x.out"
+    for result in (integrate(p, 0.0, vacuum_state(), 1.0, 0.5), small_curve()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="gamma_scale must be positive"):
+                emit(result, path, gamma_scale=scale)
+    assert not path.exists()
+
+
 class TestSVG:
     def test_curve_svg_is_wellformed_with_conventions(self, tmp_path,
                                                       fig3_params):

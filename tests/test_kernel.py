@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from oracles import count_sign_changes, exact_roots, root_scan_bound
+from oracles import count_sign_changes, exact_factors, exact_roots, root_scan_bound
 from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
 from test_sweep import reproduce_span
@@ -54,6 +54,8 @@ from cpasim.steady import (
 from cpasim.sweep import scan_folds, trace_hysteresis
 
 FIG3 = [(tag, dtls) for tag in ("fig3a", "fig3b", "fig3c") for dtls in (4.5, 1.5)]
+EPS = np.finfo(float).eps
+ROUNDING, EXACT = 2.0, 8.0
 
 
 def states_of(cols):
@@ -91,9 +93,10 @@ def assert_stacked_equals_one_node_calls(poly, drives):
 
 # The scalar path the kernel replaced, as the reference: numpy.polynomial's
 # series arithmetic and roots, and one Newton polish per root.  The kernel
-# keeps its arithmetic, so the pieces must agree exactly; its roots come
-# from the segment rule, which must agree with the reference's to 1e-9, or,
-# where they differ, with the exact oracle.
+# forms the same sums, its products in Python floats, so the pieces agree
+# to within rounding; its roots come from the segment rule, which must
+# agree with the reference's to 1e-9, or, where they differ, with the exact
+# oracle.
 
 def reference_pieces(p):
     """free, drive and q (None for |G| = 0), trimmed."""
@@ -210,14 +213,42 @@ def assert_a_fold_pair_settles_it(q, found):
         [n for n in exact if abs(n - e) > 1e-4 * e], rel=1e-9)
 
 
+def max_rounding(got, exact, mag):
+    """The largest |got_k - exact_k| / (eps mag_k) over a float series and
+    its exact value and magnitude, zero-padded alike; inf where a nonzero
+    difference has a zero magnitude."""
+    k = max(len(got), len(exact), len(mag))
+    got, exact, mag = (list(c) + [0] * (k - len(c)) for c in (got, exact, mag))
+    worst = 0.0
+    for x, e, m in zip(got, exact, mag):
+        error = abs(Fraction(x) - e)
+        if error:
+            worst = max(worst, math.inf if m == 0 else float(error / (EPS * m)))
+    return worst
+
+
 def test_kernel_keeps_the_scalar_arithmetic():
+    # the pieces and P against numpy.polynomial's: the same lengths and
+    # zeros, and each coefficient within ROUNDING eps of its row's largest
+    # (the products are Python floats, numpy.polynomial's run through BLAS);
+    # and against the exact pieces built from the same floats, within
+    # EXACT eps of the magnitude of each coefficient's sum
     compared = settled = 0
     for q in reference_points():
         poly = build_polynomial(q)
-        assert np.array_equal(poly.coeffs, reference_polynomial(q))
         free, drive, q_ref = reference_pieces(q)
-        assert np.array_equal(poly.free, free) and np.array_equal(poly.drive, drive)
-        assert (poly.q is None) if q_ref is None else np.array_equal(poly.q, q_ref)
+        for got, ref in ((poly.coeffs, reference_polynomial(q)), (poly.free, free),
+                         (poly.drive, drive), (poly.q, q_ref)):
+            if ref is None:
+                assert got is None
+                continue
+            assert len(got) == len(ref) and np.array_equal(got == 0.0, ref == 0.0)
+            assert np.all(np.abs(got - ref) <= ROUNDING * EPS * np.abs(ref).max())
+        (free, drive, q_exact), mags = exact_factors(q)
+        for got, exact, mag in zip((poly.free, poly.drive, poly.q),
+                                   (free, drive, q_exact), mags):
+            if got is not None:
+                assert max_rounding(got.tolist(), exact, mag) <= EXACT
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             states = solve_steady_states(q)
@@ -231,19 +262,6 @@ def test_kernel_keeps_the_scalar_arithmetic():
             assert_a_fold_pair_settles_it(q, found)
             settled += 1
     assert compared >= 2100 and settled <= 10
-
-
-def test_a_linear_series_squares_to_np_convolves_bits():
-    # the squares of D, A, B and the linear factors of R and Q are Python
-    # floats (steady._square): signed zeros, overflow and underflow included,
-    # each coefficient has np.convolve's bits
-    rng = np.random.default_rng(11)
-    cases = [[-0.0, 1.0], [0.0, -1.0], [-0.0, -0.0], [3.0, -0.0], [1e-200, 1e-200],
-             [1e308, 1e-308], [-2.5], [-0.0]]
-    cases += [(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-30, 30, 2)).tolist()
-              for _ in range(2000)]
-    for c in cases:
-        assert np.array(steady._square(c)).tobytes() == np.convolve(c, c).tobytes()
 
 
 @pytest.mark.parametrize("key", FIG3)
@@ -394,9 +412,9 @@ def counting_curve_solve(monkeypatch):
         shapes.append(np.shape(a))
         return eigvals(a)
 
-    def counting_kernel(poly, inputs, drives):
+    def counting_kernel(poly, drives):
         before = len(shapes)
-        out = kernel(poly, inputs, drives)
+        out = kernel(poly, drives)
         calls.append(("curve", len(drives), shapes[before:]))
         return out
 
@@ -580,7 +598,7 @@ def test_drives_and_grids_are_validated_at_entry(bad):
     with pytest.raises(ValueError, match="omega_d"):
         solve_node(poly, bad)
     with pytest.raises(ValueError, match="omega_d"):
-        steady.solve_curve_columns(poly, [1.0, 2.0], [1.0, bad])
+        steady.solve_curve_columns(poly, [1.0, bad])
     with pytest.raises(ValueError, match="input"):
         trace_hysteresis(p, [bad])
     with pytest.raises(ValueError, match="input"):
@@ -589,17 +607,8 @@ def test_drives_and_grids_are_validated_at_entry(bad):
     with pytest.raises(ValueError, match="omega_d"):
         solve_node(poly, [1.0])
     with pytest.raises(ValueError, match="omega_d"):
-        steady.solve_curve_columns(poly, [[1.0]], [[1.0]])
-    assert steady.solve_curve_columns(poly, [], []).n_c.size == 0
-
-
-@pytest.mark.parametrize("inputs, drives", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
-                                            ([], [1.0])])
-def test_a_curve_takes_one_input_per_drive(inputs, drives):
-    # a length mismatch used to solve no node at all, and say nothing
-    poly = build_polynomial(fig3_preset("fig3c", 4.5))
-    with pytest.raises(ValueError, match=f"{len(inputs)} inputs for {len(drives)} drives"):
-        steady.solve_curve_columns(poly, inputs, drives)
+        steady.solve_curve_columns(poly, [[1.0]])
+    assert steady.solve_curve_columns(poly, []).n_c.size == 0
 
 
 @pytest.mark.parametrize("w, what", [(1e160, "its square"),
@@ -615,7 +624,7 @@ def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
         solve_node(poly, w)
     if w > 1e150:  # the curve forms P by the same rule
         with pytest.raises(ValueError, match=message):
-            steady.solve_curve_columns(poly, [1.0], [w])
+            steady.solve_curve_columns(poly, [w])
         with pytest.raises(ValueError, match=message):
             build_polynomial(replace(p, omega_d=w)).coeffs
     if w > 1e154:

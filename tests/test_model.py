@@ -166,6 +166,22 @@ class TestFieldsAndDrive:
         with pytest.raises(ValueError):
             drive_for_input_intensity(-1.0, p)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, [1.0, -1.0], [math.nan, 1.0]])
+    def test_a_negative_or_nan_intensity_or_drive_is_rejected(self, bad):
+        # input_intensity_for_drive(-1.0) used to return 0.025, and
+        # drive_for_input_intensity(nan) nan; arrays are checked too
+        p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0)
+        for convert in (drive_for_input_intensity, input_intensity_for_drive):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                convert(bad if np.ndim(bad) == 0 else np.array(bad), p)
+
+    def test_arrays_convert_elementwise(self):
+        p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0)
+        drives = drive_for_input_intensity(np.array([0.0, 22.5]), p)
+        assert drives.tolist() == [0.0, drive_for_input_intensity(22.5, p)]
+        assert input_intensity_for_drive(drives, p).tolist() == [
+            0.0, input_intensity_for_drive(float(drives[1]), p)]
+
 
 class TestAtomicExpectations:
     def test_inversion_and_coherence_bounded(self, rng):
