@@ -136,6 +136,28 @@ def _evolution_times(cfg: RunConfig, t_end: float, sample_dt: float
     return t_end, dt
 
 
+def _evolutions(cfg: RunConfig, p: SystemParams, deltas, t_end: float, dt: float,
+                prefix: str):
+    """Integrate ``p`` from the config's initial state (the vacuum by
+    default) at each pump detuning of ``deltas``, yielding each detuning,
+    the stem of its files, ``{prefix}_delta{delta:g}``, and its trace.
+    Two detunings that name one file are a ValidationError naming both,
+    raised before any integration: the second would replace the first's
+    files."""
+    stems: dict[str, float] = {}
+    for delta in deltas:
+        stem = f"{prefix}_delta{delta:g}"
+        if stem in stems:
+            raise ValidationError(f"deltas {stems[stem]!r} and {delta!r} both "
+                                  f"write the files {stem}.*")
+        stems[stem] = delta
+    init = (np.asarray(cfg.initial_state) if cfg.initial_state is not None
+            else vacuum_state())
+    for stem, delta in stems.items():
+        yield delta, stem, integrate(p, delta, init, t_end, dt,
+                                     rtol=EVOLVE_RTOL, atol=EVOLVE_ATOL)
+
+
 def _cmd_steady(args) -> int:
     roots = solve_steady_states(_params(_load_config(args)))
     print("n_c  stability  residual")
@@ -188,16 +210,12 @@ def _cmd_evolve(args) -> int:
     p = _params(cfg)
     if cfg.t_end is None:
         raise ValidationError("evolve requires t_end")
-    deltas = cfg.deltas or [0.0]
     t_end, dt = _evolution_times(cfg, cfg.t_end, cfg.t_end / 2000.0)
-    init = (np.asarray(cfg.initial_state) if cfg.initial_state is not None
-            else vacuum_state())
-    for delta in deltas:
-        trace = integrate(p, delta, init, t_end, dt,
-                          rtol=EVOLVE_RTOL, atol=EVOLVE_ATOL)
+    for delta, stem, trace in _evolutions(cfg, p, cfg.deltas or [0.0], t_end, dt,
+                                          "evolve"):
         print(f"delta={delta:g}: final n_c={trace.n_c[-1]:.6g}, "
               f"final out={trace.out_intensity[-1]:.6g}")
-        _emit(args, trace, f"evolve_delta{delta:g}")
+        _emit(args, trace, stem)
     return 0
 
 
@@ -246,16 +264,12 @@ def _cmd_reproduce(args) -> int:
     # fig4; a config may override the driving/evolution parameters
     cfg = _load_config(args, required=False)
     p = cfg.params if cfg.params is not None else fig4_preset()
-    deltas = cfg.deltas or list(FIG4_DELTAS)
     t_end, dt = _evolution_times(cfg, 600.0, 0.1)
-    init = (np.asarray(cfg.initial_state) if cfg.initial_state is not None
-            else vacuum_state())
-    for delta in deltas:
-        trace = integrate(p, delta, init, t_end, dt,
-                          rtol=EVOLVE_RTOL, atol=EVOLVE_ATOL)
+    for delta, stem, trace in _evolutions(cfg, p, cfg.deltas or FIG4_DELTAS, t_end, dt,
+                                          "fig4"):
         print(f"fig4 delta={delta:g}: out min {trace.out_intensity.min():.3e}, "
               f"max {trace.out_intensity.max():.6g}")
-        _emit(args, trace, f"fig4_delta{delta:g}", title=f"delta={delta:g}")
+        _emit(args, trace, stem, title=f"delta={delta:g}")
     return 0
 
 

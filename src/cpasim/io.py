@@ -20,16 +20,6 @@ from .errors import IoError, ParseError, ValidationError
 from .model import Stability, SystemParams
 from .sweep import BoundaryMap, HysteresisCurve
 
-_SCALAR_KEYS = {
-    "gamma", "kappa", "kappa_l", "kappa_r", "g", "delta_c", "delta_tls",
-    "g_nl_mag", "phi", "omega_d",
-    "input_min", "input_max", "t_end", "sample_dt",
-    "beta_min", "beta_max", "g_fixed", "delta_tls_fixed",
-}
-_INT_KEYS = {"input_points", "beta_points"}
-_LIST_KEYS = {"deltas", "initial_state"}
-_BOOL_KEYS = {"cpa_auto_detuning"}
-_ALL_KEYS = _SCALAR_KEYS | _INT_KEYS | _LIST_KEYS | _BOOL_KEYS
 # the most points a grid key or an evolution's samples may ask for
 MAX_POINTS = 10 ** 6
 
@@ -80,11 +70,57 @@ def check_positive(name: str, value: float) -> None:
     _require(0.0 < value < math.inf, f"{name} must be positive and finite, got {value!r}")
 
 
+def _number(key, v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"key '{key}' must be a number, got {v!r}")
+    # NaN and the infinities fail, and so does an integer past the float
+    # range
+    _require(abs(v) <= sys.float_info.max, f"key '{key}' must be finite, got {v!r}")
+    return float(v)
+
+
+def _count(key, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"key '{key}' must be an integer, got {v!r}")
+    _require(v >= 2, f"{key} must be at least 2")
+    _require(v <= MAX_POINTS, f"{key} must be at most {MAX_POINTS}, got {v}")
+    return v
+
+
+def _numbers(key, v) -> list[float]:
+    if not isinstance(v, list) or not v:
+        raise ParseError(f"key '{key}' must be a non-empty list of numbers")
+    return [_number(key, x) for x in v]
+
+
+def _flag(key, v) -> bool:
+    if not isinstance(v, bool):
+        raise ParseError(f"key '{key}' must be true or false, got {v!r}")
+    return v
+
+
+# each config key's reader, which returns its value or raises naming it
+_READERS = {
+    **dict.fromkeys((
+        "gamma", "kappa", "kappa_l", "kappa_r", "g", "delta_c", "delta_tls",
+        "g_nl_mag", "phi", "omega_d",
+        "input_min", "input_max", "t_end", "sample_dt",
+        "beta_min", "beta_max", "g_fixed", "delta_tls_fixed"), _number),
+    "input_points": _count,
+    "beta_points": _count,
+    "deltas": _numbers,
+    "initial_state": _numbers,
+    "cpa_auto_detuning": _flag,
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML mapping into a RunConfig.
 
-    Unknown keys are rejected (ParseError); physical invariants are enforced
-    through SystemParams and re-raised as ValidationError naming the field.
+    Unknown keys are rejected (ParseError); the others are read in document
+    order, so a document with several bad values names its first.  Physical
+    invariants are enforced through SystemParams and re-raised as
+    ValidationError naming the field.
     """
     import yaml  # here, not at module level: only a config needs it
 
@@ -130,38 +166,10 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("config must be a key/value mapping")
 
     # keys need not be strings: `1: 2` and `null: 1` are mappings too
-    unknown = sorted(map(str, set(doc) - _ALL_KEYS))
+    unknown = sorted(map(str, set(doc) - _READERS.keys()))
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-
-    def number(key, v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"key '{key}' must be a number, got {v!r}")
-        # NaN and the infinities fail, and so does an integer past the
-        # float range
-        _require(abs(v) <= sys.float_info.max, f"key '{key}' must be finite, got {v!r}")
-        return float(v)
-
-    vals = {k: number(k, doc[k]) for k in _SCALAR_KEYS if k in doc}
-    for k in _INT_KEYS:
-        if k in doc:
-            v = doc[k]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ParseError(f"key '{k}' must be an integer, got {v!r}")
-            _require(v >= 2, f"{k} must be at least 2")
-            _require(v <= MAX_POINTS, f"{k} must be at most {MAX_POINTS}, got {v}")
-            vals[k] = v
-    for k in _LIST_KEYS:
-        if k in doc:
-            v = doc[k]
-            if not isinstance(v, list) or not v:
-                raise ParseError(f"key '{k}' must be a non-empty list of numbers")
-            vals[k] = [number(k, x) for x in v]
-    if "cpa_auto_detuning" in doc:
-        v = doc["cpa_auto_detuning"]
-        if not isinstance(v, bool):
-            raise ParseError(f"key 'cpa_auto_detuning' must be true or false, got {v!r}")
-        vals["cpa_auto_detuning"] = v
+    vals = {k: _READERS[k](k, v) for k, v in doc.items()}
 
     _require(not ("kappa" in vals and ("kappa_l" in vals or "kappa_r" in vals)),
              "kappa and kappa_l/kappa_r are mutually exclusive")
@@ -210,10 +218,7 @@ def parse_config(text: str) -> RunConfig:
 
 # each label's CSV text, looked up without the enum's value descriptor
 _LABELS = {s: s.value for s in Stability}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_BOOLS = ("false", "true")
 
 
 def _write(path, text: str) -> None:
@@ -230,44 +235,40 @@ def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     ``gamma_scale`` must be positive and finite (ValidationError)."""
     gs = float(gamma_scale)
     check_positive("gamma_scale", gs)
-    lines: list[str] = []
+    # each schema is its header, one row's %-format and its columns, in the
+    # rows' order
     if isinstance(result, HysteresisCurve):
-        # the curve's rows are in the schema's order already: one %-format
-        # over all of them, whose %.17g is _fmt's
-        rows = zip((result.input_intensity * gs).tolist(), result.n_c.tolist(),
+        header = "input_intensity,n_c,output_intensity,stability,branch_id"
+        row = "%.17g,%.17g,%.17g,%s,%d"
+        columns = ((result.input_intensity * gs).tolist(), result.n_c.tolist(),
                    (result.output_intensity * gs).tolist(),
                    map(_LABELS.__getitem__, result.stability.tolist()),
                    result.branch_id.tolist())
-        lines.append("input_intensity,n_c,output_intensity,stability,branch_id"
-                     + "\n%.17g,%.17g,%.17g,%s,%d" * len(result.n_c)
-                     % tuple(chain.from_iterable(rows)))
     elif isinstance(result, BoundaryMap):
-        lines.append("beta,g_c,delta_tls_c,feasible")
-        for b, g_c, d_c, ok in zip(result.axis, result.g_c_curve,
-                                   result.delta_c_curve, result.region_mask):
-            lines.append(f"{_fmt(b * gs)},{_fmt(g_c * gs)},{_fmt(d_c * gs)},"
-                         f"{'true' if ok else 'false'}")
+        header, row = "beta,g_c,delta_tls_c,feasible", "%.17g,%.17g,%.17g,%s"
+        columns = ((result.axis * gs).tolist(), (result.g_c_curve * gs).tolist(),
+                   (result.delta_c_curve * gs).tolist(),
+                   map(_BOOLS.__getitem__, result.region_mask.tolist()))
     elif isinstance(result, TimeTrace):
-        lines.append("t,n_c,out_intensity")
-        for t, n, out in zip(result.t, result.n_c, result.out_intensity):
-            lines.append(f"{_fmt(t / gs)},{_fmt(n)},{_fmt(out * gs)}")
+        header, row = "t,n_c,out_intensity", "%.17g,%.17g,%.17g"
+        columns = ((result.t / gs).tolist(), result.n_c.tolist(),
+                   (result.out_intensity * gs).tolist())
     elif isinstance(result, CPAReport):
-        keys = ["n_c_cpa", "delta_c_required", "omega_d_cpa", "input_intensity",
-                "feasible", "reasons", "residual_out", "branch_location",
-                "cooperativity", "fold_lo", "fold_hi"]
+        header = ("n_c_cpa,delta_c_required,omega_d_cpa,input_intensity,feasible,"
+                  "reasons,residual_out,branch_location,cooperativity,fold_lo,fold_hi")
+        row = "%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%s,%.17g,%.17g,%.17g"
         lo, hi = result.fold_window if result.fold_window else (math.nan, math.nan)
-        vals = [_fmt(result.n_c_cpa), _fmt(result.delta_c_required * gs),
-                _fmt(result.omega_d_cpa * gs), _fmt(result.input_intensity * gs),
-                "true" if result.feasible else "false",
-                ";".join(result.reasons),
-                _fmt(result.residual_out * gs),
-                str(result.branch_location) if result.branch_location else "",
-                _fmt(result.cooperativity), _fmt(lo * gs), _fmt(hi * gs)]
-        lines.append(",".join(keys))
-        lines.append(",".join(vals))
+        columns = [[x] for x in (
+            result.n_c_cpa, result.delta_c_required * gs, result.omega_d_cpa * gs,
+            result.input_intensity * gs, _BOOLS[bool(result.feasible)], ";".join(result.reasons),
+            result.residual_out * gs,
+            str(result.branch_location) if result.branch_location else "",
+            result.cooperativity, lo * gs, hi * gs)]
     else:
         raise TypeError(f"no CSV schema for {type(result).__name__}")
-    _write(path, "\n".join(lines) + "\n")
+    rows = list(zip(*columns))
+    _write(path, header + ("\n" + row) * len(rows) % tuple(chain.from_iterable(rows))
+           + "\n")
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -355,27 +356,26 @@ class _Plot:
         self.parts.append(f'<polyline points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{width}"{d}/>')
 
-    def dot(self, xv, yv, color, r=4.5, label=None):
+    def dot(self, xv, yv, label):
         px, py = self.x(xv), self.y(yv)
-        self.parts.append(f'<circle cx="{px:.6g}" cy="{py:.6g}" r="{r}" '
-                          f'fill="{color}" stroke="black"/>')
-        if label:
-            self.parts.append(f'<text x="{px + 8:.6g}" y="{py - 8:.6g}" '
-                              f'font-size="14">{label}</text>')
+        self.parts.append(f'<circle cx="{px:.6g}" cy="{py:.6g}" r="4.5" '
+                          f'fill="#d4a017" stroke="black"/>')
+        self.parts.append(f'<text x="{px + 8:.6g}" y="{py - 8:.6g}" '
+                          f'font-size="14">{label}</text>')
 
-    def diamond(self, xv, yv, color):
+    def diamond(self, xv, yv):
         px, py = self.x(xv), self.y(yv)
         s = 5.0
         self.parts.append(
             f'<polygon points="{px:.6g},{py - s:.6g} {px + s:.6g},{py:.6g} '
-            f'{px:.6g},{py + s:.6g} {px - s:.6g},{py:.6g}" fill="{color}" '
+            f'{px:.6g},{py + s:.6g} {px - s:.6g},{py:.6g}" fill="#444444" '
             f'stroke="black"/>')
 
-    def rect_band(self, x_lo, x_hi, color, opacity):
+    def rect_band(self, x_lo, x_hi):
         a, b = self.x(x_lo), self.x(x_hi)
         self.parts.append(
             f'<rect x="{a:.6g}" y="{_MT}" width="{b - a:.6g}" '
-            f'height="{_H - _MT - _MB}" fill="{color}" fill-opacity="{opacity}"/>')
+            f'height="{_H - _MT - _MB}" fill="#add8e6" fill-opacity="0.35"/>')
 
     def text(self, xpix, ypix, s, color="black"):
         self.parts.append(f'<text x="{xpix}" y="{ypix}" fill="{color}">{s}</text>')
@@ -411,7 +411,7 @@ def _svg_curve(curve: HysteresisCurve, gs: float, title) -> str:
         for f_in, f_n in curve.folds:
             # the first point nearest the fold
             near = np.argmin(np.abs(inputs - f_in) + np.abs(n_c - f_n))
-            plot.diamond(f_in * gs, outputs[near] * gs, "#444444")
+            plot.diamond(f_in * gs, outputs[near] * gs)
     n_a = n_b = 0
     for m in curve.cpa_markers:
         if m.observable:
@@ -420,7 +420,7 @@ def _svg_curve(curve: HysteresisCurve, gs: float, title) -> str:
         else:
             n_b += 1
             tag = f"B{n_b} (unobservable)"
-        plot.dot(m.input_intensity * gs, m.output_intensity * gs, "#d4a017", label=tag)
+        plot.dot(m.input_intensity * gs, m.output_intensity * gs, tag)
     plot.text(_ML + 10, _MT + 18, f"pattern: {curve.pattern}")
     return plot.render()
 
@@ -433,7 +433,7 @@ def _svg_boundary(result: BoundaryMap, gs: float, title) -> str:
     # shaded feasible region: each run [i, j) of the mask
     edges = np.flatnonzero(np.diff(result.region_mask, prepend=False, append=False))
     for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        plot.rect_band(xs[i], xs[j - 1], "#add8e6", 0.35)
+        plot.rect_band(xs[i], xs[j - 1])
     plot.polyline(xs, result.g_c_curve * gs, "#1f5fa8")
     plot.polyline(xs, result.delta_c_curve * gs, "#c23b22")
     plot.text(_ML + 10, _MT + 18, "critical coupling", "#1f5fa8")
@@ -463,12 +463,11 @@ def _svg_cpa(result: CPAReport, gs: float, title) -> str:
     yr = _axis_range([0.0, max(intensity, 1.0) if math.isfinite(intensity) else 1.0])
     plot = _Plot(xr, yr, "input intensity", "output intensity", title)
     if result.fold_window:
-        plot.rect_band(result.fold_window[0] * gs, result.fold_window[1] * gs,
-                       "#add8e6", 0.35)
+        plot.rect_band(result.fold_window[0] * gs, result.fold_window[1] * gs)
         plot.text(_ML + 10, _H - _MB - 10, "bistable window", "#3a7ca5")
     if math.isfinite(intensity) and math.isfinite(result.residual_out):
         # output at the operating point is the nulling residual, i.e. ~0
-        plot.dot(intensity, result.residual_out * gs, "#d4a017", label="A1")
+        plot.dot(intensity, result.residual_out * gs, "A1")
     rows = [
         f"photon number {result.n_c_cpa:.6g}",
         f"required cavity detuning {result.delta_c_required * gs:.6g}",

@@ -5,7 +5,9 @@ One ``build_polynomial(p)`` per parameter set holds its drive-free factors
 (assembled in Python float lists, in IEEE arithmetic of a fixed order, so
 the same on every machine), its parameters and, once asked for, its folds.
 Every solve brackets its roots on the monotone segments of the curve
-between the folds, one root rule in two implementations.  ``solve_node``
+between the folds, one root rule in two implementations, which share its
+range rule (``_root_bound``), merge rule (``_merges``), residual rule
+(``_verified``), evaluation (``_value``) and I(n).  ``solve_node``
 solves one drive in Python floats (``_node_roots``), maps each root to its
 state by the model's formulas and labels them from one stacked eigen-solve
 (``solve_steady_states`` is its call at ``p.omega_d``).
@@ -50,7 +52,7 @@ IMAG_RTOL = 1e-7
 MERGE_RADIUS = 1e-8
 # Half-width of the Marginal band for the largest eigenvalue real part, per gamma.
 EPS_STAB = 1e-9
-# The residual rule (_accepted): |P| within EPS_RES times the polynomial scale.
+# The residual rule (_verified): |P| within EPS_RES times the polynomial scale.
 EPS_RES = 1e-9
 # The bracketed roots (_segment_roots, _node_roots): a root's Newton stops at
 # |P| <= ROUNDING_FLOOR eps sum |c_k| n^k, on a step shorter than
@@ -103,6 +105,13 @@ class SelfConsistencyPolynomial:
     def __call__(self, n_c):
         return _value(self.coeffs.tolist(), n_c)
 
+    def input_intensity(self, n):
+        """I(n) = free(n) / (2 kappa drive(n)): the per-mirror input intensity
+        at which the curve passes through n_c = n, for a Python float or
+        elementwise for an array."""
+        return _value(self.free.tolist(), n) / (
+            2.0 * self.p.kappa * _value(self.drive.tolist(), n))
+
     @cached_property
     def singular_states(self) -> list[float]:
         """Positive zeros of Q: the undriven parametric-singularity states,
@@ -149,7 +158,7 @@ class SelfConsistencyPolynomial:
         edges = []
         for k, e in enumerate(singular + zeros):
             a = kappa2 * _value(drive, e)
-            at = 0.0 if k < len(singular) else _value(free, e) / a if a > 0.0 else math.inf
+            at = 0.0 if k < len(singular) else self.input_intensity(e) if a > 0.0 else math.inf
             edges.append((e, at, a, 0.5 * (_value(free2, e) - kappa2 * at * _value(drive2, e))
                           or math.nan))
         return sorted(edges)
@@ -181,9 +190,12 @@ def _der(c: list[float]) -> list[float]:
     return [k * c[k] for k in range(1, len(c))] or [0.0]
 
 
-def _value(c: list[float], x):
-    """The series at x (a float, or elementwise for an array) by Horner's
-    rule."""
+def _value(c, x):
+    """The series ``c`` at x by Horner's rule.  ``c`` holds the ascending
+    coefficients along its first axis: Python floats, at a float x or
+    elementwise at an array; or columns (arrays, one entry per row, or an
+    array whose first axis is the degree), each row at its own entry of x,
+    broadcast as numpy does."""
     out = c[-1] + x * 0.0
     for ck in c[-2::-1]:
         out = ck + out * x
@@ -289,7 +301,7 @@ def positive_roots(c: list[float]) -> list[float]:
     rule of signs), with no eigen-solve.  Otherwise the roots are the
     eigenvalues of numpy.polynomial's companion matrix, unrotated (Edelman &
     Murakami, Math. Comp. 64, 1995).  Imaginary parts within IMAG_RTOL are
-    rounding, and roots within MERGE_RADIUS merge into the lower one.
+    rounding, and a root that ``_merges`` into the one below is dropped.
     """
     if not min(c) < 0.0 < max(c):
         return []
@@ -305,7 +317,7 @@ def positive_roots(c: list[float]) -> list[float]:
     roots = []
     for x in sorted(x.real for x in z
                     if x.real > 0.0 and abs(x.imag) <= IMAG_RTOL * max(1.0, x.real)):
-        if not (roots and x - roots[-1] <= MERGE_RADIUS * max(1.0, x)):
+        if not (roots and _merges(roots[-1], x)):
             roots.append(x)
     return roots
 
@@ -541,15 +553,6 @@ def _warn(message: str, category: type[Warning]) -> None:
     warnings.warn(message, category, stacklevel=level)
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of ascending coefficients ``c`` (zero-padded at the top) at
-    x[i], by Horner's rule."""
-    out = c[:, -1]
-    for k in range(c.shape[1] - 2, -1, -1):
-        out = c[:, k] + out * x
-    return out
-
-
 class SteadyColumns(NamedTuple):
     """The steady states of a curve solve (``solve_curve_columns``), as
     columns: entry k of each is one state, and the states are grouped by
@@ -619,82 +622,111 @@ def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> n
     return rows
 
 
-def _accepted(res: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """The residual rule: |P| within EPS_RES times the float-evaluation
-    magnitude sum |c_k| n^k, floored at 1 (>= the |c_lead| n^deg term that
-    dominates for large roots).  Anything smaller is below the reachable
-    rounding floor for small roots whose polynomial has large low-order
-    coefficients.  The one-node root stage (``_node_roots``) applies the
-    same rule to each root in Python floats."""
-    return ~(np.abs(res) > EPS_RES * np.maximum(1.0, mag))
+def _merges(lower, n):
+    """The merge rule: whether the root n merges into the root ``lower``
+    below it, as within MERGE_RADIUS max(1, n) of it, a near-double pair
+    that rounding leaves unresolved.  For Python floats, or elementwise for
+    arrays."""
+    gap = n - lower
+    return (gap <= MERGE_RADIUS) | (gap <= MERGE_RADIUS * n)
 
 
-def _root_bounds(c: np.ndarray) -> np.ndarray:
+def _verified(p_n, mag):
+    """The residual rule: P at a root, ``p_n``, is finite and within EPS_RES
+    times its float-evaluation magnitude ``mag`` = sum |c_k| n^k, floored at
+    1 (>= the |c_lead| n^deg term that dominates for large roots).  Anything
+    smaller is below the reachable rounding floor for small roots whose
+    polynomial has large low-order coefficients.  For Python floats, or
+    elementwise for arrays."""
+    r = abs(p_n)
+    return (r < math.inf) & ((r <= EPS_RES) | (r <= EPS_RES * mag))
+
+
+def _root_bound(poly: SelfConsistencyPolynomial, w, w2, c):
     """Fujiwara's bound 2 max_i |c_(d-i) / c_d|^(1/i) on the root moduli of
-    each row of ascending coefficients ``c`` (zero-padded to degree d), from
-    its own coefficients; inf for a row whose c_d is zero (its drive puts I
-    exactly at the limit of the last segment, which holds no root of it)."""
-    c = c[:, :len(_trim(np.abs(c).max(axis=0, initial=0.0)))]
-    lead = np.abs(c[:, -1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (np.abs(c[:, :-1]) / lead[:, None]) ** (
-            1.0 / np.arange(c.shape[1] - 1, 0, -1))
-    return np.where(lead > 0.0, 2.0 * ratio.max(axis=1, initial=0.0), np.inf)
+    P = free - w2 drive at the drive ``w`` (w2 = w^2), from its ascending
+    coefficients ``c`` (see ``_value``): Python floats, trimmed, for one
+    drive, or elementwise for the rows of P given as columns of one degree
+    d, with ``w`` and ``w2`` one entry per row.  A row whose c_d is zero has
+    no bound (its drive puts I exactly at the limit of the last segment,
+    which holds no root of it).
+
+    This is also the range rule of both root stages, decided before they
+    evaluate P.  Every |c_k| is at most |free_k| + w2 |drive_k|, so where
+    |free| + w2 |drive| (their coefficients' magnitudes) is finite at the
+    bound, P and sum |c_k| n^k are finite at every n up to it, where every
+    root lies.  Where it overflows, the drive is out of range: ValueError
+    naming it (the first such row's)."""
+    d = len(c) - 1
+    lead = abs(c[d])
+    bound = 0.0 * lead
+    for k in range(d):
+        r = (abs(c[k]) / lead) ** (1.0 / (d - k))
+        bound = (r > bound) * r + (r <= bound) * bound  # the larger, elementwise
+    bound = 2.0 * bound
+    total = (_value(list(map(abs, poly.free.tolist())), bound)
+             + w2 * _value(list(map(abs, poly.drive.tolist())), bound))
+    fits = (total < math.inf) | (lead == 0.0)
+    if fits is not True and not np.all(fits):  # one drive in range is True
+        raise _too_large(float(np.atleast_1d(w)[np.argmin(fits)]),
+                         "|free| + omega_d^2 |drive| at P's root bound")
+    return bound
 
 
 def _bracketed_newton(c: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      below: np.ndarray) -> np.ndarray:
-    """The root of each row of ``c`` in (lo, hi), from n, where P has the
-    sign ``below`` under the root: Newton's steps, bisecting the bracket
-    whenever a step leaves it, all rows at once.  A row stops at
-    |P| <= ROUNDING_FLOOR eps sum |c_k| n^k, on a step shorter than
-    NEWTON_STOP max(1, n), or after BRACKET_STEPS steps."""
-    n = n.copy()
-    m = len(n)
-    # P, P' and sum |c_k| n^k in one evaluation, P' coefficients zero-padded
-    rows = np.zeros((3, m, c.shape[1]))
-    rows[0] = c
-    rows[1, :, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
-    rows[2] = np.abs(c)
-    rows = rows.reshape(3 * m, c.shape[1])
-    live, at = np.arange(m), n
+                      below: np.ndarray):
+    """``_newton`` for many roots at once: the root of each row of ``c``
+    (columns, see ``_value``) in (lo, hi), from n, where P has the sign
+    ``below`` under the root, by Newton's steps, bisecting the bracket
+    whenever a step leaves it.  A row stops at
+    |P| <= ROUNDING_FLOOR eps sum |c_k| n^k, after a step shorter than
+    NEWTON_STOP max(1, n), or after BRACKET_STEPS steps.  Returns the roots,
+    P there and sum |c_k| n^k there."""
+    d, m = c.shape
+    # P, P' (zero-padded) and sum |c_k| n^k, in one evaluation
+    cols = np.zeros((d, 3, m))
+    cols[:, 0] = c
+    cols[:-1, 1] = c[1:] * np.arange(1.0, d)[:, None]
+    cols[:, 2] = np.abs(c)
+    out = np.empty((3, m))
+    live, at, stop = np.arange(m), n, np.zeros(m, dtype=bool)
+    floor = ROUNDING_FLOOR * sys.float_info.epsilon
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(BRACKET_STEPS):
-            f, fp, mag = _horner(rows, np.tile(at, 3)).reshape(3, -1)
+        for k in range(BRACKET_STEPS + 1):
+            f, fp, mag = _value(cols, at)
+            done = stop | (np.abs(f) <= floor * mag) | (k == BRACKET_STEPS)
+            if done.any():
+                out[:, live[done]] = at[done], f[done], mag[done]
+                go = ~done
+                live, at, f, fp = live[go], at[go], f[go], fp[go]
+                lo, hi, below, cols = lo[go], hi[go], below[go], cols[:, :, go]
+            if not live.size:
+                return out
             up = np.sign(f) == below
             lo, hi = np.where(up, at, lo), np.where(up, hi, at)
             step = at - f / fp
             step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-            small = np.abs(f) <= ROUNDING_FLOOR * np.finfo(float).eps * mag
-            done = small | (np.abs(step - at) <= NEWTON_STOP * np.maximum(1.0, at))
-            at = np.where(small, at, step)
-            if done.any():
-                n[live[done]] = at[done]
-                go = ~done
-                if not go.any():
-                    return n
-                live, at, lo, hi, below = live[go], at[go], lo[go], hi[go], below[go]
-                rows = rows.reshape(3, -1, c.shape[1])[:, go].reshape(-1, c.shape[1])
-    n[live] = at
-    return n
+            stop = np.abs(step - at) <= NEWTON_STOP * np.maximum(1.0, at)
+            at = step
 
 
-def _taken_once(x, at, a, b, scale, p_e, mag_e):
-    """Whether the near-double pair at an edge e is one state at input x,
-    the edge itself: x is the edge's own input I(e) = ``at``; P at e,
-    ``p_e``, is within the rounding floor of the Newton stop,
-    ROUNDING_FLOOR eps ``mag_e`` (sum |c_k| e^k), so that no Newton step
-    resolves the pair; or the pair (n - e)^2 = t2 = a (x - I(e)) / b of P's
-    local quadratic (``SelfConsistencyPolynomial.edges``) lies within
-    MERGE_RADIUS if real, or within IMAG_RTOL if complex, relative to
-    ``scale``.  Never at a pole of I, and not by the floor at an edge at
+def _taken_once(x, e, at, a, b, p_e, mag_e):
+    """Whether the near-double pair at an edge (e, ``at``, a, b) of
+    ``SelfConsistencyPolynomial.edges`` is one state at input x, the edge
+    itself: x is the edge's own input I(e) = ``at``; P at e, ``p_e``, is
+    within the rounding floor of the Newton stop, ROUNDING_FLOOR eps
+    ``mag_e`` (sum |c_k| e^k), so that no Newton step resolves the pair; or
+    the pair (n - e)^2 = t2 = a (x - I(e)) / b of P's local quadratic lies
+    within MERGE_RADIUS if real, or within IMAG_RTOL if complex, relative
+    to max(1, e).  Never at a pole of I, and not by the floor at an edge at
     zero input, where I(e) = 0 exactly and the quadratic places the pair
     (``_node_roots``, ``_segment_roots``).  For Python floats (b nonzero),
     or elementwise for arrays."""
     t2 = a * (x - at) / b
     radius = (t2 >= 0.0) * (0.5 * MERGE_RADIUS) + (t2 < 0.0) * IMAG_RTOL
     floor = (abs(p_e) <= ROUNDING_FLOOR * sys.float_info.epsilon * mag_e) & (at > 0.0)
-    return ((x == at) | floor | (abs(t2) ** 0.5 <= radius * scale)) & (at < math.inf)
+    half = abs(t2) ** 0.5
+    return ((x == at) | floor | (half <= radius) | (half <= radius * e)) & (at < math.inf)
 
 
 def _newton(lead: float, terms: list[tuple[float, float, float]], n: float,
@@ -730,25 +762,25 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
 
     Segment s, (e_(s-1), e_s], holds a root iff x lies between I at its
     ends, the lower end excluded; past the last edge P keeps the sign of
-    its leading coefficient above Fujiwara's bound on its roots, which caps
-    that segment.  Each root's ``_newton`` starts at the linear
-    interpolation of I between the segment's ends, or, beside an edge at
-    zero input (an undriven singular state, where I(e) = 0 exactly), at the
-    pair member of P's local quadratic there when that lies inside the
-    segment: a pair closer than P's rounding floor resolves keeps the
-    quadratic's places.  An edge whose pair ``_taken_once`` reports once
-    gives the edge state itself, two roots within MERGE_RADIUS are one, and
-    each root must pass the residual rule (``_accepted``'s), as in
+    its leading coefficient above ``_root_bound``, which caps that segment
+    and raises for a drive out of range.  Each root's ``_newton`` starts at
+    the linear interpolation of I between the segment's ends, or, beside an
+    edge at zero input (an undriven singular state, where I(e) = 0
+    exactly), at the pair member of P's local quadratic there when that
+    lies inside the segment: a pair closer than P's rounding floor resolves
+    keeps the quadratic's places.  An edge whose pair ``_taken_once``
+    reports once gives the edge state itself, a root that ``_merges`` into
+    the one below is dropped, and each root must pass ``_verified``, as in
     ``_segment_roots``.  Coefficients of P with one sign change leave it one
     positive root (Descartes' rule of signs): the whole axis is then one
-    segment, with no folds.  ValueError naming the drive where P overflows
-    at a root.  Returns each root and P there, ascending."""
+    segment, with no folds.  Returns each root and P there, ascending."""
     c = _trim(_node_polynomials(poly, [w])[0].tolist())
     d = len(c) - 1
     if d == 0:
         return []
-    kappa2 = 2.0 * poly.p.kappa
-    x = w ** 2 / kappa2
+    w2 = w ** 2
+    x = w2 / (2.0 * poly.p.kappa)
+    bound = _root_bound(poly, w, w2, c)
     mag_c = [abs(ck) for ck in c]
     terms = [(c[k], (k + 1) * c[k + 1], mag_c[k]) for k in range(d - 1, -1, -1)]
     signs = [ck > 0.0 for ck in c if ck != 0.0]
@@ -756,8 +788,8 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     last = len(edges)
     # each edge with P and its magnitude there: the edge state, if taken
     edge_states = [(e, _value(c, e), _value(mag_c, e)) for e, _, _, _ in edges]
-    once = [_taken_once(x, at, a, b, max(1.0, e), p_e, mag_e)
-            for (e, at, a, b), (_, p_e, mag_e) in zip(edges, edge_states)]
+    once = [_taken_once(x, *edge, p_e, mag_e)
+            for edge, (_, p_e, mag_e) in zip(edges, edge_states)]
     found = [state for state, o in zip(edge_states, once) if o]
     lo, i_lo = 0.0, 0.0
     for s in range(last + 1):
@@ -769,10 +801,8 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
             rising = c[d] > 0.0
             held = (i_lo < x if rising else i_lo > x) and not (s and once[s - 1])
             if held:
-                hi = max(lo, 2.0 * max((mag_c[k] / mag_c[d]) ** (1.0 / (d - k))
-                                       for k in range(d)))
-                i_hi = _value(poly.free.tolist(), hi) / (
-                    kappa2 * _value(poly.drive.tolist(), hi))
+                hi = max(lo, bound)
+                i_hi = poly.input_intensity(hi)
         if held:
             frac = (x - i_lo) / (i_hi - i_lo) if i_hi != i_lo else math.nan
             n = lo + (min(max(frac, 0.0), 1.0) if math.isfinite(frac) else 0.5) * (hi - lo)
@@ -785,49 +815,50 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
             found.append(_newton(c[d], terms, n, lo, hi, rising))
         if s < last:
             lo, i_lo = hi, i_hi
-    kept, found = [], sorted(found)
-    for k, (n, p_n, mag) in enumerate(found):
-        if k and n - found[k - 1][0] <= MERGE_RADIUS * max(1.0, n):
-            continue  # the merge rule of _segment_roots
-        if not abs(p_n) < math.inf:
-            raise _too_large(w, f"P at its root n_c = {n:.9g}")
-        if not abs(p_n) > EPS_RES * max(1.0, mag):  # the residual rule
-            kept.append((n, p_n))
-    return kept
+    found.sort()
+    return [(n, p_n) for k, (n, p_n, mag) in enumerate(found)
+            if not (k and _merges(found[k - 1][0], n)) and _verified(p_n, mag)]
 
 
-def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.ndarray):
-    """The roots of row i of ``coeffs``, P = free - omega_d^2 drive at the
-    drive's input x[i] = omega_d^2 / (2 kappa) > 0, on the monotone segments
-    of I(n) = free / (2 kappa drive) between the curve's edges (the n of
+def _segment_roots(poly: SelfConsistencyPolynomial, ws: list[float]):
+    """The roots of P = free - omega_d^2 drive at each drive of ``ws``
+    (Python floats > 0), at its input x = omega_d^2 / (2 kappa), on the
+    monotone segments of I(n) between the curve's edges (the n of
     ``poly.folds``).
 
     Segment s is (e_(s-1), e_s], from n = 0, and the last one runs up to
-    Fujiwara's bound of each row's own roots.  It holds one root at input x
-    iff x lies between I at its ends, the lower end excluded; I at the edges
-    are the folds' own inputs.  Each (node, segment) pair starts at the
-    linear interpolation of I in its cell of a table of SEGMENT_TABLE
-    points, or, beside an edge at zero input, at the pair member of P's
-    local quadratic there when that lies inside the cell, and all pairs run
-    one ``_bracketed_newton``.  A node whose near-double pair at an edge
+    ``_root_bound`` of each drive's own P, which raises for a drive out of
+    range before any P is evaluated.  It holds one root at input x iff x
+    lies between I at its ends, the lower end excluded; I at the edges are
+    the folds' own inputs.  Each (node, segment) pair starts at the linear
+    interpolation of I in its cell of a table of SEGMENT_TABLE points, or,
+    beside an edge at zero input, at the pair member of P's local quadratic
+    there when that lies inside the cell, and all pairs run one
+    ``_bracketed_newton``.  A node whose near-double pair at an edge
     ``_taken_once`` reports once takes the edge state itself, on the segment
-    below the edge, and two roots within MERGE_RADIUS are one.
-    ``_node_roots`` is this rule for one drive, in Python floats, so a curve
-    and a one-node solve at one drive find the same states.
+    below the edge, a root that ``_merges`` into the one below is dropped,
+    and each root must pass ``_verified``.  ``_node_roots`` is this rule for
+    one drive, in Python floats, so a curve and a one-node solve at one
+    drive find the same states, to rounding.
 
-    Returns the node (an index into x), root, segment, P there and P's
-    float-evaluation magnitude there, grouped by node and ascending in n."""
+    Returns the node (an index into ws), root, segment and P there of each
+    kept root, grouped by node and ascending in n."""
     kappa = poly.p.kappa
+    w2 = np.array([w ** 2 for w in ws])
+    x = w2 / (2.0 * kappa)
+    coeffs = _node_polynomials(poly, ws)
+    # P's rows as columns, without the top ones that are zero in every row
+    c = coeffs.T[:len(_trim(np.abs(coeffs).max(axis=0, initial=0.0)))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bounds = np.where(c[-1] != 0.0, _root_bound(poly, ws, w2, c), math.inf)
     edges, at_edges, a, b = np.array(poly.edges).reshape(-1, 4).T
     lo_n = np.append(0.0, edges)
-    bounds = _root_bounds(coeffs)
     hi_n = np.append(edges, max(bounds[bounds < math.inf].max(initial=0.0),
                                 2.0 * lo_n[-1], 1.0))
     n_tab = lo_n[:, None] + (hi_n - lo_n)[:, None] * _COSINE
     n_tab[:, -1] = hi_n
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = _value(poly.free.tolist(), n_tab) / (
-            2.0 * kappa * _value(poly.drive.tolist(), n_tab))
+        table = poly.input_intensity(n_tab)
     table[:, 0] = np.append(0.0, at_edges)
     table[:-1, -1] = at_edges
     rising = np.sign(table[:, -1] - table[:, 0])
@@ -840,10 +871,8 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
 
     with np.errstate(invalid="ignore"):
         # P and its magnitude at every edge, row by row
-        both = np.concatenate((coeffs, np.abs(coeffs)))
-        p_e = _horner(np.repeat(both, len(edges), axis=0),
-                      np.tile(edges, len(both))).reshape(2, len(x), len(edges))
-        once = _taken_once(x[:, None], at_edges, a, b, np.maximum(1.0, edges), *p_e)
+        p_e, mag_e = _value(np.stack((c, np.abs(c)), axis=1)[..., None], edges)
+        once = _taken_once(x[:, None], edges, at_edges, a, b, p_e, mag_e)
     has[:, :-1] &= ~once
     has[:, 1:] &= ~once
 
@@ -868,25 +897,18 @@ def _segment_roots(poly: SelfConsistencyPolynomial, x: np.ndarray, coeffs: np.nd
                 member = edges[k] + side * np.sqrt(a[k] * x_n / b[k])
                 n = np.where((at_edges[k] == 0.0) & (lo < member) & (member < hi),
                              member, n)
-    c = coeffs[node]
-    n = _bracketed_newton(c, n, lo, hi, -rising[seg])
+    n, p_n, mag = _bracketed_newton(c[:, node], n, lo, hi, -rising[seg])
 
-    # the edge states, then P and its magnitude at every root
+    # the edge states, with P and its magnitude from the edge evaluation
     i, j = np.nonzero(once)
-    node, seg = np.append(node, i), np.append(seg, j)
-    n, c = np.append(n, edges[j]), np.concatenate((c, coeffs[i]))
+    node, seg, n = np.append(node, i), np.append(seg, j), np.append(n, edges[j])
+    p_n, mag = np.append(p_n, p_e[i, j]), np.append(mag, mag_e[i, j])
     order = np.lexsort((seg, node))
-    node, seg, n, c = node[order], seg[order], n[order], c[order]
-    # two roots of a node within MERGE_RADIUS, a pair beside an edge that
-    # P's rounding floor leaves unresolved, are one state: the lower
+    node, seg, n, p_n, mag = node[order], seg[order], n[order], p_n[order], mag[order]
     kept = np.ones(len(n), dtype=bool)
-    kept[1:] = (node[1:] != node[:-1]) | ~(
-        n[1:] - n[:-1] <= MERGE_RADIUS * np.maximum(1.0, n[1:]))
-    node, seg, n, c = node[kept], seg[kept], n[kept], c[kept]
-    m = len(n)
-    both = np.concatenate((c, np.abs(c)))
-    p_mag = _horner(both, np.concatenate((n, n)))
-    return node, n, seg, p_mag[:m], p_mag[m:]
+    kept[1:] = (node[1:] != node[:-1]) | ~_merges(n[:-1], n[1:])
+    kept &= _verified(p_n, mag)
+    return node[kept], n[kept], seg[kept], p_n[kept]
 
 
 def _warn_singular(n_c: float) -> None:
@@ -988,11 +1010,13 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     ValueError), which replaces ``poly.p.omega_d``, sorted by photon number.
 
     This is the one-node solve.  The roots come from the root stage
-    ``_node_roots``, in Python floats: a bracketed Newton on each monotone
-    segment of the curve between ``poly``'s folds that holds one, the edge
-    rule at the folds, the merge, and the residual check against EPS_RES
-    times the polynomial scale; ``solve_curve_columns`` applies the same
-    rule to a whole curve at once.  Against the exact roots of P (rational
+    ``_node_roots``, in Python floats: the range rule (``_root_bound``: a
+    drive whose P is too large to evaluate up to its root bound is a
+    ValueError naming it), a bracketed Newton on each monotone segment of
+    the curve between ``poly``'s folds that holds one, the edge rule at the
+    folds, the merge (``_merges``), and the residual check against EPS_RES
+    times the polynomial scale (``_verified``); ``solve_curve_columns``
+    applies the same rules to a whole curve at once.  Against the exact roots of P (rational
     arithmetic from the same float parameters), the states outside
     1e-6 max(1, e) of every edge e (the n_c of a fold or singular state)
     are the exact roots there, one for one, to 1e-9 relative where they lie
@@ -1029,17 +1053,14 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumn
     omega_d^2 / (2 kappa), with no eigen-solve; a segment holds at most one
     state at any input, so the branch id is the segment itself.  The states
     stage ``_states`` maps all roots at once, as arrays, by the rules and
-    the bits of ``solve_node``'s ``_node_states``.  The residual rule is the
-    same.  Emits one ParametricRegimeWarning per call, as ``solve_node``
-    does."""
+    the bits of ``solve_node``'s ``_node_states``.  The range, merge and
+    residual rules are the same, so a drive out of range raises the same
+    ValueError naming it.  Emits one ParametricRegimeWarning per call, as
+    ``solve_node`` does."""
     omegas = _drives(poly, drives)
     driven = np.flatnonzero(omegas > 0.0)
-    ws = omegas[driven].tolist()
-    node, n, seg, res, mag = _segment_roots(
-        poly, np.array([w ** 2 for w in ws]) / (2.0 * poly.p.kappa),
-        _node_polynomials(poly, ws))
-    ok = _accepted(res, mag)
-    return _states(poly, omegas, driven[node[ok]], n[ok], res[ok], seg[ok])
+    node, n, seg, res = _segment_roots(poly, omegas[driven].tolist())
+    return _states(poly, omegas, driven[node], n, res, seg)
 
 
 def solve_steady_states(p: SystemParams) -> list[SteadyState]:

@@ -2,8 +2,8 @@
 larger share of failed operations in the change, or a metric outside its
 bound, and passes otherwise.  A metric whose parent runs spread wider than
 its bound is reported unresolved, which fails nothing.  The summary records
-each tree's source line count, and each run the rate of a calibration loop
-timed before it, which no gate reads."""
+each tree's source line count, all lines and code lines, and each run the
+rate of a calibration loop timed before it, which no gate reads."""
 
 import copy
 import importlib.util
@@ -154,6 +154,63 @@ def test_the_summary_records_each_trees_source_lines(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["src_lines"] == {"parent": 2, "change": 3}
     assert capsys.readouterr().out.count("src/cpasim lines: parent 2, change 3 (+1)") == 1
+
+
+MODULE = '''"""A module docstring,
+over two lines."""
+
+# a comment
+import math  # code with a comment
+
+
+class Box:
+    """A class docstring."""
+
+    side = 2.0
+
+    def area(self):
+        """A method docstring,
+
+        with a blank line."""
+        text = """a string that is
+no docstring"""
+        return self.side ** 2 + len(text)  # code
+
+
+async def later():
+    \'\'\'An async docstring.\'\'\'
+    return (1,
+            2)
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    # import, class, side, def, text (2 lines), return, async def, return (2)
+    assert bench_pairs.code_lines(MODULE) == 10
+    stub = ("import json\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 1,\n"
+            "                  'metrics': {'work_per_s': {'value': 1.0}}}))\n")
+    spec = {"workloads": [{"name": "steady_batch"}], "end_to_end": [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
+    trees = {side: str(tmp_path / side) for side in ("parent", "change")}
+    for tree in trees.values():
+        write(os.path.join(tree, "bench", "run.py"), stub)
+        write(os.path.join(tree, "BENCHMARK.json"), json.dumps(spec))
+    write(os.path.join(trees["parent"], "src", "cpasim", "a.py"), MODULE)
+    write(os.path.join(trees["change"], "src", "cpasim", "a.py"), MODULE)
+    write(os.path.join(trees["change"], "src", "cpasim", "b.py"), '"""Doc."""\n\nx = 1\n')
+    write(os.path.join(trees["change"], "tools", "c.py"), "v = 5\n")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                             "--workload", "steady_batch", "--pairs", "1",
+                             "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["src_code_lines"] == {"parent": 10, "change": 11}
+    assert summary["src_lines"] == {"parent": 25, "change": 28}
+    assert capsys.readouterr().out.count(
+        "src/cpasim lines: parent 25, change 28 (+3); "
+        "code lines: parent 10, change 11 (+1)") == 1
 
 
 def test_each_run_records_a_calibration_rate_no_gate_reads(tmp_path, monkeypatch):

@@ -308,6 +308,21 @@ class TestEvolve:
         assert "sample_dt" in err and str(MAX_POINTS) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", MONOSTABLE + "t_end: 2\nsample_dt: 0.5\n"),
+        ("reproduce", "t_end: 2\nsample_dt: 0.5\n"),
+    ])
+    def test_deltas_that_name_one_file_are_exit_2(self, tmp_path, capsys, command,
+                                                  text):
+        # both are written as ..._delta0.1: the second run replaced the
+        # first's files silently
+        cfg = write_cfg(tmp_path, text + "deltas: [0.1, 0.10000001]\n")
+        argv = [command, *(["fig4"] if command == "reproduce" else []),
+                "--config", cfg, "--out", str(tmp_path / "out")]
+        assert run(*argv) == 2
+        assert "deltas 0.1 and 0.10000001 both write" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_count_bound_is_exact(self):
         # integrate samples ceil(t_end / sample_dt) + 1 times
         cfg = RunConfig(params=None, sample_dt=1.0)

@@ -64,7 +64,7 @@ def reference_svg(curve, gs, title):
         n_c = np.array([q.n_c for q in pts])
         for f_in, f_n in curve.folds:
             near = np.argmin(np.abs(inputs - f_in) + np.abs(n_c - f_n))
-            plot.diamond(f_in * gs, pts[near].output_intensity * gs, "#444444")
+            plot.diamond(f_in * gs, pts[near].output_intensity * gs)
     n_a = n_b = 0
     for m in curve.cpa_markers:
         if m.observable:
@@ -73,8 +73,7 @@ def reference_svg(curve, gs, title):
         else:
             n_b += 1
             tag = f"B{n_b} (unobservable)"
-        plot.dot(m.input_intensity * gs, m.output_intensity * gs, "#d4a017",
-                 label=tag)
+        plot.dot(m.input_intensity * gs, m.output_intensity * gs, tag)
     plot.text(io._ML + 10, io._MT + 18, f"pattern: {curve.pattern}")
     return plot.render()
 

@@ -375,10 +375,14 @@ def test_a_newton_step_that_leaves_its_bracket_bisects():
     # P = (n - 1)(n - 2)(n - 3) on (1.5, 2.5): Newton's first step from 1.5
     # lands on the root 3, outside the bracket; the bisection keeps the
     # root on its own segment
-    c = np.array([[-6.0, 11.0, -6.0, 1.0]] * 2)
-    n = steady._bracketed_newton(c, np.array([1.5, 2.5]), np.array([1.5, 1.5]),
-                                 np.array([2.5, 2.5]), np.array([1.0, 1.0]))
+    # (the two rows' coefficients as columns)
+    c = np.array([[-6.0, 11.0, -6.0, 1.0]] * 2).T
+    n, p_n, mag = steady._bracketed_newton(c, np.array([1.5, 2.5]), np.array([1.5, 1.5]),
+                                           np.array([2.5, 2.5]), np.array([1.0, 1.0]))
     assert n.tolist() == [2.0, 2.0]
+    # P and its magnitude at the root, from the Newton's own evaluation
+    assert p_n.tolist() == [0.0, 0.0]
+    assert mag.tolist() == [6.0 + 11.0 * 2.0 + 6.0 * 4.0 + 8.0] * 2
 
 
 def test_each_row_caps_the_last_segment_by_its_own_root_bound():
@@ -613,20 +617,26 @@ def test_drives_and_grids_are_validated_at_entry(bad):
 
 @pytest.mark.parametrize("w, what", [(1e160, "its square"),
                                      (1e154, "P = free - omega_d^2 drive"),
-                                     (1e150, "P at its root")])
+                                     (1e150, "|free| + omega_d^2 |drive| at P's root bound")])
 def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
     # the square of 1e160 overflows, 1e154^2 times drive's coefficients
-    # does, and at 1e150 P overflows near its root n_c ~ 1e298
+    # does, and at 1e150 P's magnitude overflows below its root bound
+    # n_c ~ 1e298
     p = fig3_preset("fig3c", 4.5)
     poly = build_polynomial(p)
     message = re.escape(f"drive omega_d = {w!r} is too large: {what}")
     with pytest.raises(ValueError, match=message):
         solve_node(poly, w)
-    if w > 1e150:  # the curve forms P by the same rule
-        with pytest.raises(ValueError, match=message):
-            steady.solve_curve_columns(poly, [w])
+    # the curve decides the range by the same rule, also among other drives
+    with pytest.raises(ValueError, match=message):
+        steady.solve_curve_columns(poly, [w])
+    with pytest.raises(ValueError, match=message):
+        steady.solve_curve_columns(poly, [0.0, 1.0, w, 2.0])
+    if w > 1e150:  # P's coefficients overflow
         with pytest.raises(ValueError, match=message):
             build_polynomial(replace(p, omega_d=w)).coeffs
+    else:  # they do not: only the solves' range rule refuses this drive
+        assert np.isfinite(build_polynomial(replace(p, omega_d=w)).coeffs).all()
     if w > 1e154:
         # checked where it enters, before the regime warning of a set
         # above the bare threshold
@@ -636,6 +646,55 @@ def test_a_drive_too_large_for_p_is_a_value_error_naming_it(w, what):
             with pytest.raises(ValueError, match=message):
                 solve_node(above, w)
         assert seen == []
+
+
+def solved(solve):
+    """What ``solve()`` returns, or the message of its ValueError."""
+    try:
+        return solve()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [
+    *(fig3_preset(tag, dtls) for tag, dtls in FIG3),
+    SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_tls=4.5),  # |G| = 0
+], ids=[f"{tag}/{dtls}" for tag, dtls in FIG3] + ["G0"])
+def test_a_curve_and_a_node_agree_at_every_input_or_both_raise(p):
+    # every half decade of input from 1 to 1e306: a curve at one drive and
+    # solve_node find the same states, or both name the drive out of range,
+    # and no reported state has a non-finite residual.  A curve over all the
+    # drives in range finds them too, and one more drive out of range makes
+    # it raise, naming that drive
+    poly = build_polynomial(p)
+    drives = [drive_for_input_intensity(10.0 ** (k / 2.0), p) for k in range(613)]
+    in_range, states = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParametricRegimeWarning)
+        for w in drives:
+            node = solved(lambda: [(s.n_c, s.residual) for s in solve_node(poly, w)])
+            cols = solved(lambda: steady.solve_curve_columns(poly, [w]))
+            if isinstance(node, str):
+                assert node.startswith(f"drive omega_d = {w!r} is too large")
+                assert cols == node
+                continue
+            assert not isinstance(cols, str), (w, cols)
+            assert len(cols.n_c) == len(node), w
+            assert cols.n_c.tolist() == pytest.approx([n for n, _ in node], rel=1e-9)
+            assert all(math.isfinite(r) for _, r in node)
+            assert np.isfinite(cols.residual).all()
+            in_range.append(w)
+            states.append(node)
+        # the range ends below the top of the scan, so both outcomes are seen
+        assert 0 < len(in_range) < len(drives)
+        curve = steady.solve_curve_columns(poly, in_range)
+        for k, node in enumerate(states):
+            assert curve.n_c[curve.node == k].tolist() == pytest.approx(
+                [n for n, _ in node], rel=1e-9)
+        assert np.isfinite(curve.residual).all()
+        out = next(w for w in drives if w not in in_range)
+        with pytest.raises(ValueError, match=re.escape(f"drive omega_d = {out!r} is too large")):
+            steady.solve_curve_columns(poly, in_range + [out])
 
 
 def assert_states_match_the_scalar_formulas(p, grid):

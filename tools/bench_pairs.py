@@ -20,7 +20,9 @@ parent's interquartile range exceeds the bound times the parent's median,
 unless every run of the change beats every run of the parent: its runs
 then spread too widely to call it unchanged.  The machine, Python, numpy
 and scipy versions and the repeat count are recorded once, and so are the
-line counts of each tree's ``src/cpasim/*.py``, which are also printed.
+line counts of each tree's ``src/cpasim/*.py``, all lines (``src_lines``)
+and code lines only (``src_code_lines``: no docstrings, comments or blank
+lines), which are also printed.
 Before each run a fixed stdlib-only loop is timed in this process, and its
 rate is stored beside that run's metrics (``calibration_per_s``): it tells
 how fast the machine was at that moment, so that files from different
@@ -42,7 +44,9 @@ when the benchmark code differs, naming the first file that differs.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
+import io
 import json
 import os
 import platform
@@ -50,6 +54,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from importlib import metadata
 
 
@@ -57,6 +62,9 @@ from importlib import metadata
 NOT_BENCHMARK_CODE = {"results", ".work", "__pycache__"}
 # the calibration loop's length: about 13 ms on a 2-CPU machine
 CALIBRATION_STEPS = 200_000
+# the tokens that hold no code
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def benchmark_files(tree: str) -> set[str]:
@@ -91,6 +99,34 @@ def src_lines(tree: str) -> int:
     for path in glob.glob(os.path.join(tree, "src", "cpasim", "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
+    return total
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: not blank, not only a
+    ``#`` comment, and not part of a docstring (the string that opens a
+    module, class or function body, as ``ast`` finds it).  A line of a
+    multi-line statement or of another string counts."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_code_lines(tree: str) -> int:
+    """``code_lines`` summed over ``tree``'s ``src/cpasim/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "cpasim", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += code_lines(fh.read())
     return total
 
 
@@ -247,11 +283,14 @@ def main(argv=None) -> int:
         "numpy": version("numpy"),
         "scipy": version("scipy"),
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "src_code_lines": {side: src_code_lines(tree) for side, tree in trees.items()},
         "workloads": {},
     }
-    lines = summary["src_lines"]
+    lines, code = summary["src_lines"], summary["src_code_lines"]
     print(f"src/cpasim lines: parent {lines['parent']}, change {lines['change']} "
-          f"({lines['change'] - lines['parent']:+d})")
+          f"({lines['change'] - lines['parent']:+d}); code lines: parent "
+          f"{code['parent']}, change {code['change']} "
+          f"({code['change'] - code['parent']:+d})")
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.pairs):
