@@ -101,7 +101,7 @@ def critical_coupling(beta: float, delta_tls: float, gamma: float) -> float:
     """
     if beta <= 0.0:
         raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return math.sqrt(0.5 * beta * (gamma + 4.0 * delta_tls ** 2 / gamma))
 
@@ -116,7 +116,7 @@ def critical_detuning(g: float, beta: float, gamma: float) -> float:
     """
     if beta <= 0.0:
         raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     radicand = 0.5 * (g ** 2 * gamma / beta - gamma ** 2 / 2.0)
     if radicand < -RADICAND_ATOL * gamma ** 2:

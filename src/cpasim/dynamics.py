@@ -160,13 +160,17 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
 
     Raises StepFailure (carrying the partial trace) if the integrator stops
     before reaching ``t_end``, and ValueError naming the argument for a
-    non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, or a
-    sample count ``t_end / sample_dt`` beyond the array index range or too
-    large to allocate.
+    non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, an
+    ``rtol`` or ``atol`` that is not finite or is negative, or a sample
+    count ``t_end / sample_dt`` beyond the array index range or too large
+    to allocate.
     """
     for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if sample_dt <= 0.0 or sample_dt > t_end:

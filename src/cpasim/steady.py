@@ -2,7 +2,7 @@
 root refinement, and linear stability of the 5-dimensional mean-field flow.
 
 One ``build_polynomial(p)`` per parameter set holds its drive-free factors
-(assembled in Python float lists, in IEEE arithmetic of a fixed order, so
+(tuples of Python floats, assembled in IEEE arithmetic of a fixed order, so
 the same on every machine), its parameters and, once asked for, its folds.
 Every solve brackets its roots on the monotone segments of the curve
 between the folds, one root rule in two implementations, which share its
@@ -85,38 +85,39 @@ class SelfConsistencyPolynomial:
     (coeffs[k] multiplies n_c**k), degree <= 5, with a constant term <= 0.
     ``q`` is the cleared denominator Q (free = n Q^2); it is None for
     |G| = 0, where the positive Q was divided out and free = n Q.
-    ``coeffs``, ``folds`` and ``edges`` are formed on first use, once per
-    polynomial: every solve brackets its roots between the folds.
+    ``free``, ``drive``, ``q`` and ``coeffs`` are tuples of Python floats,
+    ascending, so the polynomial cannot change once built.  ``coeffs``,
+    ``folds`` and ``edges`` are formed on first use, once per polynomial:
+    every solve brackets its roots between the folds.
     """
 
-    free: np.ndarray
-    drive: np.ndarray
-    q: np.ndarray | None
+    free: tuple[float, ...]
+    drive: tuple[float, ...]
+    q: tuple[float, ...] | None
     p: SystemParams
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        return _trim(_node_polynomials(self, [self.p.omega_d])[0])
+    def coeffs(self) -> tuple[float, ...]:
+        return tuple(_trim(_node_polynomials(self, [self.p.omega_d])[0]))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, n_c):
-        return _value(self.coeffs.tolist(), n_c)
+        return _value(self.coeffs, n_c)
 
     def input_intensity(self, n):
         """I(n) = free(n) / (2 kappa drive(n)): the per-mirror input intensity
         at which the curve passes through n_c = n, for a Python float or
         elementwise for an array."""
-        return _value(self.free.tolist(), n) / (
-            2.0 * self.p.kappa * _value(self.drive.tolist(), n))
+        return _value(self.free, n) / (2.0 * self.p.kappa * _value(self.drive, n))
 
     @cached_property
     def singular_states(self) -> list[float]:
         """Positive zeros of Q: the undriven parametric-singularity states,
         where I(n) = 0 (none for |G| = 0, where Q = A^2 + B^2 > 0)."""
-        return [] if self.q is None else positive_roots(self.q.tolist())
+        return [] if self.q is None else positive_roots(self.q)
 
     @cached_property
     def folds(self) -> list[tuple[float, float]]:
@@ -142,12 +143,11 @@ class SelfConsistencyPolynomial:
         local quadratic P(n) = a (I(e) - x) + b (n - e)^2 at input x, with
         a = 2 kappa drive(e) and b = P''(e) / 2 at the edge's own input (NaN
         where that is zero: a cusp, where no quadratic places the pair)."""
-        free, drive = self.free.tolist(), self.drive.tolist()
-        if self.q is None:
+        free, drive, q = self.free, self.drive, self.q
+        if q is None:
             v = _add(_mul(_der(free), drive), [-x for x in _mul(free, _der(drive))])
         else:
             # free = n Q^2, so W = Q ((Q + 2 n Q') drive - n Q drive')
-            q = self.q.tolist()
             v = _add(_mul(_add(q, [2.0 * x for x in _mulx(_der(q))]), drive),
                      [-x for x in _mul(_mulx(q), _der(drive))])
         singular, zeros = self.singular_states, positive_roots(v)
@@ -158,34 +158,35 @@ class SelfConsistencyPolynomial:
         edges = []
         for k, e in enumerate(singular + zeros):
             a = kappa2 * _value(drive, e)
-            at = 0.0 if k < len(singular) else self.input_intensity(e) if a > 0.0 else math.inf
+            # I(e) = free(e) / a, as input_intensity evaluates it
+            at = 0.0 if k < len(singular) else _value(free, e) / a if a > 0.0 else math.inf
             edges.append((e, at, a, 0.5 * (_value(free2, e) - kappa2 * at * _value(drive2, e))
                           or math.nan))
         return sorted(edges)
 
 
-# Series arithmetic on ascending coefficient lists of Python floats, kept
-# trimmed of trailing zeros.  Every operation is IEEE arithmetic in a fixed
-# order, with no BLAS kernel, so each coefficient is the same float on every
-# machine.  Operands are trimmed: a product's leading coefficient is then
+# Series arithmetic on ascending coefficient sequences of Python floats
+# (lists, or a polynomial's tuples), kept trimmed of trailing zeros.  Every
+# operation is IEEE arithmetic in a fixed order, with no BLAS kernel, so each
+# coefficient is the same float on every machine.  Operands are trimmed: a product's leading coefficient is then
 # nonzero, and only a sum can cancel.
 
 def _trim(c):
-    """``c`` (a list or an array) without trailing zeros, keeping at least
-    one coefficient."""
+    """``c`` (a list, a tuple or an array) without trailing zeros, keeping
+    at least one coefficient."""
     k = len(c)
     while k > 1 and c[k - 1] == 0.0:
         k -= 1
     return c[:k]
 
 
-def _add(a: list[float], b: list[float]) -> list[float]:
+def _add(a, b) -> list[float]:
     if len(a) < len(b):
         a, b = b, a
-    return _trim([x + y for x, y in zip(a, b)] + a[len(b):])
+    return _trim([x + y for x, y in zip(a, b)] + [*a[len(b):]])
 
 
-def _der(c: list[float]) -> list[float]:
+def _der(c) -> list[float]:
     """The derivative's coefficients; a constant's is [0.0]."""
     return [k * c[k] for k in range(1, len(c))] or [0.0]
 
@@ -202,11 +203,11 @@ def _value(c, x):
     return out
 
 
-def _mulx(c: list[float]) -> list[float]:
-    return [0.0] + c if c[-1] else c
+def _mulx(c):
+    return [0.0, *c] if c[-1] else c
 
 
-def _mul(a: list[float], b: list[float]) -> list[float]:
+def _mul(a, b) -> list[float]:
     """The product of two series: coefficient k sums the rounded products
     a[i] b[k - i] from 0.0 in ascending i."""
     out = [0.0] * (len(a) + len(b) - 1)
@@ -278,22 +279,21 @@ def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
     collapses to degree 1 when additionally g = 0).  When Q and R share the
     factor A + 2 Re(G) D (see ``_poly_pieces``), its square is divided out:
     P(n) = n (A - 2 Re(G) D)^2 - omega_d^2 D^2, with Q = A - 2 Re(G) D.
-    The pieces are Python float lists, and arrays once, here.
+    The pieces are built as Python float lists and held as tuples.
     """
     DD, Q, R, q_shared = _poly_pieces(p)
     if p.g_nl_mag == 0.0:
         free, drive, q = _mulx(Q), DD, None
     elif q_shared is not None:
-        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, np.array(q_shared)
+        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, tuple(q_shared)
     else:
-        free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), np.array(Q)
-    return SelfConsistencyPolynomial(free=np.array(free), drive=np.array(drive),
-                                     q=q, p=p)
+        free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), tuple(Q)
+    return SelfConsistencyPolynomial(free=tuple(free), drive=tuple(drive), q=q, p=p)
 
 
-def positive_roots(c: list[float]) -> list[float]:
+def positive_roots(c) -> list[float]:
     """The sorted distinct real roots n > 0 of a polynomial (ascending
-    coefficients, a Python float list, trailing zeros ignored): the zeros of
+    coefficients, Python floats, trailing zeros ignored): the zeros of
     Q and V behind the folds.  P's own roots are bracketed between the folds
     (``_node_roots``, ``_segment_roots``).
 
@@ -585,9 +585,9 @@ def _squared(w: float) -> float:
     raise _too_large(w, "its square")
 
 
-def _drives(poly: SelfConsistencyPolynomial, drives) -> np.ndarray:
-    """The validated drive array, with the regime warning of a non-empty
-    call above the bare threshold."""
+def _drives(poly: SelfConsistencyPolynomial, drives) -> list[float]:
+    """The validated drives as Python floats, with the regime warning of a
+    non-empty call above the bare threshold."""
     omegas = np.array(drives, dtype=float)
     ws = omegas.tolist()
     if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
@@ -597,28 +597,30 @@ def _drives(poly: SelfConsistencyPolynomial, drives) -> np.ndarray:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
-    return omegas
+    return ws
 
 
-def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]) -> np.ndarray:
+def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]):
     """The one P rule: P = free - omega_d^2 drive, one row per drive of
-    ``omegas`` (Python floats), zero-padded, each drive squared by
-    ``_squared``.  Every coefficient is at most omega_d^2 max|drive| +
-    max|free| in magnitude, also after rounding, which is monotone: where
-    that bound overflows, a ValueError names the largest drive."""
+    ``omegas`` (Python floats), each drive squared by ``_squared``.  One
+    drive's row (a one-node solve's P) is a list of Python floats, in a
+    one-row list; several drives' rows (a curve's) are one zero-padded
+    array, with the same bits.  Every coefficient is at most
+    omega_d^2 max|drive| + max|free| in magnitude, also after rounding,
+    which is monotone: where that bound overflows, a ValueError names the
+    largest drive."""
     w2 = [_squared(w) for w in omegas]
     top = max(w2, default=0.0)
-    free, drive = poly.free.tolist(), poly.drive.tolist()
+    free, drive = poly.free, poly.drive
     if not (top * max(map(abs, drive)) + max(map(abs, free))) < math.inf:
         raise _too_large(omegas[w2.index(top)], "P = free - omega_d^2 drive")
     if len(w2) == 1:
-        # one drive, a one-node solve's P, in Python floats: the same bits,
-        # and the median steady_batch solve 4 % faster, the tail 1-3 %
-        # (in-process A/B over seed 1's 2 000 points, 10-12 passes)
-        return np.array([[f - top * d for f, d in zip_longest(free, drive, fillvalue=0.0)]])
-    rows = np.zeros((len(w2), max(len(poly.free), len(poly.drive))))
-    rows[:, :len(poly.free)] = poly.free
-    rows[:, :len(poly.drive)] -= np.multiply.outer(w2, poly.drive)
+        # in Python floats: the median steady_batch solve 4 % faster, the
+        # tail 1-3 % (in-process A/B over seed 1's 2 000 points, 10-12 passes)
+        return [[f - top * d for f, d in zip_longest(free, drive, fillvalue=0.0)]]
+    rows = np.zeros((len(w2), max(len(free), len(drive))))
+    rows[:, :len(free)] = free
+    rows[:, :len(drive)] -= np.multiply.outer(w2, drive)
     return rows
 
 
@@ -664,8 +666,8 @@ def _root_bound(poly: SelfConsistencyPolynomial, w, w2, c):
         r = (abs(c[k]) / lead) ** (1.0 / (d - k))
         bound = (r > bound) * r + (r <= bound) * bound  # the larger, elementwise
     bound = 2.0 * bound
-    total = (_value(list(map(abs, poly.free.tolist())), bound)
-             + w2 * _value(list(map(abs, poly.drive.tolist())), bound))
+    total = (_value(list(map(abs, poly.free)), bound)
+             + w2 * _value(list(map(abs, poly.drive)), bound))
     fits = (total < math.inf) | (lead == 0.0)
     if fits is not True and not np.all(fits):  # one drive in range is True
         raise _too_large(float(np.atleast_1d(w)[np.argmin(fits)]),
@@ -774,7 +776,7 @@ def _node_roots(poly: SelfConsistencyPolynomial, w: float) -> list[tuple[float, 
     ``_segment_roots``.  Coefficients of P with one sign change leave it one
     positive root (Descartes' rule of signs): the whole axis is then one
     segment, with no folds.  Returns each root and P there, ascending."""
-    c = _trim(_node_polynomials(poly, [w])[0].tolist())
+    c = _trim(_node_polynomials(poly, [w])[0])
     d = len(c) - 1
     if d == 0:
         return []
@@ -846,7 +848,7 @@ def _segment_roots(poly: SelfConsistencyPolynomial, ws: list[float]):
     kappa = poly.p.kappa
     w2 = np.array([w ** 2 for w in ws])
     x = w2 / (2.0 * kappa)
-    coeffs = _node_polynomials(poly, ws)
+    coeffs = np.asarray(_node_polynomials(poly, ws))
     # P's rows as columns, without the top ones that are zero in every row
     c = coeffs.T[:len(_trim(np.abs(coeffs).max(axis=0, initial=0.0)))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1039,7 +1041,7 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     parametric threshold: the reported roots are still residual-verified,
     but branches at large n_c are typically unstable there.
     """
-    (w,) = _drives(poly, [omega_d]).tolist()
+    (w,) = _drives(poly, [omega_d])
     return _node_states(poly, w)
 
 
@@ -1057,9 +1059,10 @@ def solve_curve_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumn
     residual rules are the same, so a drive out of range raises the same
     ValueError naming it.  Emits one ParametricRegimeWarning per call, as
     ``solve_node`` does."""
-    omegas = _drives(poly, drives)
+    ws = _drives(poly, drives)
+    omegas = np.array(ws)
     driven = np.flatnonzero(omegas > 0.0)
-    node, n, seg, res = _segment_roots(poly, omegas[driven].tolist())
+    node, n, seg, res = _segment_roots(poly, [w for w in ws if w > 0.0])
     return _states(poly, omegas, driven[node], n, res, seg)
 
 

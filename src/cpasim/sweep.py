@@ -266,8 +266,13 @@ def boundary_map(gamma: float, g_fixed: float, delta_tls_fixed: float,
 
     The mask equals g_fixed > g_c(beta) equivalently |delta_tls_fixed| below
     the critical detuning; infeasible nodes report a critical detuning of 0.
-    The betas must be finite, positive and ascending, else ValueError.
+    The betas must be finite, positive and ascending, and gamma, g_fixed and
+    delta_tls_fixed finite, else ValueError.
     """
+    for name, value in (("gamma", gamma), ("g_fixed", g_fixed),
+                        ("delta_tls_fixed", delta_tls_fixed)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     betas = np.asarray([float(b) for b in beta_grid])
     if not np.isfinite(betas).all():
         raise ValueError("beta grid must be finite")

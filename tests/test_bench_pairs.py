@@ -2,8 +2,9 @@
 larger share of failed operations in the change, or a metric outside its
 bound, and passes otherwise.  A metric whose parent runs spread wider than
 its bound is reported unresolved, which fails nothing.  The summary records
-each tree's source line count, all lines and code lines, and each run the
-rate of a calibration loop timed before it, which no gate reads."""
+each tree's source line count, all lines and code lines, the code lines of
+each module, and each run the rate of a calibration loop timed before it,
+which no gate reads."""
 
 import copy
 import importlib.util
@@ -211,6 +212,40 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path, caps
     assert capsys.readouterr().out.count(
         "src/cpasim lines: parent 25, change 28 (+3); "
         "code lines: parent 10, change 11 (+1)") == 1
+
+
+def test_the_summary_records_each_modules_code_lines(tmp_path, capsys):
+    stub = ("import json\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 1,\n"
+            "                  'metrics': {'work_per_s': {'value': 1.0}}}))\n")
+    spec = {"workloads": [{"name": "steady_batch"}], "end_to_end": [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
+    trees = {side: str(tmp_path / side) for side in ("parent", "change")}
+    for tree in trees.values():
+        write(os.path.join(tree, "bench", "run.py"), stub)
+        write(os.path.join(tree, "BENCHMARK.json"), json.dumps(spec))
+        write(os.path.join(tree, "src", "cpasim", "same.py"), "x = 1\n")
+    write(os.path.join(trees["parent"], "src", "cpasim", "gone.py"), "y = 2\n")
+    write(os.path.join(trees["parent"], "src", "cpasim", "edited.py"), "z = 3\nw = 4\n")
+    write(os.path.join(trees["change"], "src", "cpasim", "edited.py"),
+          "# only a comment more\nz = 3\nw = 4\nv = 5\n")
+    write(os.path.join(trees["change"], "src", "cpasim", "new.py"), MODULE)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                             "--workload", "steady_batch", "--pairs", "1",
+                             "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["module_code_lines"] == {
+        "parent": {"edited.py": 2, "gone.py": 1, "same.py": 1},
+        "change": {"edited.py": 3, "new.py": 10, "same.py": 1}}
+    assert summary["src_code_lines"] == {"parent": 4, "change": 14}
+    # the modules whose code lines changed, and only those
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ")]
+    assert printed == ["  edited.py code lines: parent 2, change 3 (+1)",
+                       "  gone.py code lines: parent 1, change 0 (-1)",
+                       "  new.py code lines: parent 0, change 10 (+10)"]
 
 
 def test_each_run_records_a_calibration_rate_no_gate_reads(tmp_path, monkeypatch):

@@ -77,6 +77,10 @@ def isolated(x, folds, width):
                       phi=2.8415926535897933))
 def test_folds_match_oracle_and_change_root_count_by_two(p):
     folds = positive_folds(p)
+    poly = build_polynomial(p)
+    # each driven fold's input is I(e) as input_intensity evaluates it, to the bit
+    assert all(at == poly.input_intensity(e) for e, at, a, _ in poly.edges
+               if e not in poly.singular_states and a > 0.0)
     for x, n in folds:
         # a relative bracket: folds at tiny input have their pair leave the
         # oracle's n-window within an absolute 1e-4
@@ -102,7 +106,7 @@ def test_folds_match_oracle_and_change_root_count_by_two(p):
                       g_nl_mag=0.25, phi=3.1632846691216905))
 def test_anchored_pairs_open_at_zero_input(p):
     poly = build_polynomial(p)
-    if not poly.free.any():
+    if not any(poly.free):
         # a linear cavity at its parametric threshold: I(n) = 0 for every
         # n, so no steady state survives any drive
         assert root_count(p, 1e-8) == 0

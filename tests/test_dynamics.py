@@ -141,6 +141,11 @@ class TestIntegrate:
         (dict(initial=[math.inf, 0.0, 0.0, 0.0, -0.5]), "initial state"),
         # indexable, but 6.94 EiB of samples: numpy's MemoryError before
         (dict(t_end=1e18, sample_dt=1.0), "t_end / sample_dt"),
+        (dict(atol=-1.0), "atol"),  # integrated without complaint before
+        (dict(atol=math.nan), "atol"),
+        (dict(rtol=math.inf), "rtol"),  # integrated without complaint before
+        (dict(rtol=math.nan), "rtol"),  # a StepFailure at t = 0 before
+        (dict(rtol=-1e-9), "rtol"),
     ])
     def test_non_finite_arguments_are_value_errors_naming_them(self, args, named):
         call = dict(delta=0.0, initial=vacuum_state(), t_end=1.0, sample_dt=0.1)

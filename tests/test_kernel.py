@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as P
 from oracles import count_sign_changes, exact_factors, exact_roots, root_scan_bound
 from test_curve_geometry import at_input, curve_params, positive_folds
 from test_model import random_params
-from test_sweep import reproduce_span
+from test_sweep import at_required_detuning, reproduce_span
 from cpasim import cli, cpa, steady, sweep
 from cpasim.cli import fig3_preset
 from cpasim.cpa import BranchLocation
@@ -242,13 +242,14 @@ def test_kernel_keeps_the_scalar_arithmetic():
             if ref is None:
                 assert got is None
                 continue
+            got = np.asarray(got)
             assert len(got) == len(ref) and np.array_equal(got == 0.0, ref == 0.0)
             assert np.all(np.abs(got - ref) <= ROUNDING * EPS * np.abs(ref).max())
         (free, drive, q_exact), mags = exact_factors(q)
         for got, exact, mag in zip((poly.free, poly.drive, poly.q),
                                    (free, drive, q_exact), mags):
             if got is not None:
-                assert max_rounding(got.tolist(), exact, mag) <= EXACT
+                assert max_rounding(got, exact, mag) <= EXACT
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             states = solve_steady_states(q)
@@ -262,6 +263,21 @@ def test_kernel_keeps_the_scalar_arithmetic():
             assert_a_fold_pair_settles_it(q, found)
             settled += 1
     assert compared >= 2100 and settled <= 10
+
+
+@pytest.mark.parametrize("p", [
+    fig3_preset("fig3c", 4.5),
+    replace(fig3_preset("fig3c", 4.5), g_nl_mag=0.0),  # no q
+    # Q and R share a factor, divided out of q
+    at_required_detuning(kappa_l=1.0, kappa_r=1.0, g=2.0, g_nl_mag=0.6, phi=math.pi),
+])
+def test_the_polynomial_is_python_floats_held_immutable(p):
+    poly = build_polynomial(p)
+    assert (poly.q is None) is (p.g_nl_mag == 0.0)
+    for piece in filter(None, (poly.free, poly.drive, poly.q, poly.coeffs)):
+        assert type(piece) is tuple and all(type(c) is float for c in piece)
+        with pytest.raises(TypeError):
+            piece[0] = 1.0
 
 
 @pytest.mark.parametrize("key", FIG3)

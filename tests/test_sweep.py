@@ -11,6 +11,8 @@ from cpasim.cpa import (
     BranchLocation,
     cpa_cavity_detuning,
     cpa_photon_number,
+    critical_coupling,
+    critical_detuning,
     verify_cpa,
 )
 from cpasim import sweep
@@ -395,7 +397,6 @@ class TestClassify:
 
 class TestBoundaryMap:
     def test_curves_match_pointwise_formulas(self):
-        from cpasim.cpa import critical_coupling, critical_detuning
         betas = np.linspace(0.005, 0.1, 20)
         bm = boundary_map(1.0, 1.0, 4.5, betas)
         for i, b in enumerate(betas):
@@ -434,6 +435,19 @@ class TestBoundaryMap:
         # NaN curves, or g_c = inf, came back before
         with pytest.raises(ValueError, match="beta grid must be finite"):
             boundary_map(1.0, 1.0, 20.0, betas)
+
+    @pytest.mark.parametrize("call, args, named", [
+        # NaN curves and an all-False mask came back before
+        (boundary_map, (math.nan, 1.0, 20.0, [0.01, 0.02]), "gamma"),
+        (boundary_map, (math.inf, 1.0, 20.0, [0.01, 0.02]), "gamma"),
+        (boundary_map, (1.0, math.nan, 20.0, [0.01, 0.02]), "g_fixed"),  # NaN detunings
+        (boundary_map, (1.0, 1.0, math.inf, [0.01, 0.02]), "delta_tls_fixed"),  # g_c = inf
+        (critical_coupling, (0.02, 0.0, math.nan), "gamma"),  # nan before
+        (critical_detuning, (1.0, 0.02, math.nan), "gamma"),
+    ])
+    def test_a_non_finite_argument_is_a_value_error_naming_it(self, call, args, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            call(*args)
 
 
 

@@ -22,7 +22,8 @@ then spread too widely to call it unchanged.  The machine, Python, numpy
 and scipy versions and the repeat count are recorded once, and so are the
 line counts of each tree's ``src/cpasim/*.py``, all lines (``src_lines``)
 and code lines only (``src_code_lines``: no docstrings, comments or blank
-lines), which are also printed.
+lines), which are also printed, and the code lines of each module
+(``module_code_lines``), printed for the modules whose count differs.
 Before each run a fixed stdlib-only loop is timed in this process, and its
 rate is stored beside that run's metrics (``calibration_per_s``): it tells
 how fast the machine was at that moment, so that files from different
@@ -121,13 +122,14 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
-def src_code_lines(tree: str) -> int:
-    """``code_lines`` summed over ``tree``'s ``src/cpasim/*.py``."""
-    total = 0
-    for path in glob.glob(os.path.join(tree, "src", "cpasim", "*.py")):
+def module_code_lines(tree: str) -> dict[str, int]:
+    """``code_lines`` of each of ``tree``'s ``src/cpasim/*.py``, by file
+    name, in sorted order."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "cpasim", "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            total += code_lines(fh.read())
-    return total
+            counts[os.path.basename(path)] = code_lines(fh.read())
+    return counts
 
 
 def calibration_rate(steps: int = CALIBRATION_STEPS) -> float:
@@ -272,6 +274,7 @@ def main(argv=None) -> int:
         if workload not in [w["name"] for w in spec["workloads"]]:
             ap.error(f"unknown workload {workload!r}")
 
+    modules = {side: module_code_lines(tree) for side, tree in trees.items()}
     summary = {
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -283,7 +286,8 @@ def main(argv=None) -> int:
         "numpy": version("numpy"),
         "scipy": version("scipy"),
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
-        "src_code_lines": {side: src_code_lines(tree) for side, tree in trees.items()},
+        "src_code_lines": {side: sum(m.values()) for side, m in modules.items()},
+        "module_code_lines": modules,
         "workloads": {},
     }
     lines, code = summary["src_lines"], summary["src_code_lines"]
@@ -291,6 +295,11 @@ def main(argv=None) -> int:
           f"({lines['change'] - lines['parent']:+d}); code lines: parent "
           f"{code['parent']}, change {code['change']} "
           f"({code['change'] - code['parent']:+d})")
+    for name in sorted(modules["parent"].keys() | modules["change"].keys()):
+        before, after = modules["parent"].get(name, 0), modules["change"].get(name, 0)
+        if before != after:
+            print(f"  {name} code lines: parent {before}, change {after} "
+                  f"({after - before:+d})")
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.pairs):
