@@ -94,15 +94,25 @@ def cpa_cavity_detuning(p: SystemParams) -> float:
     return 2.0 * p.g_nl_mag * math.sin(p.phi) + 2.0 * beta * p.delta_tls / p.gamma
 
 
+def _check_boundary_args(beta: float, gamma: float, name: str, value: float) -> None:
+    """ValueError naming a non-finite ``beta`` or ``value`` (the argument
+    ``name``), NonPositiveBeta for a finite beta <= 0, and ValueError for a
+    gamma that is not > 0."""
+    for arg, v in (("beta", beta), (name, value)):
+        if not math.isfinite(v):
+            raise ValueError(f"{arg} must be finite, got {v!r}")
+    if beta <= 0.0:
+        raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+
+
 def critical_coupling(beta: float, delta_tls: float, gamma: float) -> float:
     """Minimum atom-cavity coupling for absorption at the given detuning:
 
     g_c = sqrt( (beta/2) (gamma + 4 delta_tls^2 / gamma) )
     """
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    _check_boundary_args(beta, gamma, "delta_tls", delta_tls)
     return math.sqrt(0.5 * beta * (gamma + 4.0 * delta_tls ** 2 / gamma))
 
 
@@ -114,10 +124,7 @@ def critical_detuning(g: float, beta: float, gamma: float) -> float:
     Returns 0 exactly at the boundary g = critical_coupling(beta, 0, gamma);
     raises Infeasible when the radicand is negative (no detuning works).
     """
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    _check_boundary_args(beta, gamma, "g", g)
     radicand = 0.5 * (g ** 2 * gamma / beta - gamma ** 2 / 2.0)
     if radicand < -RADICAND_ATOL * gamma ** 2:
         raise Infeasible(

@@ -50,6 +50,14 @@ class TimeTrace:
     state: np.ndarray  # shape (len(t), 5)
     n_c: np.ndarray
     out_intensity: np.ndarray  # max of the two mirror output intensities
+    # dop853's own counters, summed over the sample intervals run (on a
+    # StepFailure's partial trace too): right-hand-side calls (exact),
+    # steps, accepted and rejected steps (NRJECT: a rejection before an
+    # interval's first accepted step is not counted)
+    rhs_calls: int = 0
+    steps: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
 
     def final_state(self) -> np.ndarray:
         return self.state[-1]
@@ -65,26 +73,22 @@ def mean_field_rhs(state: np.ndarray, t: float, p: SystemParams,
     """Time derivative of the mean-field state.
 
     ``delta`` is the pump-frequency mismatch of the crystal; the parametric
-    term 2 G e^{-i delta t} c* is the only explicit time dependence.
+    term 2 G e^{-i delta t} c* is the only explicit time dependence.  At
+    delta = 0 it is the constant 2 G of ``p.rhs_coefficients``: phi - 0 t
+    is phi for every finite t.
     """
     x1, x2, x3, x4, x5 = state.tolist()
-    phase = p.phi - delta * t
-    g_nl2 = 2.0 * p.g_nl_mag
-    gr = g_nl2 * math.cos(phase)
-    gi = g_nl2 * math.sin(phase)
-    kh = 0.5 * (p.kappa_l + p.kappa_r)
-    gamma = p.gamma
-    gh = 0.5 * gamma
-    g = p.g
-    g2 = 2.0 * g
-    dc = p.delta_c
-    da = p.delta_tls
+    mkh, dc, g, g2, mgh, mgamma, da, wd, g_nl2, phi, gr, gi = p.rhs_coefficients
+    if delta:
+        phase = phi - delta * t
+        gr = g_nl2 * math.cos(phase)
+        gi = g_nl2 * math.sin(phase)
     return np.array([
-        -kh * x1 + dc * x2 + g * x4 + gr * x1 + gi * x2 + p.omega_d,
-        -kh * x2 - dc * x1 - g * x3 + gi * x1 - gr * x2,
-        -gh * x3 + da * x4 - g2 * x2 * x5,
-        -gh * x4 - da * x3 + g2 * x1 * x5,
-        -gamma * (x5 + 0.5) - g2 * (x1 * x4 - x2 * x3),
+        mkh * x1 + dc * x2 + g * x4 + gr * x1 + gi * x2 + wd,
+        mkh * x2 - dc * x1 - g * x3 + gi * x1 - gr * x2,
+        mgh * x3 + da * x4 - g2 * x2 * x5,
+        mgh * x4 - da * x3 + g2 * x1 * x5,
+        mgamma * (x5 + 0.5) - g2 * (x1 * x4 - x2 * x3),
     ])
 
 
@@ -103,15 +107,19 @@ def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,
     later sample time in turn.
 
     ``fun(t, y)`` is the right-hand side.  Returns ``(states, t_stop,
-    reason)``: one row per sample reached, the time the stepper stopped at,
-    and None when every sample was reached, else why it stopped.  It stops
-    early once the state passes ``DIVERGENCE_BOUND``.
+    reason, counts)``: one row per sample reached, the time the stepper
+    stopped at, None when every sample was reached, else why it stopped,
+    and dop853's counters (NFCN, NSTEP, NACCPT, NRJECT) summed over the
+    sample intervals, NFCN corrected to the calls ``fun`` received.  It
+    stops early once a state component's magnitude passes
+    ``DIVERGENCE_BOUND`` or is NaN.
     """
     # imported here, so that ``import cpasim`` does not pay for scipy.integrate
     from scipy.integrate import ode
 
     h_prev = h_last = 0.0
     t_last = float(t_eval[0])
+    bound = DIVERGENCE_BOUND
 
     def solout(t, y):
         # called by dop853 after every accepted step (and once at the start
@@ -120,8 +128,9 @@ def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,
         if t > t_last:
             h_prev, h_last = h_last, t - t_last
         t_last = t
-        if not np.abs(y).max() <= DIVERGENCE_BOUND:
-            return -1
+        for v in y.tolist():
+            if not abs(v) <= bound:  # NaN too
+                return -1
         return 0
 
     r = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
@@ -134,7 +143,9 @@ def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,
     # The last step before a sample time is cut short to land on it, hence
     # the larger of the last two.  The array is scipy's (a private
     # attribute), made by set_initial_value and passed to every call.
-    work = r._integrator.work
+    # After each call, iwork[16:20] holds that call's counters.
+    work, iwork = r._integrator.work, r._integrator.iwork
+    counts = np.zeros(4, dtype=np.int64)
     states = np.empty((len(t_eval), len(initial)))
     states[0] = initial
     with warnings.catch_warnings():
@@ -143,13 +154,18 @@ def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,
         warnings.filterwarnings("ignore", message="dop853: ",
                                 category=UserWarning)
         for k in range(1, len(t_eval)):
-            work[6] = max(h_prev, h_last)
+            h = work[6] = max(h_prev, h_last)
             states[k] = r.integrate(t_eval[k])
+            counts += iwork[16:20]
+            if h:
+                # NFCN adds 2 at the start, for f(t) and the initial-step
+                # guess's call; a given step makes only the first
+                counts[0] -= 1
             code = r.get_return_code()
             if code != 1:
                 return states[:k], r.t, STOP_REASONS.get(
-                    code, f"dop853 returned {code}")
-    return states, float(t_eval[-1]), None
+                    code, f"dop853 returned {code}"), counts.tolist()
+    return states, float(t_eval[-1]), None, counts.tolist()
 
 
 def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
@@ -198,12 +214,11 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     # mean_field_rhs and solve_ivp are looked up at call time, through the
     # module, so that wrappers set on its attributes (the benchmark's
     # tracer) see every call
-    states, t_stop, reason = solve_ivp(
+    states, t_stop, reason, counts = solve_ivp(
         lambda t, y: mean_field_rhs(y, t, p, delta),
         t_eval, initial, rtol, atol)
     n_c, out = _observables(p, states)
-    trace = TimeTrace(t=t_eval[:len(states)], state=states, n_c=n_c,
-                      out_intensity=out)
+    trace = TimeTrace(t_eval[:len(states)], states, n_c, out, *counts)
     if reason is not None:
         raise StepFailure(
             f"integration stopped at t = {t_stop:.6g} of {t_end:.6g}: "

@@ -11,6 +11,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,19 @@ class SystemParams:
     def g_nl(self) -> complex:
         """Complex nonlinear coefficient G = |G| e^{i phi}."""
         return self.g_nl_mag * cmath.exp(1j * self.phi)
+
+    @cached_property
+    def rhs_coefficients(self) -> tuple[float, ...]:
+        """The constant coefficients of ``dynamics.mean_field_rhs``, computed
+        on first use and held on the instance: -kappa/2, delta_c, g, 2 g,
+        -gamma/2, -gamma, delta_tls, omega_d, 2|G|, phi, 2|G| cos(phi) and
+        2|G| sin(phi).  ``-a * x`` parses as ``(-a) * x``, so the negated
+        rates give the state's arithmetic the same bits."""
+        g_nl2 = 2.0 * self.g_nl_mag
+        return (-(0.5 * (self.kappa_l + self.kappa_r)), self.delta_c, self.g,
+                2.0 * self.g, -(0.5 * self.gamma), -self.gamma, self.delta_tls,
+                self.omega_d, g_nl2, self.phi, g_nl2 * math.cos(self.phi),
+                g_nl2 * math.sin(self.phi))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,31 @@ def reference_trajectory(p, delta, initial, t_eval, rtol, atol):
     return sol.y.T
 
 
+def reference_rhs(state, t, p, delta=0.0):
+    """The mean-field time derivative with every coefficient read off ``p``
+    on each call and the trig taken at every delta: the library's formula
+    before its coefficients were held per parameter set."""
+    x1, x2, x3, x4, x5 = state.tolist()
+    phase = p.phi - delta * t
+    g_nl2 = 2.0 * p.g_nl_mag
+    gr = g_nl2 * math.cos(phase)
+    gi = g_nl2 * math.sin(phase)
+    kh = 0.5 * (p.kappa_l + p.kappa_r)
+    gamma = p.gamma
+    gh = 0.5 * gamma
+    g = p.g
+    g2 = 2.0 * g
+    dc = p.delta_c
+    da = p.delta_tls
+    return np.array([
+        -kh * x1 + dc * x2 + g * x4 + gr * x1 + gi * x2 + p.omega_d,
+        -kh * x2 - dc * x1 - g * x3 + gi * x1 - gr * x2,
+        -gh * x3 + da * x4 - g2 * x2 * x5,
+        -gh * x4 - da * x3 + g2 * x1 * x5,
+        -gamma * (x5 + 0.5) - g2 * (x1 * x4 - x2 * x3),
+    ])
+
+
 def bloch_norm(state):
     """|sigma_minus|^2 + sigma_z^2 for a real 5-vector state."""
     return state[2] ** 2 + state[3] ** 2 + state[4] ** 2

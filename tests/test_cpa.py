@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -112,6 +113,22 @@ class TestCriticalBoundary:
             critical_coupling(-0.1, 0.0, 1.0)
         with pytest.raises(NonPositiveBeta):
             critical_detuning(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("call, named", [
+        # nan and inf came back as g_c before
+        (lambda: critical_coupling(math.nan, 0.0, 1.0), "beta"),
+        (lambda: critical_coupling(math.inf, 0.0, 1.0), "beta"),
+        (lambda: critical_coupling(-math.inf, 0.0, 1.0), "beta"),
+        (lambda: critical_coupling(0.02, math.nan, 1.0), "delta_tls"),
+        (lambda: critical_coupling(0.02, -math.inf, 1.0), "delta_tls"),
+        (lambda: critical_detuning(math.nan, 0.5, 1.0), "g"),
+        (lambda: critical_detuning(math.inf, 0.5, 1.0), "g"),
+        (lambda: critical_detuning(1.0, math.nan, 1.0), "beta"),
+        (lambda: critical_detuning(1.0, math.inf, 1.0), "beta"),
+    ])
+    def test_a_non_finite_argument_is_a_value_error_naming_it(self, call, named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
+            call()
 
 
 class TestVerify:

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cpasim
 from cpasim import dynamics
@@ -28,8 +30,9 @@ from cpasim.model import (
 )
 from cpasim.steady import solve_steady_states
 
-from oracles import bloch_norm, reference_trajectory
+from oracles import bloch_norm, reference_rhs, reference_trajectory
 from test_acceptance import SEED, quiet_solve, random_driven
+from test_curve_geometry import PROPERTY_SETTINGS, curve_params
 from test_model import random_params
 
 PANEL_TOL = dict(rtol=1e-8, atol=1e-10)  # criterion 8's fig4 panels
@@ -44,6 +47,22 @@ MONOSTABLE = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_c=1.0,
 def state_vector(s):
     return np.array([s.c_bar.real, s.c_bar.imag, s.sigma_minus_bar.real,
                      s.sigma_minus_bar.imag, s.sigma_z_bar])
+
+
+def relaxation_params():
+    """Criterion 8's first draw with one stable root."""
+    rng = np.random.default_rng(SEED)
+    while True:
+        p = random_driven(rng)
+        roots = quiet_solve(p)
+        if len(roots) == 1 and roots[0].stability is Stability.STABLE:
+            return p
+
+
+RHS_CALL = st.tuples(
+    st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5),
+    st.floats(0.0, 1e4),
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10.0, 10.0)))
 
 
 class TestRHS:
@@ -71,6 +90,23 @@ class TestRHS:
         state = np.array([2.0, 0.0, 0.0, 0.0, -0.5])
         rhs = mean_field_rhs(state, 0.0, p)
         assert rhs[0] == pytest.approx(-0.5 * 8.0 * 2.0)
+
+    @PROPERTY_SETTINGS
+    @given(curve_params(), curve_params(), st.floats(0.0, 10.0),
+           st.lists(RHS_CALL, min_size=3, max_size=12))
+    def test_equals_the_reference_to_the_bit(self, p, q, omega_d, calls):
+        # calls alternate between two sets and a copy of one with other
+        # values, so that coefficients held for the wrong set would show
+        p = replace(p, omega_d=omega_d)
+        sets = (p, q, replace(p, delta_c=q.delta_c, g_nl_mag=q.g_nl_mag,
+                              phi=q.phi))
+        before = [(replace(s), hash(s), repr(s)) for s in sets]
+        for k, (state, t, delta) in enumerate(calls):
+            s, x = sets[k % 3], np.array(state)
+            assert (mean_field_rhs(x, t, s, delta).tobytes()
+                    == reference_rhs(x, t, s, delta).tobytes())
+        for s, (fresh, h, r) in zip(sets, before):
+            assert s == fresh and hash(s) == hash(fresh) == h and repr(s) == r
 
 
 class TestIntegrate:
@@ -172,6 +208,18 @@ class TestIntegrate:
         trace = integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
         assert trace.t[-1] == 2000.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_any_component_past_the_bound_stops_the_run(self, monkeypatch,
+                                                        slot, sign):
+        push = np.zeros(5)
+        push[slot] = sign * 10.0 * dynamics.DIVERGENCE_BOUND
+        monkeypatch.setattr(dynamics, "mean_field_rhs",
+                            lambda state, t, p, delta: push.copy())
+        with pytest.raises(StepFailure, match="magnitude passed") as err:
+            integrate(MONOSTABLE, 0.0, vacuum_state(), 1.0, 0.5)
+        assert list(err.value.trace.t) == [0.0]
+
     def test_step_cap_is_a_step_failure_not_a_warning(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 500)
         with warnings.catch_warnings():
@@ -186,6 +234,36 @@ class TestIntegrate:
 def panel_delta1(fig4_params):
     """Criterion 8's fig4 panel at pump detuning 1."""
     return integrate(fig4_params, 1.0, vacuum_state(), 100.0, 0.1, **PANEL_TOL)
+
+
+class TestCounters:
+    """TimeTrace's dop853 counters against a counting wrapper on the
+    right-hand side."""
+
+    @pytest.mark.parametrize("run", ["fig4 panel", "relaxation", "divergent"])
+    def test_rhs_calls_equal_a_counting_wrapper(self, monkeypatch, fig4_params,
+                                                run):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return mean_field_rhs(*args)
+
+        monkeypatch.setattr(dynamics, "mean_field_rhs", counting)
+        if run == "fig4 panel":  # its first 100 sample intervals
+            trace = integrate(fig4_params, 1.0, vacuum_state(), 10.0, 0.1,
+                              **PANEL_TOL)
+        elif run == "relaxation":
+            trace = integrate(relaxation_params(), 0.0, vacuum_state(), 60.0,
+                              60.0, **RELAX_TOL)
+        else:
+            with pytest.raises(StepFailure) as err:
+                integrate(DIVERGENT, 0.0, vacuum_state(), 50.0, 0.05)
+            trace = err.value.trace
+        assert trace.rhs_calls == len(calls) > 0
+        # dop853 counts no rejection before a call's first accepted step
+        assert 0 < trace.accepted_steps
+        assert trace.accepted_steps + trace.rejected_steps <= trace.steps
 
 
 class TestObservables:
@@ -213,12 +291,7 @@ class TestAgainstReference:
         assert np.max(np.abs(panel_delta1.n_c - n_ref)) <= 1e-9 * n_ref.max()
 
     def test_criterion_8_relaxation(self):
-        rng = np.random.default_rng(SEED)
-        while True:
-            p = random_driven(rng)
-            roots = quiet_solve(p)
-            if len(roots) == 1 and roots[0].stability is Stability.STABLE:
-                break
+        p = relaxation_params()
         trace = integrate(p, 0.0, vacuum_state(), 60.0, 60.0, **RELAX_TOL)
         ref = reference_trajectory(p, 0.0, vacuum_state(), trace.t, **RELAX_TOL)
         n_ref = ref[:, 0] ** 2 + ref[:, 1] ** 2
@@ -226,14 +299,15 @@ class TestAgainstReference:
 
 
 class TestImport:
-    def test_import_leaves_scipy_integrate_out(self):
+    def test_import_loads_no_scipy_module(self):
+        # scipy.integrate is imported by the stepper when it first runs
         src = os.path.dirname(os.path.dirname(os.path.abspath(cpasim.__file__)))
         code = ("import sys, cpasim; "
-                "print('scipy.integrate' in sys.modules)")
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestSettle:
