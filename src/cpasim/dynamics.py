@@ -9,7 +9,7 @@ parametric term at the pump detuning ``delta``.
 from __future__ import annotations
 
 import math
-import warnings
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,12 @@ STOP_REASONS = {
     -3: "dop853 step size became too small",
     -4: "dop853 finds the problem stiff",
 }
+# scipy.integrate.ode's dop853 settings, WORK(2:4): the safety factor, and
+# a new step between 0.3 and 6 times the last
+STEP_SETTINGS = (0.9, 0.3, 6.0)
+# writes five Python floats into a float64 array as native doubles, the
+# bits np.array of the same floats holds
+_pack_5_doubles = struct.Struct("5d").pack_into
 
 
 @dataclass
@@ -69,13 +75,17 @@ def vacuum_state() -> np.ndarray:
 
 
 def mean_field_rhs(state: np.ndarray, t: float, p: SystemParams,
-                   delta: float = 0.0) -> np.ndarray:
+                   delta: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of the mean-field state.
 
     ``delta`` is the pump-frequency mismatch of the crystal; the parametric
     term 2 G e^{-i delta t} c* is the only explicit time dependence.  At
     delta = 0 it is the constant 2 G of ``p.rhs_coefficients``: phi - 0 t
     is phi for every finite t.
+
+    The result is written into ``out`` and returned, as numpy's ``out``
+    arguments are; ``out`` must be a C-contiguous float64 array of shape
+    (5,), which is not checked.  Without it the result is a new array.
     """
     x1, x2, x3, x4, x5 = state.tolist()
     mkh, dc, g, g2, mgh, mgamma, da, wd, g_nl2, phi, gr, gi = p.rhs_coefficients
@@ -83,13 +93,16 @@ def mean_field_rhs(state: np.ndarray, t: float, p: SystemParams,
         phase = phi - delta * t
         gr = g_nl2 * math.cos(phase)
         gi = g_nl2 * math.sin(phase)
-    return np.array([
+    if out is None:
+        out = np.empty(5)
+    _pack_5_doubles(
+        out, 0,
         mkh * x1 + dc * x2 + g * x4 + gr * x1 + gi * x2 + wd,
         mkh * x2 - dc * x1 - g * x3 + gi * x1 - gr * x2,
         mgh * x3 + da * x4 - g2 * x2 * x5,
         mgh * x4 - da * x3 + g2 * x1 * x5,
-        mgamma * (x5 + 0.5) - g2 * (x1 * x4 - x2 * x3),
-    ])
+        mgamma * (x5 + 0.5) - g2 * (x1 * x4 - x2 * x3))
+    return out
 
 
 def _observables(p: SystemParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,71 +113,124 @@ def _observables(p: SystemParams, states: np.ndarray) -> tuple[np.ndarray, np.nd
     return n_c, np.maximum(*output_intensities(c, p.omega_d, p))
 
 
-def solve_ivp(fun, t_eval: np.ndarray, initial: np.ndarray, rtol: float,
-              atol: float) -> tuple[np.ndarray, float, str | None]:
-    """cpasim's own DOP853 stepper: Hairer's dop853 code as scipy ships it
-    behind ``scipy.integrate.ode``, run from ``t_eval[0]`` through each
-    later sample time in turn.
+class _Run:
+    """What dop853's two callbacks share in one stepper run.  dop853 hands
+    it to both as their extra argument, so that the callbacks are this
+    module's own two functions: scipy's runner keeps a reference to every
+    callback object it is passed, and fresh closures per run would pile up
+    (with ``scipy.integrate.ode``, its integrator and work arrays too)."""
 
-    ``fun(t, y)`` is the right-hand side.  Returns ``(states, t_stop,
-    reason, counts)``: one row per sample reached, the time the stepper
-    stopped at, None when every sample was reached, else why it stopped,
-    and dop853's counters (NFCN, NSTEP, NACCPT, NRJECT) summed over the
-    sample intervals, NFCN corrected to the calls ``fun`` received.  It
-    stops early once a state component's magnitude passes
-    ``DIVERGENCE_BOUND`` or is NaN.
-    """
-    # imported here, so that ``import cpasim`` does not pay for scipy.integrate
-    from scipy.integrate import ode
+    __slots__ = ("p", "delta", "out", "error", "h_prev", "h_last", "t_last")
 
-    h_prev = h_last = 0.0
-    t_last = float(t_eval[0])
-    bound = DIVERGENCE_BOUND
+    def __init__(self, p: SystemParams, delta: float, t0: float) -> None:
+        self.p, self.delta = p, delta
+        self.out = np.empty(5)  # every derivative is written here
+        self.error = None
+        self.h_prev = self.h_last = 0.0
+        self.t_last = t0
 
-    def solout(t, y):
-        # called by dop853 after every accepted step (and once at the start
-        # of each sample interval, where the step is 0)
-        nonlocal h_prev, h_last, t_last
-        if t > t_last:
-            h_prev, h_last = h_last, t - t_last
-        t_last = t
+    def record(self, exc: BaseException) -> None:
+        """Keep the first exception a callback raised.  One raised before a
+        callback's ``try`` (a signal handled on entry) stays pending in
+        dop853, so the callback's next call into Python raises a
+        SystemError caused by it: the cause is kept instead."""
+        if self.error is None:
+            while isinstance(exc, SystemError) and exc.__cause__ is not None:
+                exc = exc.__cause__
+            self.error = exc
+
+
+def _derivative(t, y, run: _Run):
+    """dop853's right-hand side: ``mean_field_rhs`` into the run's buffer,
+    which dop853 copies out before its next call.  ``mean_field_rhs`` is
+    looked up through the module at every call, so that a wrapper set on
+    the module attribute (the benchmark's tracer) sees every call.
+
+    An exception cannot stop dop853 from here: it would step on, on
+    garbage, up to MAX_STEPS.  It is recorded instead and a zero derivative
+    returned, and ``_step_taken`` stops the run at the next accepted
+    step."""
+    try:
+        return mean_field_rhs(y, t, run.p, run.delta, run.out)
+    except BaseException as exc:
+        run.record(exc)
+        run.out[:] = 0.0
+        return run.out
+
+
+def _step_taken(t, y, run: _Run):
+    """dop853's SOLOUT, called after every accepted step (and once at the
+    start of each sample interval, where the step is 0): -1 stops the run.
+    It stops once a callback has raised, and once a state component's
+    magnitude passes DIVERGENCE_BOUND or is NaN."""
+    try:
+        if run.error is not None:
+            return -1
+        if t > run.t_last:
+            run.h_prev, run.h_last = run.h_last, t - run.t_last
+        run.t_last = t
         for v in y.tolist():
-            if not abs(v) <= bound:  # NaN too
+            if not abs(v) <= DIVERGENCE_BOUND:  # NaN too
                 return -1
         return 0
+    except BaseException as exc:
+        run.record(exc)
+        return -1
 
-    r = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
-                                nsteps=MAX_STEPS)
-    r.set_solout(solout)
-    r.set_initial_value(initial, t_eval[0])
-    # dop853's WORK(7), the initial step size (0: dop853 guesses one).  Each
-    # call to r.integrate restarts dop853, so without it every sample
-    # interval would repeat the initial-step search and grow the step anew.
-    # The last step before a sample time is cut short to land on it, hence
-    # the larger of the last two.  The array is scipy's (a private
-    # attribute), made by set_initial_value and passed to every call.
-    # After each call, iwork[16:20] holds that call's counters.
-    work, iwork = r._integrator.work, r._integrator.iwork
+
+def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
+              initial: np.ndarray, rtol: float,
+              atol: float) -> tuple[np.ndarray, float, str | None, list[int]]:
+    """cpasim's own DOP853 stepper: Hairer's dop853 code as scipy ships it
+    behind ``scipy.integrate.ode``, with ode's settings, run on
+    ``mean_field_rhs`` at ``p`` and pump detuning ``delta`` from
+    ``t_eval[0]`` through each later sample time in turn.
+
+    Returns ``(states, t_stop, reason, counts)``: one row per sample
+    reached, the time the stepper stopped at, None when every sample was
+    reached, else why it stopped, and dop853's counters (NFCN, NSTEP,
+    NACCPT, NRJECT) summed over the sample intervals, NFCN corrected to the
+    calls the right-hand side received.  It stops early once a state
+    component's magnitude passes ``DIVERGENCE_BOUND`` or is NaN.  An
+    exception raised in the right-hand side (KeyboardInterrupt too) stops
+    the stepper at the next accepted step and is raised here.
+    """
+    # imported here, so that ``import cpasim`` does not pay for
+    # scipy.integrate.  The runner is private scipy API; called directly,
+    # it warns about nothing, and a failed call's return code below says why.
+    from scipy.integrate._dop import dopri853
+
+    run = _Run(p, delta, float(t_eval[0]))
+    args = (run,)
+    # dop853's WORK and IWORK, as ode's dop853 sets them up.  WORK(7) is the
+    # initial step size (0: dop853 guesses one).  Each call restarts
+    # dop853, so without it every sample interval would repeat the
+    # initial-step search and grow the step anew.  The last step before a
+    # sample time is cut short to land on it, hence the larger of the last
+    # two.  After each call, iwork[16:20] holds that call's counters.
+    work = np.zeros(11 * len(initial) + 21)
+    work[1:4] = STEP_SETTINGS
+    iwork = np.zeros(21, dtype=np.int32)
     counts = np.zeros(4, dtype=np.int64)
     states = np.empty((len(t_eval), len(initial)))
-    states[0] = initial
-    with warnings.catch_warnings():
-        # a failed call also warns "dop853: <message>"; the return code
-        # below reports it instead
-        warnings.filterwarnings("ignore", message="dop853: ",
-                                category=UserWarning)
-        for k in range(1, len(t_eval)):
-            h = work[6] = max(h_prev, h_last)
-            states[k] = r.integrate(t_eval[k])
-            counts += iwork[16:20]
-            if h:
-                # NFCN adds 2 at the start, for f(t) and the initial-step
-                # guess's call; a given step makes only the first
-                counts[0] -= 1
-            code = r.get_return_code()
-            if code != 1:
-                return states[:k], r.t, STOP_REASONS.get(
-                    code, f"dop853 returned {code}"), counts.tolist()
+    states[0] = y = initial
+    t = t_eval[0]
+    for k in range(1, len(t_eval)):
+        h = work[6] = max(run.h_prev, run.h_last)
+        t, y, code = dopri853(_derivative, t, y, t_eval[k], rtol, atol,
+                              _step_taken, 1, work, iwork, MAX_STEPS, -1, args)
+        if run.error is not None:
+            error, run.error = run.error, None
+            raise error
+        states[k] = y
+        counts += iwork[16:20]
+        if h:
+            # NFCN adds 2 at the start, for f(t) and the initial-step
+            # guess's call; a given step makes only the first
+            counts[0] -= 1
+        if code != 1:
+            return states[:k], t, STOP_REASONS.get(
+                code, f"dop853 returned {code}"), counts.tolist()
     return states, float(t_eval[-1]), None, counts.tolist()
 
 
@@ -175,11 +241,12 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     sampling every ``sample_dt``.  The first sample is the initial state.
 
     Raises StepFailure (carrying the partial trace) if the integrator stops
-    before reaching ``t_end``, and ValueError naming the argument for a
-    non-finite ``delta``, ``t_end``, ``sample_dt`` or initial state, an
-    ``rtol`` or ``atol`` that is not finite or is negative, or a sample
-    count ``t_end / sample_dt`` beyond the array index range or too large
-    to allocate.
+    before reaching ``t_end``; an exception raised in the right-hand side
+    (KeyboardInterrupt too) as it was raised; and ValueError naming the
+    argument for a non-finite ``delta``, ``t_end``, ``sample_dt`` or
+    initial state, an ``rtol`` or ``atol`` that is not finite or is
+    negative, or a sample count ``t_end / sample_dt`` beyond the array
+    index range or too large to allocate.
     """
     for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
         if not math.isfinite(value):
@@ -211,12 +278,8 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     if t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)
 
-    # mean_field_rhs and solve_ivp are looked up at call time, through the
-    # module, so that wrappers set on its attributes (the benchmark's
-    # tracer) see every call
-    states, t_stop, reason, counts = solve_ivp(
-        lambda t, y: mean_field_rhs(y, t, p, delta),
-        t_eval, initial, rtol, atol)
+    states, t_stop, reason, counts = solve_ivp(p, delta, t_eval, initial,
+                                               rtol, atol)
     n_c, out = _observables(p, states)
     trace = TimeTrace(t_eval[:len(states)], states, n_c, out, *counts)
     if reason is not None:

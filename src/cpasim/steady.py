@@ -592,12 +592,28 @@ def _drives(poly: SelfConsistencyPolynomial, drives) -> list[float]:
     ws = omegas.tolist()
     if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
         raise ValueError("drives must be a sequence of finite omega_d >= 0")
-    _squared(max(ws, default=0.0))  # the largest drive's square must not overflow
-    if ws and bare_threshold_margin(poly.p) <= 0.0:
+    if ws:
+        _check_top_drive(poly, max(ws))
+    return ws
+
+
+def _drive(poly: SelfConsistencyPolynomial, omega_d) -> float:
+    """``_drives(poly, [omega_d])``'s one drive.  A valid float is checked
+    on itself, with no array; anything else goes through ``_drives``."""
+    if not (isinstance(omega_d, float) and 0.0 <= omega_d < math.inf):
+        (w,) = _drives(poly, [omega_d])
+        return w
+    _check_top_drive(poly, omega_d)
+    return float(omega_d)  # a Python float, also for numpy's float64
+
+
+def _check_top_drive(poly: SelfConsistencyPolynomial, top: float) -> None:
+    """The largest drive's square must not overflow; the regime warning."""
+    _squared(top)
+    if bare_threshold_margin(poly.p) <= 0.0:
         _warn("bare cavity at/above the parametric-oscillation threshold "
               "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
               ParametricRegimeWarning)
-    return ws
 
 
 def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]):
@@ -1041,8 +1057,7 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     parametric threshold: the reported roots are still residual-verified,
     but branches at large n_c are typically unstable there.
     """
-    (w,) = _drives(poly, [omega_d])
-    return _node_states(poly, w)
+    return _node_states(poly, _drive(poly, omega_d))
 
 
 def solve_curve_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:

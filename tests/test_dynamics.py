@@ -1,8 +1,13 @@
+import gc
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -101,10 +106,16 @@ class TestRHS:
         sets = (p, q, replace(p, delta_c=q.delta_c, g_nl_mag=q.g_nl_mag,
                               phi=q.phi))
         before = [(replace(s), hash(s), repr(s)) for s in sets]
+        buf = np.empty(5)
         for k, (state, t, delta) in enumerate(calls):
             s, x = sets[k % 3], np.array(state)
-            assert (mean_field_rhs(x, t, s, delta).tobytes()
-                    == reference_rhs(x, t, s, delta).tobytes())
+            want = reference_rhs(x, t, s, delta).tobytes()
+            fresh = mean_field_rhs(x, t, s, delta)
+            assert fresh.tobytes() == want and fresh.flags.writeable
+            # a fresh result per call, and ``out`` filled and returned
+            assert mean_field_rhs(x, t, s, delta) is not fresh
+            assert mean_field_rhs(x, t, s, delta, buf) is buf
+            assert buf.tobytes() == want
         for s, (fresh, h, r) in zip(sets, before):
             assert s == fresh and hash(s) == hash(fresh) == h and repr(s) == r
 
@@ -215,10 +226,60 @@ class TestIntegrate:
         push = np.zeros(5)
         push[slot] = sign * 10.0 * dynamics.DIVERGENCE_BOUND
         monkeypatch.setattr(dynamics, "mean_field_rhs",
-                            lambda state, t, p, delta: push.copy())
+                            lambda state, t, p, delta, out=None: push.copy())
         with pytest.raises(StepFailure, match="magnitude passed") as err:
             integrate(MONOSTABLE, 0.0, vacuum_state(), 1.0, 0.5)
         assert list(err.value.trace.t) == [0.0]
+
+    def test_state_rows_do_not_alias_the_buffer(self, monkeypatch, fig4_params):
+        # every derivative is written into one buffer per call; the trace
+        # must hold copies, unchanged when the buffer is written afterwards
+        buffers = []
+
+        def recording(state, t, p, delta, out):
+            buffers.append(out)
+            return mean_field_rhs(state, t, p, delta, out)
+
+        monkeypatch.setattr(dynamics, "mean_field_rhs", recording)
+        trace = integrate(fig4_params, 1.0, vacuum_state(), 1.0, 0.1, **PANEL_TOL)
+        buf = buffers[0]
+        assert all(out is buf for out in buffers)
+        assert not np.shares_memory(trace.state, buf)
+        kept = trace.state.copy()
+        buf[:] = np.nan
+        assert np.array_equal(trace.state, kept)
+        assert len({row.tobytes() for row in trace.state}) == len(trace.state)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("good_calls", [0, 10])
+    @pytest.mark.parametrize("once", [False, True])
+    def test_an_exception_in_the_rhs_reaches_the_caller(self, monkeypatch,
+                                                        fig4_params, error,
+                                                        good_calls, once):
+        # dop853 cannot be stopped from its right-hand side: the exception is
+        # recorded, the run stops at the next accepted step, and integrate
+        # raises it.  The one sample interval takes far more steps than the
+        # low step cap, so a run that steps on past the exception (or a
+        # lost exception, which would step on up to MAX_STEPS) shows.
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 200)
+        raised, calls = [], []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > good_calls and not (once and raised):
+                raised.append(error("from the right-hand side"))
+                raise raised[-1]
+            return mean_field_rhs(*args)
+
+        monkeypatch.setattr(dynamics, "mean_field_rhs", failing)
+        # BaseException: a lost exception comes back as some other error,
+        # chained to one exception per failed call
+        with pytest.raises(BaseException) as err:
+            integrate(fig4_params, 1.0, vacuum_state(), 10.0, 10.0, **PANEL_TOL)
+        assert err.value is raised[0]
+        # the failed step is retried at smaller steps until dop853 accepts
+        # one, with a zero derivative at every failed call
+        assert len(calls) <= good_calls + 12 * 30
 
     def test_step_cap_is_a_step_failure_not_a_warning(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 500)
@@ -228,6 +289,61 @@ class TestIntegrate:
                 integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
         assert "steps" in str(err.value)
         assert list(err.value.trace.t) == [0.0]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX signals")
+class TestInterrupt:
+    # a SIGINT lands in the Python right-hand side or, while dop853's
+    # compiled code runs, on entry to the next callback; a run of 1000 time
+    # units takes several seconds, so the signal arrives mid-run
+    @pytest.mark.parametrize("delay", [0.05, 0.08, 0.11, 0.14, 0.17, 0.2, 0.23, 0.26])
+    def test_sigint_mid_panel_is_a_keyboard_interrupt(self, monkeypatch,
+                                                      fig4_params, delay):
+        # at most 200 steps per sample interval in this panel
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        sent = []
+
+        def interrupt():
+            sent.append(time.perf_counter())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        timer = threading.Timer(delay, interrupt)
+        try:
+            with pytest.raises(BaseException) as err:
+                timer.start()
+                integrate(fig4_params, 0.1, vacuum_state(), 1000.0, 0.1,
+                          **PANEL_TOL)
+            caught = time.perf_counter()
+        finally:
+            timer.cancel()
+            timer.join()
+            signal.signal(signal.SIGINT, previous)
+        assert type(err.value) is KeyboardInterrupt
+        assert sent and caught - sent[0] < 1.0
+
+
+def test_a_call_leaves_no_memory_behind(fig4_params):
+    # scipy's dop853 runner keeps a reference to each callback it is given;
+    # the callbacks are the module's own, so a call keeps nothing
+    def run():
+        integrate(fig4_params, 1.0, vacuum_state(), 0.05, 0.05)
+
+    for _ in range(20):
+        run()
+    calls = 300
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(calls):
+            run()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert kept / calls <= 1024
 
 
 @pytest.fixture(scope="module")

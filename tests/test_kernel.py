@@ -672,6 +672,28 @@ def solved(solve):
         return str(exc)
 
 
+@pytest.mark.parametrize("tag, dtls", [("fig3c", 4.5), ("fig3b", 1.5)])
+def test_a_one_node_drive_is_checked_by_the_curves_rule(tag, dtls):
+    # the one-node solve checks a float on itself; every drive, float or
+    # not, gets the curve's value, message and regime warning (fig3b/1.5 is
+    # above the bare threshold)
+    poly = build_polynomial(fig3_preset(tag, dtls))
+
+    def checked(check):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = solved(check)
+        return got, type(got), [w.category for w in seen]
+
+    for w in (0.0, -0.0, 0.5, 1e154, np.float64(0.5), 1, True, np.float32(0.5),
+              np.array(0.5), "0.5", math.nan, math.inf, -1.0, -math.inf,
+              np.float64(-1.0), 1e160, [1.0], np.array([0.5])):
+        want = checked(lambda: steady._drives(poly, [w]))
+        if isinstance(want[0], list):
+            want = (want[0][0], float, want[2])
+        assert checked(lambda: steady._drive(poly, w)) == want, w
+
+
 @pytest.mark.parametrize("p", [
     *(fig3_preset(tag, dtls) for tag, dtls in FIG3),
     SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_tls=4.5),  # |G| = 0
