@@ -178,6 +178,16 @@ def _step_taken(t, y, run: _Run):
         return -1
 
 
+def _unsupported_scipy() -> ImportError:
+    import scipy
+
+    return ImportError(
+        "cpasim's stepper calls scipy's dop853 runner "
+        "(scipy.integrate._dop.dopri853) as scipy 1.17 defines it; "
+        f"scipy {scipy.__version__} is installed and does not match: "
+        "install scipy >= 1.17")
+
+
 def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
               initial: np.ndarray, rtol: float,
               atol: float) -> tuple[np.ndarray, float, str | None, list[int]]:
@@ -198,7 +208,10 @@ def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
     # imported here, so that ``import cpasim`` does not pay for
     # scipy.integrate.  The runner is private scipy API; called directly,
     # it warns about nothing, and a failed call's return code below says why.
-    from scipy.integrate._dop import dopri853
+    try:
+        from scipy.integrate._dop import dopri853
+    except ImportError as exc:
+        raise _unsupported_scipy() from exc
 
     run = _Run(p, delta, float(t_eval[0]))
     args = (run,)
@@ -217,8 +230,14 @@ def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
     t = t_eval[0]
     for k in range(1, len(t_eval)):
         h = work[6] = max(run.h_prev, run.h_last)
-        t, y, code = dopri853(_derivative, t, y, t_eval[k], rtol, atol,
-                              _step_taken, 1, work, iwork, MAX_STEPS, -1, args)
+        try:
+            t, y, code = dopri853(_derivative, t, y, t_eval[k], rtol, atol,
+                                  _step_taken, 1, work, iwork, MAX_STEPS, -1,
+                                  args)
+        except (TypeError, ValueError) as exc:
+            # the callbacks raise nothing, so this is the call itself: an
+            # argument list or a return other than scipy 1.17's
+            raise _unsupported_scipy() from exc
         if run.error is not None:
             error, run.error = run.error, None
             raise error

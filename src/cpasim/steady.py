@@ -598,13 +598,16 @@ def _drives(poly: SelfConsistencyPolynomial, drives) -> list[float]:
 
 
 def _drive(poly: SelfConsistencyPolynomial, omega_d) -> float:
-    """``_drives(poly, [omega_d])``'s one drive.  A valid float is checked
-    on itself, with no array; anything else goes through ``_drives``."""
-    if not (isinstance(omega_d, float) and 0.0 <= omega_d < math.inf):
-        (w,) = _drives(poly, [omega_d])
-        return w
-    _check_top_drive(poly, omega_d)
-    return float(omega_d)  # a Python float, also for numpy's float64
+    """``_drives(poly, [omega_d])``'s one drive.  A float (numpy's float64
+    too) in range is made a Python float and checked on itself, with no
+    array; anything else goes through ``_drives``."""
+    if isinstance(omega_d, float):
+        w = float(omega_d)
+        if 0.0 <= w < math.inf:
+            _check_top_drive(poly, w)
+            return w
+    (w,) = _drives(poly, [omega_d])
+    return w
 
 
 def _check_top_drive(poly: SelfConsistencyPolynomial, top: float) -> None:

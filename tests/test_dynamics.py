@@ -425,6 +425,29 @@ class TestImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("runner", [
+        None,  # no runner at all
+        # scipy's f2py runners before 1.17: nsteps and verbosity went in
+        # iwork, so a 13th argument is one too many; four return values
+        lambda f, x, y, xend, rtol, atol, solout, iout, work, iwork,
+        fcn_extra_args=(): (x, y, iwork, 1),
+        lambda f, x, y, xend, rtol, atol, solout, iout, work, iwork,
+        *extra: (x, y, iwork, 1),
+    ], ids=["missing", "too-many-args", "four-returns"])
+    def test_an_unsupported_scipy_runner_is_named(self, monkeypatch, runner):
+        scipy = pytest.importorskip("scipy")
+        from scipy.integrate import _dop
+
+        if runner is None:
+            monkeypatch.delattr(_dop, "dopri853")
+        else:
+            monkeypatch.setattr(_dop, "dopri853", runner)
+        p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0)
+        with pytest.raises(ImportError, match=re.escape(
+                f"scipy {scipy.__version__} is installed")) as err:
+            integrate(p, 0.0, vacuum_state(), 1.0, 0.5)
+        assert "scipy >= 1.17" in str(err.value)
+
 
 class TestSettle:
     def test_monostable_convergence_from_random_states(self, rng):

@@ -687,7 +687,7 @@ def test_a_one_node_drive_is_checked_by_the_curves_rule(tag, dtls):
 
     for w in (0.0, -0.0, 0.5, 1e154, np.float64(0.5), 1, True, np.float32(0.5),
               np.array(0.5), "0.5", math.nan, math.inf, -1.0, -math.inf,
-              np.float64(-1.0), 1e160, [1.0], np.array([0.5])):
+              np.float64(-1.0), 1e160, np.float64(1e160), [1.0], np.array([0.5])):
         want = checked(lambda: steady._drives(poly, [w]))
         if isinstance(want[0], list):
             want = (want[0][0], float, want[2])
