@@ -16,19 +16,16 @@ from .errors import (
     ParametricRegimeWarning,
     ParametricSingularity,
     ParseError,
-    PreconditionViolated,
     StepFailure,
     ValidationError,
 )
 from .model import (
-    EffectiveCavity,
     Stability,
     SteadyState,
     SystemParams,
     atomic_expectations,
     balanced_input_fields,
     drive_for_input_intensity,
-    effective_cavity_params,
     input_intensity_for_drive,
     intracavity_field,
     output_fields,
@@ -43,8 +40,6 @@ from .steady import (
     build_polynomial,
     classify_stability,
     jacobian,
-    oracle_scan_bound,
-    self_consistency_residual,
     solve_steady_states,
 )
 from .cpa import (
@@ -53,13 +48,12 @@ from .cpa import (
     cooperativity,
     cpa_cavity_detuning,
     cpa_input_amplitude,
-    cpa_invariance_check,
     cpa_photon_number,
     critical_coupling,
     critical_detuning,
     verify_cpa,
 )
-from .dynamics import TimeTrace, integrate, mean_field_rhs, settle, vacuum_state
+from .dynamics import TimeTrace, integrate, mean_field_rhs, vacuum_state
 from .sweep import (
     BoundaryMap,
     CPAMarker,
@@ -79,20 +73,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricMirrors", "CpasimError", "Infeasible", "IoError",
     "MalformedCurve", "NonPositiveBeta", "ParametricRegimeWarning",
-    "ParametricSingularity", "ParseError", "PreconditionViolated",
-    "StepFailure", "ValidationError",
-    "EffectiveCavity", "Stability", "SteadyState", "SystemParams",
+    "ParametricSingularity", "ParseError", "StepFailure", "ValidationError",
+    "Stability", "SteadyState", "SystemParams",
     "atomic_expectations", "balanced_input_fields", "drive_for_input_intensity",
-    "effective_cavity_params", "input_intensity_for_drive", "intracavity_field",
+    "input_intensity_for_drive", "intracavity_field",
     "output_fields", "parametric_denominator", "saturation_denominator",
     "soc_effective_params",
     "SelfConsistencyPolynomial", "StabilityReport", "bare_threshold_margin",
-    "build_polynomial", "classify_stability", "jacobian", "oracle_scan_bound",
-    "self_consistency_residual", "solve_steady_states",
+    "build_polynomial", "classify_stability", "jacobian", "solve_steady_states",
     "BranchLocation", "CPAReport", "cooperativity", "cpa_cavity_detuning",
-    "cpa_input_amplitude", "cpa_invariance_check", "cpa_photon_number",
+    "cpa_input_amplitude", "cpa_photon_number",
     "critical_coupling", "critical_detuning", "verify_cpa",
-    "TimeTrace", "integrate", "mean_field_rhs", "settle", "vacuum_state",
+    "TimeTrace", "integrate", "mean_field_rhs", "vacuum_state",
     "BoundaryMap", "CPAMarker", "CurvePoint", "HysteresisCurve", "PatternClass",
     "boundary_map", "classify_pattern", "follow_sweep", "scan_folds",
     "trace_hysteresis",

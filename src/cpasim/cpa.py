@@ -7,7 +7,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import AsymmetricMirrors, Infeasible, NonPositiveBeta, PreconditionViolated
+from .errors import AsymmetricMirrors, Infeasible, NonPositiveBeta
 from .model import (
     Stability,
     SteadyState,
@@ -25,14 +25,10 @@ ROOT_MATCH_RTOL = 1e-8
 NULLING_RTOL = 1e-12
 # Inside/outside calls use this margin on the fold-window comparison.
 WINDOW_MARGIN = 1e-9
-# beta values are considered shared when they differ by at most this (per gamma).
-BETA_MATCH_ATOL = 1e-12
 # delta_c matches the required detuning within this times max(gamma, |it|).
 DETUNING_MATCH_RTOL = 1e-9
 # A critical-detuning radicand down to -RADICAND_ATOL gamma^2 is rounding: 0.
 RADICAND_ATOL = 1e-15
-# Operating points agree to this, relative, in cpa_invariance_check.
-INVARIANCE_RTOL = 1e-12
 
 
 class BranchLocation(enum.Enum):
@@ -97,14 +93,14 @@ def cpa_cavity_detuning(p: SystemParams) -> float:
 def _check_boundary_args(beta: float, gamma: float, name: str, value: float) -> None:
     """ValueError naming a non-finite ``beta`` or ``value`` (the argument
     ``name``), NonPositiveBeta for a finite beta <= 0, and ValueError for a
-    gamma that is not > 0."""
+    gamma that is not finite and > 0."""
     for arg, v in (("beta", beta), (name, value)):
         if not math.isfinite(v):
             raise ValueError(f"{arg} must be finite, got {v!r}")
     if beta <= 0.0:
         raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
 
 def critical_coupling(beta: float, delta_tls: float, gamma: float) -> float:
@@ -261,37 +257,3 @@ def verify_cpa(p: SystemParams) -> CPAReport:
         return point
     poly = build_polynomial(p)
     return place_cpa(point, p, solve_node(poly, point.omega_d_cpa), poly.folds)
-
-
-def cpa_invariance_check(p1: SystemParams, p2: SystemParams) -> bool:
-    """True iff the two parameter sets, differing only in the crystal settings
-    (|G|, phi) at equal beta, predict the same operating point (photon number
-    and input intensity) to INVARIANCE_RTOL relative.
-
-    The required cavity detuning is allowed to differ (it tracks 2|G|sin(phi));
-    only the location in the input/output plane is invariant.
-    """
-    for name in ("gamma", "kappa_l", "kappa_r", "g", "delta_tls"):
-        if getattr(p1, name) != getattr(p2, name):
-            raise PreconditionViolated(
-                f"parameter sets differ in {name}; only (g_nl_mag, phi) may vary")
-    b1, _ = soc_effective_params(p1)
-    b2, _ = soc_effective_params(p2)
-    if abs(b1 - b2) > BETA_MATCH_ATOL * p1.gamma:
-        raise PreconditionViolated(
-            f"beta values differ: {b1:.15g} vs {b2:.15g}")
-
-    n1 = cpa_photon_number(p1)
-    n2 = cpa_photon_number(p2)
-
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-    if rel(n1, n2) > INVARIANCE_RTOL:
-        return False
-    if n1 > 0.0 and n2 > 0.0:
-        _, i1 = cpa_input_amplitude(p1, n1)
-        _, i2 = cpa_input_amplitude(p2, n2)
-        if rel(i1, i2) > INVARIANCE_RTOL:
-            return False
-    return True

@@ -306,13 +306,3 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
             f"integration stopped at t = {t_stop:.6g} of {t_end:.6g}: "
             f"{reason}", trace=trace)
     return trace
-
-
-def settle(p: SystemParams, initial: np.ndarray, t_end: float,
-           rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Final state after integrating with the crystal pump on resonance.
-
-    Convenience for relaxation tests; no intermediate samples are kept.
-    """
-    trace = integrate(p, 0.0, initial, t_end, t_end, rtol=rtol, atol=atol)
-    return trace.final_state()

@@ -23,10 +23,6 @@ class AsymmetricMirrors(CpasimError):
     """Operation requires symmetric mirrors (kappa_l == kappa_r)."""
 
 
-class PreconditionViolated(CpasimError):
-    """Arguments violate a documented precondition of the operation."""
-
-
 class StepFailure(CpasimError):
     """The adaptive integrator could not meet its local error tolerance.
 

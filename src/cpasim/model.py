@@ -19,6 +19,8 @@ from .errors import ParametricSingularity
 
 # Guard for the parametric-oscillation denominator, in units of gamma^2.
 EPS_DEN = 1e-9
+# The types a parameter may have, a bool aside; each is held as a Python float.
+REAL_SCALARS = (int, float, np.integer, np.floating)
 
 
 class Stability(enum.Enum):
@@ -68,21 +70,26 @@ class SystemParams:
         for name in ("kappa_l", "kappa_r", "g", "delta_c", "delta_tls",
                      "g_nl_mag", "phi", "omega_d", "gamma"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            # the config reader's rule: a bool is no number, and an int past
+            # the float range is not finite; numpy's real scalars count too
+            try:
+                real = (not isinstance(v, bool) and isinstance(v, REAL_SCALARS)
+                        and math.isfinite(v))
+            except OverflowError:
+                real = False
+            if not real:
                 raise ValueError(f"{name} must be a finite real number, got {v!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.kappa_l <= 0:
-            raise ValueError("kappa_l must be positive")
-        if self.kappa_r <= 0:
-            raise ValueError("kappa_r must be positive")
-        if self.g < 0:
-            raise ValueError("g must be nonnegative")
-        if self.g_nl_mag < 0:
-            raise ValueError("g_nl_mag must be nonnegative")
-        if self.omega_d < 0:
-            raise ValueError("omega_d must be nonnegative (drive is real)")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
+        for name in ("gamma", "kappa_l", "kappa_r"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("g", "g_nl_mag", "omega_d"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        # a tiny negative phi rounds up to 2 pi itself
+        phi = self.phi % (2.0 * math.pi)
+        object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 
     @property
     def kappa(self) -> float:
@@ -106,14 +113,6 @@ class SystemParams:
                 2.0 * self.g, -(0.5 * self.gamma), -self.gamma, self.delta_tls,
                 self.omega_d, g_nl2, self.phi, g_nl2 * math.cos(self.phi),
                 g_nl2 * math.sin(self.phi))
-
-
-@dataclass(frozen=True)
-class EffectiveCavity:
-    """Atom-dressed cavity linewidth and detuning at a given photon number."""
-
-    kappa0: float
-    delta0: float
 
 
 @dataclass
@@ -147,18 +146,6 @@ def dressed_cavity(n_c, p: SystemParams):
     kappa0 = p.kappa / 2.0 + (p.g ** 2 * p.gamma / 2.0) / D
     delta0 = p.delta_c - p.g ** 2 * p.delta_tls / D
     return kappa0, delta0, kappa0 * kappa0 + delta0 * delta0 - 4.0 * p.g_nl_mag ** 2
-
-
-def effective_cavity_params(n_c: float, p: SystemParams) -> EffectiveCavity:
-    """Atom-dressed cavity parameters at mean photon number ``n_c``.
-
-    kappa0 = kappa/2 + (g^2 gamma / 2) / D
-    delta0 = delta_c - g^2 delta_tls / D
-    """
-    if n_c < 0:
-        raise ValueError("n_c must be nonnegative")
-    kappa0, delta0, _ = dressed_cavity(n_c, p)
-    return EffectiveCavity(kappa0=kappa0, delta0=delta0)
 
 
 def parametric_denominator(n_c: float, p: SystemParams) -> float:

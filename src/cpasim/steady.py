@@ -322,18 +322,6 @@ def positive_roots(c) -> list[float]:
     return roots
 
 
-def self_consistency_residual(n_c: float, p: SystemParams) -> float:
-    """Denominator-cleared fixed-point residual F(n_c).
-
-    Equals ``build_polynomial(p)`` evaluated at ``n_c``: the literal residual
-    n (kappa0^2 + delta0^2 - 4|G|^2)^2 - |(kappa0 - i delta0 + 2G) omega_d|^2
-    multiplied through by D(n_c)^4 (and, for |G| = 0, additionally divided by
-    the strictly positive factor Q).  D > 0 for n_c >= 0, so sign changes of F
-    locate the fixed points of the full rational condition.
-    """
-    return float(build_polynomial(p)(n_c))
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Eigenvalues of the 5x5 mean-field Jacobian and the derived class."""
@@ -348,12 +336,6 @@ def bare_threshold_margin(p: SystemParams) -> float:
     parametric-oscillation threshold (the large-n_c limit of the cleared
     denominator)."""
     return (p.kappa / 2.0) ** 2 + p.delta_c ** 2 - 4.0 * p.g_nl_mag ** 2
-
-
-def oracle_scan_bound(p: SystemParams) -> float:
-    """Upper n_c bound for dense scans: 10x the linear-cavity estimate,
-    floored at 100."""
-    return max(100.0, 10.0 * p.omega_d ** 2 / (p.kappa / 2.0) ** 2)
 
 
 def _jacobian_entries(c_bar, sigma_minus, sigma_z, p: SystemParams):

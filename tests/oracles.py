@@ -224,6 +224,12 @@ def soc_setting_for_beta(target_beta, phi, kappa=20.0):
     return best, achieved(best)
 
 
+def oracle_scan_bound(p):
+    """Upper n_c bound for dense scans: 10x the linear-cavity estimate,
+    floored at 100."""
+    return max(100.0, 10.0 * p.omega_d ** 2 / (p.kappa / 2.0) ** 2)
+
+
 def root_scan_bound(poly):
     """Upper bound on all real roots (Fujiwara), from coefficients alone."""
     c = poly.coeffs

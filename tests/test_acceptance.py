@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from criteria import record_criterion
+from criteria import cpa_invariance_check, record_criterion
 from oracles import (
     bisect_fold,
     bloch_norm,
@@ -26,7 +26,6 @@ from oracles import (
 from cpasim.cli import fig3_preset, fig4_preset
 from cpasim.cpa import (
     cpa_input_amplitude,
-    cpa_invariance_check,
     cpa_photon_number,
     critical_detuning,
     verify_cpa,

@@ -148,13 +148,23 @@ def test_the_summary_records_each_trees_source_lines(tmp_path, capsys):
     # only the package's own modules count
     write(os.path.join(trees["change"], "src", "cpasim", "notes.txt"), "text\n")
     write(os.path.join(trees["change"], "tools", "c.py"), "v = 5\n")
+    # the tests' code lines, counted apart: a move from the package into the
+    # tests shows on both counts
+    write(os.path.join(trees["parent"], "tests", "test_a.py"), "x = 1\n")
+    write(os.path.join(trees["change"], "tests", "test_a.py"), '"""Doc."""\nx = 1\n')
+    write(os.path.join(trees["change"], "tests", "oracles.py"), "y = 2\n\n# z\n")
+    write(os.path.join(trees["change"], "tests", "data", "d.py"), "v = 5\n")
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
                              "--workload", "steady_batch", "--pairs", "1",
                              "--seconds", "1", "--seed", "1", "--out", str(out)]) == 0
     with open(out, encoding="utf-8") as fh:
-        assert json.load(fh)["src_lines"] == {"parent": 2, "change": 3}
-    assert capsys.readouterr().out.count("src/cpasim lines: parent 2, change 3 (+1)") == 1
+        summary = json.load(fh)
+    assert summary["src_lines"] == {"parent": 2, "change": 3}
+    assert summary["tests_code_lines"] == {"parent": 1, "change": 2}
+    printed = capsys.readouterr().out
+    assert printed.count("src/cpasim lines: parent 2, change 3 (+1)") == 1
+    assert printed.count("tests code lines: parent 1, change 2 (+1)") == 1
 
 
 MODULE = '''"""A module docstring,

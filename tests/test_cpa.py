@@ -11,7 +11,6 @@ from cpasim.cpa import (
     cooperativity,
     cpa_cavity_detuning,
     cpa_input_amplitude,
-    cpa_invariance_check,
     cpa_operating_point,
     cpa_photon_number,
     critical_coupling,
@@ -22,11 +21,10 @@ from cpasim.errors import (
     AsymmetricMirrors,
     Infeasible,
     NonPositiveBeta,
-    PreconditionViolated,
 )
 from cpasim.model import SystemParams
 
-
+from criteria import cpa_invariance_check
 from oracles import soc_setting_for_beta
 
 
@@ -207,10 +205,10 @@ class TestInvariance:
 
     def test_differing_atom_rejected(self, fig3_params):
         p1 = fig3_params[("fig3c", 4.5)]
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(ValueError, match="differ in g;"):
             cpa_invariance_check(p1, replace(p1, g=1.1))
 
     def test_differing_beta_rejected(self, fig3_params):
         p1 = fig3_params[("fig3c", 4.5)]
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(ValueError, match="^beta values differ"):
             cpa_invariance_check(p1, replace(p1, g_nl_mag=5.1))

@@ -22,7 +22,6 @@ from cpasim.dynamics import (
     TimeTrace,
     integrate,
     mean_field_rhs,
-    settle,
     vacuum_state,
 )
 from cpasim.errors import StepFailure
@@ -125,7 +124,7 @@ class TestIntegrate:
         p = MONOSTABLE
         states = solve_steady_states(p)
         assert len(states) == 1 and states[0].stability is Stability.STABLE
-        final = settle(p, vacuum_state(), 60.0)
+        final = integrate(p, 0.0, vacuum_state(), 60.0, 60.0).final_state()
         assert np.allclose(final, state_vector(states[0]), atol=1e-8)
 
     def test_departs_from_an_unstable_root(self, fig3_params):
@@ -145,7 +144,7 @@ class TestIntegrate:
         direction = np.real(vecs[:, np.argmax(vals.real)])
         direction /= np.linalg.norm(direction)
         x0 = state_vector(unstable[0]) + 1e-4 * direction
-        final = settle(p, x0, 90.0)
+        final = integrate(p, 0.0, x0, 90.0, 90.0).final_state()
         assert np.linalg.norm(final - state_vector(unstable[0])) > 1e-2
 
     def test_sampling_grid_and_first_sample(self):
@@ -461,6 +460,7 @@ class TestSettle:
                 continue
             x0 = vacuum_state() + rng.normal(scale=0.01, size=5)
             x0[4] = min(x0[4], -0.3)
-            final = settle(p, x0, 80.0, rtol=1e-9, atol=1e-11)
+            final = integrate(p, 0.0, x0, 80.0, 80.0, rtol=1e-9,
+                              atol=1e-11).final_state()
             assert np.allclose(final, state_vector(states[0]), atol=1e-6)
             hits += 1

@@ -1,15 +1,17 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+import cpasim
 from cpasim.errors import ParametricSingularity
 from cpasim.model import (
     SystemParams,
     atomic_expectations,
     balanced_input_fields,
+    dressed_cavity,
     drive_for_input_intensity,
-    effective_cavity_params,
     input_intensity_for_drive,
     intracavity_field,
     output_fields,
@@ -42,10 +44,35 @@ class TestSystemParams:
     def test_phi_normalized_into_principal_range(self):
         p = SystemParams(kappa_l=1.0, kappa_r=1.0, g=1.0, phi=5.0 * math.pi)
         assert abs(p.phi - math.pi) < 1e-12
+        # -1e-20 % (2 pi) rounds to 2 pi itself, outside the range
+        assert SystemParams(kappa_l=1.0, kappa_r=1.0, phi=-1e-20).phi == 0.0
+
+    @pytest.mark.parametrize("value", [
+        10, np.int64(10), np.int32(10), np.float32(10.0), np.float64(10.0)],
+        ids=["int", "int64", "int32", "float32", "float64"])
+    def test_a_real_scalar_is_held_as_a_python_float(self, value):
+        # np.int64 and np.float32 were rejected, and an int was held as one
+        p = SystemParams(kappa_l=value, kappa_r=1.0, omega_d=value)
+        assert type(p.kappa_l) is float and p.kappa_l == 10.0
+        assert type(p.omega_d) is float and p.omega_d == 10.0
+
+    def test_a_python_float_is_held_as_given(self):
+        kappa_l = 10.5
+        assert SystemParams(kappa_l=kappa_l, kappa_r=1.0).kappa_l is kappa_l
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, "10", 1j, None, 10 ** 400, math.inf,
+        np.float32("nan"), np.float64("-inf")],
+        ids=["True", "False", "np.True_", "str", "complex", "None", "10**400",
+             "inf", "float32-nan", "float64-inf"])
+    def test_a_bool_or_a_non_finite_or_non_real_value_is_rejected(self, value):
+        # kappa_l=True was held as a bool
+        with pytest.raises(ValueError, match="^kappa_l must be a finite real number"):
+            SystemParams(kappa_l=value, kappa_r=1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("kappa_l", -1.0), ("kappa_r", 0.0), ("g", -0.5),
-        ("g_nl_mag", -0.1), ("gamma", 0.0),
+        ("g_nl_mag", -0.1), ("gamma", 0.0), ("omega_d", -1.0),
     ])
     def test_rejects_nonphysical_rates(self, field, value):
         kwargs = dict(kappa_l=1.0, kappa_r=1.0, g=1.0)
@@ -59,6 +86,27 @@ class TestSystemParams:
         assert p.g_nl == pytest.approx(2.0j)
 
 
+# names that only tests used, gone from the library, with their modules
+REMOVED = {
+    "cpa": ("cpa_invariance_check", "INVARIANCE_RTOL", "BETA_MATCH_ATOL"),
+    "dynamics": ("settle",),
+    "errors": ("PreconditionViolated",),
+    "model": ("effective_cavity_params", "EffectiveCavity"),
+    "steady": ("self_consistency_residual", "oracle_scan_bound"),
+}
+
+
+def test_the_package_exports_only_names_it_holds():
+    for module, names in REMOVED.items():
+        held = importlib.import_module(f"cpasim.{module}")
+        for name in names:
+            assert not hasattr(cpasim, name) and not hasattr(held, name), name
+            assert name not in cpasim.__all__
+    assert len(set(cpasim.__all__)) == len(cpasim.__all__)
+    for name in cpasim.__all__:
+        assert hasattr(cpasim, name), name
+
+
 class TestEffectiveCavity:
     def test_matches_complex_susceptibility(self, rng):
         # closed forms against the same quantities assembled by plain
@@ -66,17 +114,17 @@ class TestEffectiveCavity:
         for _ in range(50):
             p = random_params(rng)
             n = rng.uniform(0.0, 30.0)
-            eff = effective_cavity_params(n, p)
+            kappa0, delta0, _ = dressed_cavity(n, p)
             k0, d0, _, _ = field_gain_pieces(n, p)
-            assert eff.kappa0 == pytest.approx(k0, rel=1e-12)
-            assert eff.delta0 == pytest.approx(d0, rel=1e-12, abs=1e-12)
+            assert kappa0 == pytest.approx(k0, rel=1e-12)
+            assert delta0 == pytest.approx(d0, rel=1e-12, abs=1e-12)
 
     def test_atom_stiffens_loss_and_pulls_detuning(self):
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, delta_c=2.0,
                          delta_tls=3.0)
-        eff = effective_cavity_params(0.0, p)
-        assert eff.kappa0 > 0.5 * p.kappa
-        assert eff.delta0 != p.delta_c
+        kappa0, delta0, _ = dressed_cavity(0.0, p)
+        assert kappa0 > 0.5 * p.kappa
+        assert delta0 != p.delta_c
 
     def test_saturation_grows_linearly_in_photon_number(self):
         p = SystemParams(kappa_l=1.0, kappa_r=1.0, g=0.7, delta_tls=1.2)

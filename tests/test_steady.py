@@ -15,8 +15,6 @@ from cpasim.steady import (
     build_polynomial,
     classify_stability,
     jacobian,
-    oracle_scan_bound,
-    self_consistency_residual,
     solve_steady_states,
 )
 
@@ -27,6 +25,7 @@ from oracles import (
     count_sign_changes_wide,
     field_gain_pieces,
     numerical_jacobian,
+    oracle_scan_bound,
     root_scan_bound,
 )
 from test_curve_geometry import at_input, isolated
@@ -75,12 +74,6 @@ class TestPolynomialAssembly:
                 expect = -h * t * D * D
                 assert float(poly(n)) == pytest.approx(
                     expect, rel=1e-9, abs=1e-9 * max(1.0, abs(expect)))
-
-    def test_residual_function_equals_polynomial(self, rng):
-        p = random_params(rng)
-        poly = build_polynomial(p)
-        for n in rng.uniform(0.0, 10.0, size=10):
-            assert self_consistency_residual(n, p) == float(poly(n))
 
 
 class TestThresholdMargin:

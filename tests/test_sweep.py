@@ -444,6 +444,8 @@ class TestBoundaryMap:
         (boundary_map, (1.0, 1.0, math.inf, [0.01, 0.02]), "delta_tls_fixed"),  # g_c = inf
         (critical_coupling, (0.02, 0.0, math.nan), "gamma"),  # nan before
         (critical_detuning, (1.0, 0.02, math.nan), "gamma"),
+        (critical_coupling, (0.02, 4.5, math.inf), "gamma"),  # inf before
+        (critical_detuning, (1.0, 0.02, math.inf), "gamma"),  # nan before
     ])
     def test_a_non_finite_argument_is_a_value_error_naming_it(self, call, args, named):
         with pytest.raises(ValueError, match=f"^{named} must be"):

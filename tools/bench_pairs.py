@@ -22,8 +22,10 @@ then spread too widely to call it unchanged.  The machine, Python, numpy
 and scipy versions and the repeat count are recorded once, and so are the
 line counts of each tree's ``src/cpasim/*.py``, all lines (``src_lines``)
 and code lines only (``src_code_lines``: no docstrings, comments or blank
-lines), which are also printed, and the code lines of each module
-(``module_code_lines``), printed for the modules whose count differs.
+lines), which are also printed, the code lines of each module
+(``module_code_lines``), printed for the modules whose count differs, and
+the code lines of ``tests/*.py`` (``tests_code_lines``), also printed, so
+that code moved from the package into the tests shows as a move.
 Before each run a fixed stdlib-only loop is timed in this process, and its
 rate is stored beside that run's metrics (``calibration_per_s``): it tells
 how fast the machine was at that moment, so that files from different
@@ -122,11 +124,12 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
-def module_code_lines(tree: str) -> dict[str, int]:
-    """``code_lines`` of each of ``tree``'s ``src/cpasim/*.py``, by file
-    name, in sorted order."""
+def module_code_lines(tree: str, package: str = os.path.join("src", "cpasim")
+                      ) -> dict[str, int]:
+    """``code_lines`` of each of ``tree``'s ``<package>/*.py`` (by default
+    ``src/cpasim``), by file name, in sorted order."""
     counts = {}
-    for path in sorted(glob.glob(os.path.join(tree, "src", "cpasim", "*.py"))):
+    for path in sorted(glob.glob(os.path.join(tree, package, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             counts[os.path.basename(path)] = code_lines(fh.read())
     return counts
@@ -288,6 +291,8 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "src_code_lines": {side: sum(m.values()) for side, m in modules.items()},
         "module_code_lines": modules,
+        "tests_code_lines": {side: sum(module_code_lines(tree, "tests").values())
+                             for side, tree in trees.items()},
         "workloads": {},
     }
     lines, code = summary["src_lines"], summary["src_code_lines"]
@@ -300,6 +305,9 @@ def main(argv=None) -> int:
         if before != after:
             print(f"  {name} code lines: parent {before}, change {after} "
                   f"({after - before:+d})")
+    tests = summary["tests_code_lines"]
+    print(f"tests code lines: parent {tests['parent']}, change {tests['change']} "
+          f"({tests['change'] - tests['parent']:+d})")
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.pairs):
