@@ -7,8 +7,8 @@ linewidth; --gamma rescales emitted files to physical units.
 
 Exit codes: 0 success, 2 validation/parse error (inputs are checked where
 they enter), 3 infeasible absorption request, 4 numerical failure (any
-other error from the computation, a ValueError from numpy or scipy
-included).
+other error from the computation, a ValueError from numpy or scipy and
+an ArithmeticError included).
 """
 
 from __future__ import annotations
@@ -296,9 +296,11 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (StepFailure, ParametricSingularity, MalformedCurve, IoError,
-            np.linalg.LinAlgError, ValueError) as exc:
-        # a ValueError from inside numpy, scipy or the library: the inputs
-        # were checked where they entered, so it is no config error
+            np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
+        # a ValueError from inside numpy, scipy or the library, or float
+        # arithmetic that overflows or divides by zero on extreme but finite
+        # parameters: the inputs were checked where they entered, so it is
+        # no config error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -12,6 +12,7 @@ from .model import (
     Stability,
     SteadyState,
     SystemParams,
+    _finite_real,
     output_intensities,
     soc_effective_params,
 )
@@ -87,20 +88,19 @@ def cpa_cavity_detuning(p: SystemParams) -> float:
     delta_c - 2|G| sin(phi) = 0.
     """
     beta, _ = soc_effective_params(p)
-    return 2.0 * p.g_nl_mag * math.sin(p.phi) + 2.0 * beta * p.delta_tls / p.gamma
+    return p.crystal_quadratures[1] + 2.0 * beta * p.delta_tls / p.gamma
 
 
-def _check_boundary_args(beta: float, gamma: float, name: str, value: float) -> None:
-    """ValueError naming a non-finite ``beta`` or ``value`` (the argument
-    ``name``), NonPositiveBeta for a finite beta <= 0, and ValueError for a
-    gamma that is not finite and > 0."""
-    for arg, v in (("beta", beta), (name, value)):
-        if not math.isfinite(v):
-            raise ValueError(f"{arg} must be finite, got {v!r}")
+def _boundary_args(beta, gamma, name: str, value) -> tuple[float, float, float]:
+    """``beta``, ``gamma`` and ``value`` (the argument ``name``) by the
+    number rule (``model._finite_real``); NonPositiveBeta for a beta <= 0,
+    and ValueError for a gamma <= 0."""
+    beta, gamma, value = map(_finite_real, ("beta", "gamma", name), (beta, gamma, value))
     if beta <= 0.0:
         raise NonPositiveBeta(f"beta = {beta:.6g} <= 0")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    return beta, gamma, value
 
 
 def critical_coupling(beta: float, delta_tls: float, gamma: float) -> float:
@@ -108,7 +108,7 @@ def critical_coupling(beta: float, delta_tls: float, gamma: float) -> float:
 
     g_c = sqrt( (beta/2) (gamma + 4 delta_tls^2 / gamma) )
     """
-    _check_boundary_args(beta, gamma, "delta_tls", delta_tls)
+    beta, gamma, delta_tls = _boundary_args(beta, gamma, "delta_tls", delta_tls)
     return math.sqrt(0.5 * beta * (gamma + 4.0 * delta_tls ** 2 / gamma))
 
 
@@ -120,7 +120,7 @@ def critical_detuning(g: float, beta: float, gamma: float) -> float:
     Returns 0 exactly at the boundary g = critical_coupling(beta, 0, gamma);
     raises Infeasible when the radicand is negative (no detuning works).
     """
-    _check_boundary_args(beta, gamma, "g", g)
+    beta, gamma, g = _boundary_args(beta, gamma, "g", g)
     radicand = 0.5 * (g ** 2 * gamma / beta - gamma ** 2 / 2.0)
     if radicand < -RADICAND_ATOL * gamma ** 2:
         raise Infeasible(
@@ -135,6 +135,7 @@ def cpa_input_amplitude(p: SystemParams, n_c_cpa: float) -> tuple[float, float]:
     Omega_d = kappa sqrt(n_c), per-mirror c_in = Omega_d / (2 sqrt(kappa/2)),
     so input_intensity = |c_in|^2 = kappa n_c / 2.  Requires symmetric mirrors.
     """
+    n_c_cpa = _finite_real("n_c_cpa", n_c_cpa)
     if p.kappa_l != p.kappa_r:
         raise AsymmetricMirrors(
             f"kappa_l = {p.kappa_l:.6g} != kappa_r = {p.kappa_r:.6g}; the "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
-from .model import SystemParams, output_intensities
+from .model import SystemParams, _finite_real, _finite_reals, output_intensities
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -262,26 +262,23 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     Raises StepFailure (carrying the partial trace) if the integrator stops
     before reaching ``t_end``; an exception raised in the right-hand side
     (KeyboardInterrupt too) as it was raised; and ValueError naming the
-    argument for a non-finite ``delta``, ``t_end``, ``sample_dt`` or
-    initial state, an ``rtol`` or ``atol`` that is not finite or is
-    negative, or a sample count ``t_end / sample_dt`` beyond the array
-    index range or too large to allocate.
+    argument for a ``delta``, ``t_end``, ``sample_dt``, ``rtol``, ``atol``
+    or initial-state entry that breaks the number rule
+    (``model._finite_real``), a negative ``rtol`` or ``atol``, an initial
+    state that is no 5-vector, or a sample count ``t_end / sample_dt``
+    beyond the array index range or too large to allocate.
     """
-    for name, value in (("delta", delta), ("t_end", t_end), ("sample_dt", sample_dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    for name, value in (("rtol", rtol), ("atol", atol)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    delta, t_end, sample_dt, rtol, atol = map(_finite_real, (
+        "delta", "t_end", "sample_dt", "rtol", "atol"), (delta, t_end, sample_dt, rtol, atol))
+    if min(rtol, atol) < 0.0:
+        raise ValueError(f"rtol and atol must be >= 0, got rtol = {rtol!r}, atol = {atol!r}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if sample_dt <= 0.0 or sample_dt > t_end:
         raise ValueError("sample_dt must lie in (0, t_end]")
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (5,):
+    if np.shape(initial) != (5,):
         raise ValueError("initial state must be a 5-vector")
-    if not np.isfinite(initial).all():
-        raise ValueError("initial state must be finite")
+    initial = np.array(_finite_reals("initial state entry", initial))
 
     count = t_end / sample_dt + SAMPLE_COUNT_SLACK
     if not count < np.iinfo(np.intp).max:

@@ -8,7 +8,7 @@ time only (rates and intensities multiply, times divide).
 from __future__ import annotations
 
 import math
-import sys
+import re
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
@@ -17,7 +17,7 @@ import numpy as np
 from .cpa import CPAReport, cpa_cavity_detuning
 from .dynamics import TimeTrace
 from .errors import IoError, ParseError, ValidationError
-from .model import Stability, SystemParams
+from .model import Stability, SystemParams, _finite_real
 from .sweep import BoundaryMap, HysteresisCurve
 
 # the most points a grid key or an evolution's samples may ask for
@@ -65,18 +65,28 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def check_positive(name: str, value: float) -> None:
-    """The rule for a positive config key, or the flag that overrides one."""
-    _require(0.0 < value < math.inf, f"{name} must be positive and finite, got {value!r}")
+def _finite(name: str, v) -> float:
+    """The number rule (``model._finite_real``), failing as a
+    ValidationError."""
+    try:
+        return _finite_real(name, v)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
+def check_positive(name: str, value) -> float:
+    """The rule for a positive config key, the flag that overrides one, and
+    the emitters' ``gamma_scale``: the number rule, then > 0, else a
+    ValidationError naming it.  Returns the value as a Python float."""
+    value = _finite(name, value)
+    _require(value > 0.0, f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _number(key, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"key '{key}' must be a number, got {v!r}")
-    # NaN and the infinities fail, and so does an integer past the float
-    # range
-    _require(abs(v) <= sys.float_info.max, f"key '{key}' must be finite, got {v!r}")
-    return float(v)
+    return _finite(f"key '{key}'", v)
 
 
 def _count(key, v) -> int:
@@ -146,6 +156,12 @@ def parse_config(text: str) -> RunConfig:
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
             return super().construct_mapping(node, deep=deep)
+
+    # YAML 1.2's floats that YAML 1.1's pattern misses, with an exponent but
+    # no dot or no exponent sign (1e-3, 1E5, 1.0e200); yaml.SafeLoader
+    # itself is left as it is
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
     try:
         doc = yaml.load(text, Loader=Loader)
@@ -232,9 +248,9 @@ def _write(path, text: str) -> None:
 def emit_csv(result, path, gamma_scale: float = 1.0) -> None:
     """Write a result to CSV with 17-significant-digit decimal formatting and
     deterministic row order.  Schema depends on the result type.
-    ``gamma_scale`` must be positive and finite (ValidationError)."""
-    gs = float(gamma_scale)
-    check_positive("gamma_scale", gs)
+    ``gamma_scale`` follows the number rule (``model._finite_real``) and must
+    be positive, else ValidationError."""
+    gs = check_positive("gamma_scale", gamma_scale)
     # each schema is its header, one row's %-format and its columns, in the
     # rows' order
     if isinstance(result, HysteresisCurve):
@@ -490,10 +506,9 @@ def emit_svg(result, path, gamma_scale: float = 1.0, title: str | None = None) -
 
     Stable branches are solid, unstable dashed, marginal dotted; folds are
     diamonds; absorption points are labeled dots (A-series observable,
-    B-series on unstable branches).  ``gamma_scale`` must be positive and
-    finite (ValidationError)."""
-    gs = float(gamma_scale)
-    check_positive("gamma_scale", gs)
+    B-series on unstable branches).  ``gamma_scale`` follows the number rule
+    (``model._finite_real``) and must be positive, else ValidationError."""
+    gs = check_positive("gamma_scale", gamma_scale)
     if isinstance(result, HysteresisCurve):
         svg = _svg_curve(result, gs, title)
     elif isinstance(result, BoundaryMap):

@@ -19,8 +19,32 @@ from .errors import ParametricSingularity
 
 # Guard for the parametric-oscillation denominator, in units of gamma^2.
 EPS_DEN = 1e-9
-# The types a parameter may have, a bool aside; each is held as a Python float.
+# The types a number may have, a bool aside (see ``_finite_real``).
 REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
+def _finite_real(name: str, value) -> float:
+    """The number rule of every public numeric argument: ``value`` as a
+    Python float (itself, when it is one), if it is a finite Python or
+    numpy int or float; else a ValueError naming the argument ``name``.  A
+    bool is no number, and an int past the float range is not finite."""
+    if type(value) is float and math.isfinite(value):  # the common case
+        return value
+    try:
+        if (isinstance(value, REAL_SCALARS) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _finite_reals(name: str, values) -> list[float]:
+    """``_finite_real`` of each entry of the sequence ``values``, as a list.
+    An ndarray is read by ``tolist``, in Python numbers."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [_finite_real(name, v) for v in values]
 
 
 class Stability(enum.Enum):
@@ -69,24 +93,15 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("kappa_l", "kappa_r", "g", "delta_c", "delta_tls",
                      "g_nl_mag", "phi", "omega_d", "gamma"):
-            v = getattr(self, name)
-            # the config reader's rule: a bool is no number, and an int past
-            # the float range is not finite; numpy's real scalars count too
-            try:
-                real = (not isinstance(v, bool) and isinstance(v, REAL_SCALARS)
-                        and math.isfinite(v))
-            except OverflowError:
-                real = False
-            if not real:
-                raise ValueError(f"{name} must be a finite real number, got {v!r}")
-            if type(v) is not float:
-                object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         for name in ("gamma", "kappa_l", "kappa_r"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("g", "g_nl_mag", "omega_d"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not self.kappa < math.inf:
+            raise ValueError(f"kappa_l + kappa_r = {self.kappa_l!r} + {self.kappa_r!r} overflows")
         # a tiny negative phi rounds up to 2 pi itself
         phi = self.phi % (2.0 * math.pi)
         object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
@@ -102,17 +117,23 @@ class SystemParams:
         return self.g_nl_mag * cmath.exp(1j * self.phi)
 
     @cached_property
+    def crystal_quadratures(self) -> tuple[float, float]:
+        """(2|G| cos(phi), 2|G| sin(phi)), the real and imaginary parts of
+        2 G, computed on first use and held on the instance."""
+        g_nl2 = 2.0 * self.g_nl_mag
+        return g_nl2 * math.cos(self.phi), g_nl2 * math.sin(self.phi)
+
+    @cached_property
     def rhs_coefficients(self) -> tuple[float, ...]:
         """The constant coefficients of ``dynamics.mean_field_rhs``, computed
         on first use and held on the instance: -kappa/2, delta_c, g, 2 g,
         -gamma/2, -gamma, delta_tls, omega_d, 2|G|, phi, 2|G| cos(phi) and
         2|G| sin(phi).  ``-a * x`` parses as ``(-a) * x``, so the negated
         rates give the state's arithmetic the same bits."""
-        g_nl2 = 2.0 * self.g_nl_mag
         return (-(0.5 * (self.kappa_l + self.kappa_r)), self.delta_c, self.g,
                 2.0 * self.g, -(0.5 * self.gamma), -self.gamma, self.delta_tls,
-                self.omega_d, g_nl2, self.phi, g_nl2 * math.cos(self.phi),
-                g_nl2 * math.sin(self.phi))
+                self.omega_d, 2.0 * self.g_nl_mag, self.phi,
+                *self.crystal_quadratures)
 
 
 @dataclass
@@ -154,6 +175,7 @@ def parametric_denominator(n_c: float, p: SystemParams) -> float:
     Vanishes at the dressed parametric-oscillation threshold, where the linear
     steady-state response diverges.
     """
+    n_c = _finite_real("n_c", n_c)
     if n_c < 0:
         raise ValueError("n_c must be nonnegative")
     return dressed_cavity(n_c, p)[2]
@@ -170,8 +192,7 @@ def driven_field(kappa0, delta0, den, omega_d, p: SystemParams):
     """<c> = [(kappa0 - i delta0) + 2 G] omega_d / den from ``dressed_cavity``'s
     terms, elementwise for arrays, in real arithmetic: a float and an array
     element give the same bits."""
-    g_re = 2.0 * p.g_nl_mag * math.cos(p.phi)
-    g_im = 2.0 * p.g_nl_mag * math.sin(p.phi)
+    g_re, g_im = p.crystal_quadratures
     return ((kappa0 * omega_d + g_re * omega_d) / den
             + 1j * ((g_im * omega_d - delta0 * omega_d) / den))
 
@@ -247,9 +268,8 @@ def soc_effective_params(p: SystemParams) -> tuple[float, float]:
     beta = kappa/2 + 2|G|cos(phi)   (may be negative; callers must check)
     delta_c_prime = delta_c - 2|G|sin(phi)
     """
-    beta = p.kappa / 2.0 + 2.0 * p.g_nl_mag * math.cos(p.phi)
-    delta_c_prime = p.delta_c - 2.0 * p.g_nl_mag * math.sin(p.phi)
-    return beta, delta_c_prime
+    g_re, g_im = p.crystal_quadratures
+    return p.kappa / 2.0 + g_re, p.delta_c - g_im
 
 
 def balanced_input_fields(p: SystemParams) -> tuple[complex, complex]:

@@ -39,6 +39,7 @@ from .model import (
     Stability,
     SteadyState,
     SystemParams,
+    _finite_reals,
     at_singularity,
     atomic_expectations,
     dressed_cavity,
@@ -236,8 +237,7 @@ def _poly_pieces(p: SystemParams):
     k2 = p.kappa / 2.0
     A = _add([k2 * d for d in D], [p.g ** 2 * p.gamma / 2.0])
     B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
-    g_re = p.g_nl_mag * math.cos(p.phi)
-    g_im = p.g_nl_mag * math.sin(p.phi)
+    g_re2, g_im2 = p.crystal_quadratures  # 2 Re(G), 2 Im(G)
     AA, DD = _mul(A, A), _mul(D, D)
     g4 = 4.0 * p.g_nl_mag ** 2
     GDD = [g4 * x for x in DD]
@@ -255,17 +255,17 @@ def _poly_pieces(p: SystemParams):
         terms[k] += x
     Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
     # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
-    Rq = _add([2.0 * g_im * d for d in D], [-b for b in B])
-    terms = [abs(2.0 * g_im * d) + abs(p.delta_c * d) for d in D]
+    Rq = _add([g_im2 * d for d in D], [-b for b in B])
+    terms = [abs(g_im2 * d) + abs(p.delta_c * d) for d in D]
     terms[0] += p.g ** 2 * abs(p.delta_tls)
     if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
-        Rp = _add(A, [2.0 * g_re * d for d in D])
+        Rp = _add(A, [g_re2 * d for d in D])
         return DD, Q, _add(_mul(Rp, Rp), _mul(Rq, Rq)), None
     # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
     # threshold, where rounding left in it would put a spurious root near 1e15
-    q = [a - 2.0 * g_re * d for a, d in zip(A, D)]
+    q = [a - g_re2 * d for a, d in zip(A, D)]
     return DD, Q, None, _trim([
-        0.0 if abs(c) <= eps * (abs(a) + abs(2.0 * g_re * d)) else c
+        0.0 if abs(c) <= eps * (abs(a) + abs(g_re2 * d)) else c
         for c, a, d in zip(q, A, D)])
 
 
@@ -345,12 +345,11 @@ def _jacobian_entries(c_bar, sigma_minus, sigma_z, p: SystemParams):
     drive."""
     x1, x2 = c_bar.real, c_bar.imag
     x3, x4 = sigma_minus.real, sigma_minus.imag
-    g_re = p.g_nl_mag * math.cos(p.phi)
-    g_im = p.g_nl_mag * math.sin(p.phi)
+    g_re2, g_im2 = p.crystal_quadratures
     k2, h = p.kappa / 2.0, p.gamma / 2.0
     g, g2 = p.g, 2.0 * p.g
-    return ((-k2 + 2.0 * g_re, p.delta_c + 2.0 * g_im, 0.0, g, 0.0),
-            (-p.delta_c + 2.0 * g_im, -k2 - 2.0 * g_re, -g, 0.0, 0.0),
+    return ((-k2 + g_re2, p.delta_c + g_im2, 0.0, g, 0.0),
+            (-p.delta_c + g_im2, -k2 - g_re2, -g, 0.0, 0.0),
             (0.0, -g2 * sigma_z, -h, p.delta_tls, -g2 * x2),
             (g2 * sigma_z, 0.0, -p.delta_tls, -h, g2 * x1),
             (-g2 * x4, g2 * x3, g2 * x2, -g2 * x1, -p.gamma))
@@ -568,37 +567,20 @@ def _squared(w: float) -> float:
 
 
 def _drives(poly: SelfConsistencyPolynomial, drives) -> list[float]:
-    """The validated drives as Python floats, with the regime warning of a
-    non-empty call above the bare threshold."""
-    omegas = np.array(drives, dtype=float)
-    ws = omegas.tolist()
-    if omegas.ndim != 1 or not all(0.0 <= w < math.inf for w in ws):
-        raise ValueError("drives must be a sequence of finite omega_d >= 0")
+    """The drives as Python floats, each by the number rule
+    (``model._finite_real``) and >= 0, the largest with a square that does
+    not overflow, and the regime warning of a non-empty call above the bare
+    threshold."""
+    ws = _finite_reals("drive omega_d", drives)
     if ws:
-        _check_top_drive(poly, max(ws))
+        if min(ws) < 0.0:
+            raise ValueError(f"drive omega_d must be >= 0, got {min(ws)!r}")
+        _squared(max(ws))
+        if bare_threshold_margin(poly.p) <= 0.0:
+            _warn("bare cavity at/above the parametric-oscillation threshold "
+                  "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
+                  ParametricRegimeWarning)
     return ws
-
-
-def _drive(poly: SelfConsistencyPolynomial, omega_d) -> float:
-    """``_drives(poly, [omega_d])``'s one drive.  A float (numpy's float64
-    too) in range is made a Python float and checked on itself, with no
-    array; anything else goes through ``_drives``."""
-    if isinstance(omega_d, float):
-        w = float(omega_d)
-        if 0.0 <= w < math.inf:
-            _check_top_drive(poly, w)
-            return w
-    (w,) = _drives(poly, [omega_d])
-    return w
-
-
-def _check_top_drive(poly: SelfConsistencyPolynomial, top: float) -> None:
-    """The largest drive's square must not overflow; the regime warning."""
-    _squared(top)
-    if bare_threshold_margin(poly.p) <= 0.0:
-        _warn("bare cavity at/above the parametric-oscillation threshold "
-              "((kappa/2)^2 + delta_c^2 <= 4|G|^2); reporting verified roots only",
-              ParametricRegimeWarning)
 
 
 def _node_polynomials(poly: SelfConsistencyPolynomial, omegas: list[float]):
@@ -1009,8 +991,9 @@ def _node_states(poly: SelfConsistencyPolynomial, w: float) -> list[SteadyState]
 
 def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadyState]:
     """All self-consistent steady states of ``poly.p`` at the drive
-    amplitude ``omega_d`` (finite and >= 0, and with a finite square, else
-    ValueError), which replaces ``poly.p.omega_d``, sorted by photon number.
+    amplitude ``omega_d`` (checked as a curve's drives are, by ``_drives``:
+    the number rule, >= 0 and a finite square, else ValueError), which
+    replaces ``poly.p.omega_d``, sorted by photon number.
 
     This is the one-node solve.  The roots come from the root stage
     ``_node_roots``, in Python floats: the range rule (``_root_bound``: a
@@ -1042,7 +1025,8 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     parametric threshold: the reported roots are still residual-verified,
     but branches at large n_c are typically unstable there.
     """
-    return _node_states(poly, _drive(poly, omega_d))
+    (w,) = _drives(poly, [omega_d])
+    return _node_states(poly, w)
 
 
 def solve_curve_columns(poly: SelfConsistencyPolynomial, drives) -> SteadyColumns:

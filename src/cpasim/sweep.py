@@ -22,6 +22,8 @@ from .errors import AsymmetricMirrors, Infeasible, MalformedCurve, NonPositiveBe
 from .model import (
     Stability,
     SystemParams,
+    _finite_real,
+    _finite_reals,
     drive_for_input_intensity,
     output_intensities,
 )
@@ -130,9 +132,9 @@ def scan_folds(p: SystemParams | SelfConsistencyPolynomial,
     """All fold points (input_intensity, n_c) with input intensity at most
     ``span``, sorted by input.  The edge of a window anchored at zero input
     is reported at input exactly 0.0 (see ``SelfConsistencyPolynomial``);
-    ``span`` = inf gives every fold, and NaN is a ValueError."""
-    if math.isnan(span):
-        raise ValueError("span must be a number or inf, got nan")
+    ``span`` = inf gives every fold; any other span follows the number rule
+    (``model._finite_real``)."""
+    span = span if span == math.inf else _finite_real("span", span)
     return [f for f in _polynomial(p).folds if f[0] <= span]
 
 
@@ -153,9 +155,7 @@ def trace_hysteresis(p: SystemParams | SelfConsistencyPolynomial,
     ``cpa.place_cpa`` places them against the curve's folds, as
     ``verify_cpa`` does.
     """
-    xs = [float(x) for x in input_grid]
-    if not all(map(math.isfinite, xs)):
-        raise ValueError("input intensities must be finite")
+    xs = _finite_reals("input_grid entry", input_grid)
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("input_grid must be sorted ascending")
     if xs and xs[0] < 0.0:
@@ -266,16 +266,13 @@ def boundary_map(gamma: float, g_fixed: float, delta_tls_fixed: float,
 
     The mask equals g_fixed > g_c(beta) equivalently |delta_tls_fixed| below
     the critical detuning; infeasible nodes report a critical detuning of 0.
-    The betas must be finite, positive and ascending, and gamma, g_fixed and
-    delta_tls_fixed finite, else ValueError.
+    gamma, g_fixed, delta_tls_fixed and each beta follow the number rule
+    (``model._finite_real``), and the betas must be positive and ascending,
+    else ValueError.
     """
-    for name, value in (("gamma", gamma), ("g_fixed", g_fixed),
-                        ("delta_tls_fixed", delta_tls_fixed)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    betas = np.asarray([float(b) for b in beta_grid])
-    if not np.isfinite(betas).all():
-        raise ValueError("beta grid must be finite")
+    gamma, g_fixed, delta_tls_fixed = map(_finite_real, (
+        "gamma", "g_fixed", "delta_tls_fixed"), (gamma, g_fixed, delta_tls_fixed))
+    betas = np.array(_finite_reals("beta_grid entry", beta_grid), dtype=float)
     if np.any(betas <= 0.0):
         raise ValueError("beta grid must be strictly positive")
     if np.any(np.diff(betas) < 0.0):

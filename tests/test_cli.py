@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -90,7 +91,8 @@ class TestOverrides:
         out = tmp_path / "out"
         assert run("sweep", "--config", cfg, "--out", str(out), "--svg",
                    "--gamma", value) == 2
-        assert "--gamma must be positive and finite" in capsys.readouterr().err
+        assert re.search(r"--gamma must be (positive and finite|a finite real number)",
+                         capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["sweep"], ["cpa"], ["boundary"],
@@ -141,6 +143,33 @@ class TestOverrides:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, code, message", [
+        *((command, "kappa: 20\ng: 1.0e+200\n", 4, "numerical failure: ")
+          for command in ("steady", "cpa")),
+        *((command, "kappa: 20\ng: 1\ndelta_tls: 1.0e+200\ninput_max: 5\n", 4,
+           "numerical failure: ") for command in ("steady", "cpa", "sweep")),
+        *((command, "kappa: 20\ng: 1\ngamma: 1.0e-300\n", 4, "numerical failure: ")
+          for command in ("steady", "cpa")),
+        *((command, "kappa_l: 1.0e+308\nkappa_r: 1.0e+308\n", 2,
+           "error: kappa_l + kappa_r = 1e+308 + 1e+308 overflows")
+          for command in ("steady", "cpa")),
+    ], ids=["g-steady", "g-cpa", "delta_tls-steady", "delta_tls-cpa", "delta_tls-sweep",
+            "gamma-steady", "gamma-cpa", "kappa-steady", "kappa-cpa"])
+    def test_extreme_but_finite_parameters_are_one_line_errors(
+            self, tmp_path, capsys, command, text, code, message):
+        # these ended in a raw OverflowError or ZeroDivisionError traceback
+        # (exit 1), or, at an infinite kappa, in "(no steady states found)"
+        cfg = write_cfg(tmp_path, text)
+        argv = [command, "--config", cfg]
+        if command != "steady":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCpa:

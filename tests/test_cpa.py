@@ -125,7 +125,7 @@ class TestCriticalBoundary:
         (lambda: critical_detuning(1.0, math.inf, 1.0), "beta"),
     ])
     def test_a_non_finite_argument_is_a_value_error_naming_it(self, call, named):
-        with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
+        with pytest.raises(ValueError, match=re.escape(f"{named} must be a finite real number")):
             call()
 
 

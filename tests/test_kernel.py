@@ -674,24 +674,34 @@ def solved(solve):
 
 @pytest.mark.parametrize("tag, dtls", [("fig3c", 4.5), ("fig3b", 1.5)])
 def test_a_one_node_drive_is_checked_by_the_curves_rule(tag, dtls):
-    # the one-node solve checks a float on itself; every drive, float or
-    # not, gets the curve's value, message and regime warning (fig3b/1.5 is
-    # above the bare threshold)
+    # solve_node checks its drive as a curve checks each of its drives: a
+    # drive gives a curve at it the same states (to the two root stages'
+    # rounding), or the same message, and the same regime warning
+    # (fig3b/1.5 is above the bare threshold).  A bool, a string and an
+    # array are no drive for either
     poly = build_polynomial(fig3_preset(tag, dtls))
 
-    def checked(check):
+    def checked(solve):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            got = solved(check)
-        return got, type(got), [w.category for w in seen]
+            got = solved(solve)
+        return got, [w.category for w in seen]
 
-    for w in (0.0, -0.0, 0.5, 1e154, np.float64(0.5), 1, True, np.float32(0.5),
-              np.array(0.5), "0.5", math.nan, math.inf, -1.0, -math.inf,
-              np.float64(-1.0), 1e160, np.float64(1e160), [1.0], np.array([0.5])):
-        want = checked(lambda: steady._drives(poly, [w]))
-        if isinstance(want[0], list):
-            want = (want[0][0], float, want[2])
-        assert checked(lambda: steady._drive(poly, w)) == want, w
+    for w in (0.0, -0.0, 0.5, 1e154, np.float64(0.5), 1, True, np.True_,
+              np.float32(0.5), np.array(0.5), "0.5", 1 + 0j, None, 10 ** 400,
+              math.nan, math.inf, -1.0, -math.inf, np.float64(-1.0), 1e160,
+              np.float64(1e160), [1.0], np.array([0.5])):
+        node, node_warnings = checked(lambda: solve_node(poly, w))
+        cols, curve_warnings = checked(lambda: steady.solve_curve_columns(poly, [w]))
+        assert node_warnings == curve_warnings, w
+        if isinstance(node, str):
+            assert cols == node, w
+            continue
+        assert cols.n_c.tolist() == pytest.approx([s.n_c for s in node], rel=1e-12), w
+        assert cols.stability == [s.stability for s in node], w
+    for w in (True, np.True_, "0.5", np.array(0.5), [1.0]):
+        assert solved(lambda: solve_node(poly, w)).startswith(
+            "drive omega_d must be a finite real number"), w
 
 
 @pytest.mark.parametrize("p", [

@@ -433,7 +433,7 @@ class TestBoundaryMap:
                                        [0.01, math.nan, 0.02]])
     def test_a_non_finite_beta_is_a_value_error(self, betas):
         # NaN curves, or g_c = inf, came back before
-        with pytest.raises(ValueError, match="beta grid must be finite"):
+        with pytest.raises(ValueError, match="^beta_grid entry must be a finite real number"):
             boundary_map(1.0, 1.0, 20.0, betas)
 
     @pytest.mark.parametrize("call, args, named", [
