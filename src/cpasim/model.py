@@ -149,8 +149,10 @@ class SteadyState:
 
 
 def saturation_denominator(n_c, p: SystemParams):
-    """D = gamma^2/4 + delta_tls^2 + 2 g^2 n_c; strictly positive.  ``n_c``
-    may be an array."""
+    """D = gamma^2/4 + delta_tls^2 + 2 g^2 n_c, for n_c >= 0 positive in
+    exact arithmetic; in floats gamma^2/4 underflows to 0 for gamma below
+    about 1e-154, so D(0) is 0 there when delta_tls = 0.  ``n_c`` may be an
+    array."""
     return p.gamma ** 2 / 4.0 + p.delta_tls ** 2 + 2.0 * p.g ** 2 * n_c
 
 
@@ -207,6 +209,7 @@ def intracavity_field(n_c: float, p: SystemParams) -> complex:
     ParametricSingularity
         If the denominator magnitude is below EPS_DEN * gamma^2.
     """
+    n_c = _finite_real("n_c", n_c)
     kappa0, delta0, den = dressed_cavity(n_c, p)
     if at_singularity(den, p):
         raise ParametricSingularity(

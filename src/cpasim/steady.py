@@ -167,10 +167,12 @@ class SelfConsistencyPolynomial:
 
 
 # Series arithmetic on ascending coefficient sequences of Python floats
-# (lists, or a polynomial's tuples), kept trimmed of trailing zeros.  Every
-# operation is IEEE arithmetic in a fixed order, with no BLAS kernel, so each
-# coefficient is the same float on every machine.  Operands are trimmed: a product's leading coefficient is then
-# nonzero, and only a sum can cancel.
+# (lists, or a polynomial's tuples), kept trimmed of trailing zeros: the
+# folds' V (``edges``) and P at a drive (``coeffs``).  Every operation is
+# IEEE arithmetic in a fixed order, with no BLAS kernel, so each coefficient
+# is the same float on every machine.  Operands are trimmed: a product's
+# leading coefficient is then nonzero, and only a sum can cancel.
+# ``build_polynomial`` writes its products out by ``_mul``'s rule.
 
 def _trim(c):
     """``c`` (a list, a tuple or an array) without trailing zeros, keeping
@@ -218,8 +220,9 @@ def _mul(a, b) -> list[float]:
     return out
 
 
-def _poly_pieces(p: SystemParams):
-    """Coefficient lists (ascending in n_c) of the building blocks:
+def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
+    """Denominator-cleared self-consistency polynomial in n_c, from the
+    pieces (ascending in n_c)
 
     D = gamma^2/4 + delta_tls^2 + 2 g^2 n
     A = (kappa/2) D + g^2 gamma / 2          (real part of the cleared response)
@@ -227,68 +230,78 @@ def _poly_pieces(p: SystemParams):
     Q = A^2 + B^2 - 4|G|^2 D^2               (cleared denominator)
     R = (A + 2 Re(G) D)^2 + (2 Im(G) D - B)^2  (cleared numerator magnitude^2)
 
-    Returns D^2, Q and R, and A - 2 Re(G) D when Q and R share the factor
-    A + 2 Re(G) D (else None, and R with it): that is when
-    2 Im(G) D - B vanishes to within the rounding of its terms, so that
-    R = (A + 2 Re(G) D)^2 and Q = (A - 2 Re(G) D)(A + 2 Re(G) D).
-    """
-    D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
-    D = _trim([D0, 2.0 * p.g ** 2])
-    k2 = p.kappa / 2.0
-    A = _add([k2 * d for d in D], [p.g ** 2 * p.gamma / 2.0])
-    B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
-    g_re2, g_im2 = p.crystal_quadratures  # 2 Re(G), 2 Im(G)
-    AA, DD = _mul(A, A), _mul(D, D)
-    g4 = 4.0 * p.g_nl_mag ** 2
-    GDD = [g4 * x for x in DD]
-    Q = _add(_add(AA, _mul(B, B)), [-x for x in GDD])
-    # a coefficient of Q within the rounding of its terms is zero (A >= 0 and
-    # A, D have one length, so its terms are A^2 + GDD plus |B|^2).  Its n^2
-    # coefficient is 4 g^4 times the bare threshold margin, and for g = 0 all
-    # of Q is D0^2 times it; rounding left there puts a spurious root near
-    # 1e15 and spoils the others.  At the threshold its n coefficient,
-    # 4 g^4 (kappa gamma / 4 - delta_c delta_tls), and Q(0) can vanish too
-    eps = 4.0 * sys.float_info.epsilon
-    terms = [x + y for x, y in zip(AA, GDD)]
-    B_abs = [abs(b) for b in B]
-    for k, x in enumerate(_mul(B_abs, B_abs)):
-        terms[k] += x
-    Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
-    # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
-    Rq = _add([g_im2 * d for d in D], [-b for b in B])
-    terms = [abs(g_im2 * d) + abs(p.delta_c * d) for d in D]
-    terms[0] += p.g ** 2 * abs(p.delta_tls)
-    if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
-        Rp = _add(A, [g_re2 * d for d in D])
-        return DD, Q, _add(_mul(Rp, Rp), _mul(Rq, Rq)), None
-    # q's n coefficient is 2 g^2 (kappa/2 - 2 Re(G)), zero at the bare
-    # threshold, where rounding left in it would put a spurious root near 1e15
-    q = [a - g_re2 * d for a, d in zip(A, D)]
-    return DD, Q, None, _trim([
-        0.0 if abs(c) <= eps * (abs(a) + abs(g_re2 * d)) else c
-        for c, a, d in zip(q, A, D)])
-
-
-def build_polynomial(p: SystemParams) -> SelfConsistencyPolynomial:
-    """Denominator-cleared self-consistency polynomial in n_c.
-
     Generic case:  P(n) = n Q(n)^2 - omega_d^2 R(n) D(n)^2   (degree <= 5).
     For |G| = 0 exactly, R == Q and Q = A^2 + B^2 > 0 carries no roots, so the
     positive factor Q is divided out and the classic bistability cubic
     C(n) = n Q(n) - omega_d^2 D(n)^2 is returned instead (degree <= 3; it
-    collapses to degree 1 when additionally g = 0).  When Q and R share the
-    factor A + 2 Re(G) D (see ``_poly_pieces``), its square is divided out:
+    collapses to degree 1 when additionally g = 0).  Where 2 Im(G) D - B
+    vanishes to within the rounding of its terms, R = (A + 2 Re(G) D)^2 and
+    Q = (A - 2 Re(G) D)(A + 2 Re(G) D) share the factor A + 2 Re(G) D, and
+    its square is divided out:
     P(n) = n (A - 2 Re(G) D)^2 - omega_d^2 D^2, with Q = A - 2 Re(G) D.
-    The pieces are built as Python float lists and held as tuples.
+
+    Every piece is written out in Python floats at the model's degrees (1
+    for D, A, B and R's two factors, 2 for Q and R), a coefficient that
+    vanishes (g = 0, delta_c = 0, ...) held as a zero.  Each product
+    coefficient is ``_mul``'s sum, from 0.0 over ascending i, where a zero
+    term changes nothing; each piece is then cut to its ``_trim`` length,
+    and ``free`` is n times its square as ``_mulx`` forms it.
     """
-    DD, Q, R, q_shared = _poly_pieces(p)
+    eps = 4.0 * sys.float_info.epsilon
+    gg = p.g ** 2
+    d0, d1 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2, 2.0 * gg
+    k2 = p.kappa / 2.0
+    a0, a1 = k2 * d0 + gg * p.gamma / 2.0, k2 * d1
+    b0, b1 = p.delta_c * d0 - gg * p.delta_tls, p.delta_c * d1
+    dd0, dd1, dd2 = 0.0 + d0 * d0, 0.0 + d0 * d1 + d1 * d0, 0.0 + d1 * d1
+    dd = (dd0, dd1, dd2) if d1 else (dd0,)  # D^2; D is a constant at g = 0
+    aa0, aa1, aa2 = 0.0 + a0 * a0, 0.0 + a0 * a1 + a1 * a0, 0.0 + a1 * a1
+    bb0, bb1, bb2 = 0.0 + b0 * b0, 0.0 + b0 * b1 + b1 * b0, 0.0 + b1 * b1
+    g4 = 4.0 * p.g_nl_mag ** 2
+    gdd0, gdd1, gdd2 = g4 * dd0, g4 * dd1, g4 * dd2
+    # Q: a coefficient within the rounding of its terms (A^2 + 4|G|^2 D^2
+    # plus |B|^2, as A >= 0) is zero.  Its n^2 coefficient is 4 g^4 times the
+    # bare threshold margin, and for g = 0 all of Q is D0^2 times it;
+    # rounding left there puts a spurious root near 1e15 and spoils the
+    # others.  At the threshold its n coefficient,
+    # 4 g^4 (kappa gamma / 4 - delta_c delta_tls), and Q(0) can vanish too
+    q0, q1, q2 = aa0 + bb0 - gdd0, aa1 + bb1 - gdd1, aa2 + bb2 - gdd2
+    q0 = 0.0 if abs(q0) <= eps * (aa0 + gdd0 + bb0) else q0
+    q1 = 0.0 if abs(q1) <= eps * (
+        aa1 + gdd1 + (0.0 + abs(b0) * abs(b1) + abs(b1) * abs(b0))) else q1
+    q2 = 0.0 if abs(q2) <= eps * (aa2 + gdd2 + bb2) else q2
+    q = (q0, q1, q2)[:3 if q2 else 2 if q1 else 1]
     if p.g_nl_mag == 0.0:
-        free, drive, q = _mulx(Q), DD, None
-    elif q_shared is not None:
-        free, drive, q = _mulx(_mul(q_shared, q_shared)), DD, tuple(q_shared)
-    else:
-        free, drive, q = _mulx(_mul(Q, Q)), _mul(R, DD), tuple(Q)
-    return SelfConsistencyPolynomial(free=tuple(free), drive=tuple(drive), q=q, p=p)
+        return SelfConsistencyPolynomial(
+            free=(0.0, *q) if q[-1] else q, drive=dd, q=None, p=p)
+    g_re2, g_im2 = p.crystal_quadratures  # 2 Re(G), 2 Im(G)
+    # Rq = 2 Im(G) D - B against the rounding of its terms, as Q
+    r0, r1 = g_im2 * d0 - b0, g_im2 * d1 - b1
+    if (abs(r0) > eps * (abs(g_im2 * d0) + abs(p.delta_c * d0) + gg * abs(p.delta_tls))
+            or abs(r1) > eps * (abs(g_im2 * d1) + abs(b1))):
+        s0, s1 = a0 + g_re2 * d0, a1 + g_re2 * d1  # Rp = A + 2 Re(G) D
+        R0 = 0.0 + s0 * s0 + (0.0 + r0 * r0)
+        R1 = 0.0 + s0 * s1 + s1 * s0 + (0.0 + r0 * r1 + r1 * r0)
+        R2 = 0.0 + s1 * s1 + (0.0 + r1 * r1)
+        qq = (0.0 + q0 * q0, 0.0 + q0 * q1 + q1 * q0,
+              0.0 + q0 * q2 + q1 * q1 + q2 * q0, 0.0 + q1 * q2 + q2 * q1,
+              0.0 + q2 * q2)[:2 * len(q) - 1]
+        r_len = 3 if R2 else 2 if R1 else 1  # R trimmed
+        drive = (0.0 + R0 * dd0, 0.0 + R0 * dd1 + R1 * dd0,
+                 0.0 + R0 * dd2 + R1 * dd1 + R2 * dd0,
+                 0.0 + R1 * dd2 + R2 * dd1, 0.0 + R2 * dd2)[:r_len + len(dd) - 1]
+        return SelfConsistencyPolynomial(
+            free=(0.0, *qq) if qq[-1] else qq, drive=drive, q=q, p=p)
+    # the shared factor divided out: q = A - 2 Re(G) D, whose n coefficient
+    # 2 g^2 (kappa/2 - 2 Re(G)) is zero at the bare threshold, where rounding
+    # left in it would put a spurious root near 1e15
+    v0, v1 = a0 - g_re2 * d0, a1 - g_re2 * d1
+    v0 = 0.0 if abs(v0) <= eps * (abs(a0) + abs(g_re2 * d0)) else v0
+    v1 = 0.0 if abs(v1) <= eps * (abs(a1) + abs(g_re2 * d1)) else v1
+    q = (v0, v1) if v1 else (v0,)
+    vv = (0.0 + v0 * v0, 0.0 + v0 * v1 + v1 * v0, 0.0 + v1 * v1)[:2 * len(q) - 1]
+    return SelfConsistencyPolynomial(
+        free=(0.0, *vv) if vv[-1] else vv, drive=dd, q=q, p=p)
 
 
 def positive_roots(c) -> list[float]:
@@ -937,22 +950,26 @@ def _states(poly: SelfConsistencyPolynomial, omegas: np.ndarray, rows: np.ndarra
         vacuum = at + np.arange(len(undriven))
 
     w = omegas[rows]
-    kappa0, delta0, den = dressed_cavity(n, p)
-    singular = at_singularity(den, p)
-    if undriven.size:
-        # the vacuum is reported at any denominator: its field is 0
-        den[vacuum], singular[vacuum] = 1.0, False
-    if singular.any():
-        for n_c in n[singular].tolist():
-            _warn_singular(n_c)
-        keep = ~singular
-        rows, n, w, res, segment = rows[keep], n[keep], w[keep], res[keep], segment[keep]
-        kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
-    if undriven.size:
-        _warn_undriven(poly)
+    # a division by zero or an invalid operation is an ArithmeticError
+    # (FloatingPointError), as a Python float's division by zero is in
+    # _node_states, not a numpy warning
+    with np.errstate(divide="raise", invalid="raise"):
+        kappa0, delta0, den = dressed_cavity(n, p)
+        singular = at_singularity(den, p)
+        if undriven.size:
+            # the vacuum is reported at any denominator: its field is 0
+            den[vacuum], singular[vacuum] = 1.0, False
+        if singular.any():
+            for n_c in n[singular].tolist():
+                _warn_singular(n_c)
+            keep = ~singular
+            rows, n, w, res, segment = rows[keep], n[keep], w[keep], res[keep], segment[keep]
+            kappa0, delta0, den = kappa0[keep], delta0[keep], den[keep]
+        if undriven.size:
+            _warn_undriven(poly)
 
-    c_bar = driven_field(kappa0, delta0, den, w, p)
-    sigma_minus, sigma_z = atomic_expectations(c_bar, p)
+        c_bar = driven_field(kappa0, delta0, den, w, p)
+        sigma_minus, sigma_z = atomic_expectations(c_bar, p)
     labels = _stability_labels(_jacobian_matrix(c_bar, sigma_minus, sigma_z, p))
     return SteadyColumns(rows, n, c_bar, sigma_minus, sigma_z, res, labels, segment)
 
@@ -1010,7 +1027,7 @@ def solve_node(poly: SelfConsistencyPolynomial, omega_d: float) -> list[SteadySt
     rounding floor cannot resolve may be reported as one state, two or
     none (``tests/test_exact_roots.py``).  Roots are sought up to
     Fujiwara's bound of P's float coefficients: coefficients within their
-    rounding of zero are zero (``_poly_pieces``).  The states stage
+    rounding of zero are zero (``build_polynomial``).  The states stage
     (``_node_states``) then maps each kept root,
     in Python floats, to a full mean-field state by the model's own
     formulas (``dressed_cavity``, ``driven_field``, ``atomic_expectations``)

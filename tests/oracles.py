@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from cpasim.dynamics import mean_field_rhs
+from cpasim.steady import _add, _mul, _mulx, _trim
 
 
 def field_gain_pieces(n, p):
@@ -237,6 +238,47 @@ def root_scan_bound(poly):
     return 2.0 * max((abs(c[d - k]) / abs(c[d])) ** (1.0 / k)
                      for k in range(1, d + 1))
 
+
+
+def series_polynomial(p):
+    """The bit reference of ``steady.build_polynomial``: (free, drive, q) of
+    ``p`` as tuples of Python floats (q None for |G| = 0), assembled by
+    ``steady``'s series helpers in float lists, every trim and rounding test
+    where the model applies it.  Where kappa g^2 underflows but g^2 does not
+    (A then has fewer coefficients than D) it raises IndexError or drops
+    Q's n and n^2 coefficients."""
+    D0 = p.gamma ** 2 / 4.0 + p.delta_tls ** 2
+    D = _trim([D0, 2.0 * p.g ** 2])
+    k2 = p.kappa / 2.0
+    A = _add([k2 * d for d in D], [p.g ** 2 * p.gamma / 2.0])
+    B = _add([p.delta_c * d for d in D], [-p.g ** 2 * p.delta_tls])
+    g_re2, g_im2 = p.crystal_quadratures
+    AA, DD = _mul(A, A), _mul(D, D)
+    g4 = 4.0 * p.g_nl_mag ** 2
+    GDD = [g4 * x for x in DD]
+    Q = _add(_add(AA, _mul(B, B)), [-x for x in GDD])
+    # a coefficient of Q within 4 eps of its terms' magnitude is zero
+    eps = 4.0 * sys.float_info.epsilon
+    terms = [x + y for x, y in zip(AA, GDD)]
+    B_abs = [abs(b) for b in B]
+    for k, x in enumerate(_mul(B_abs, B_abs)):
+        terms[k] += x
+    Q = _trim([0.0 if abs(c) <= eps * t else c for c, t in zip(Q, terms)])
+    if p.g_nl_mag == 0.0:
+        return tuple(_mulx(Q)), tuple(DD), None
+    # Q and R share the factor A + 2 Re(G) D where Rq = 2 Im(G) D - B is
+    # zero to within 4 eps of its terms' magnitude
+    Rq = _add([g_im2 * d for d in D], [-b for b in B])
+    terms = [abs(g_im2 * d) + abs(p.delta_c * d) for d in D]
+    terms[0] += p.g ** 2 * abs(p.delta_tls)
+    if any(abs(r) > eps * t for r, t in zip(Rq, terms)):
+        Rp = _add(A, [g_re2 * d for d in D])
+        R = _add(_mul(Rp, Rp), _mul(Rq, Rq))
+        return tuple(_mulx(_mul(Q, Q))), tuple(_mul(R, DD)), tuple(Q)
+    q = [a - g_re2 * d for a, d in zip(A, D)]
+    q = _trim([0.0 if abs(c) <= eps * (abs(a) + abs(g_re2 * d)) else c
+               for c, a, d in zip(q, A, D)])
+    return tuple(_mulx(_mul(q, q))), tuple(DD), tuple(q)
 
 # The exact root oracle: the self-consistency polynomial rebuilt in rational
 # arithmetic from the float parameters, P = n Q^2 - omega_d^2 R D^2, with

@@ -149,17 +149,18 @@ class TestOverrides:
           for command in ("steady", "cpa")),
         *((command, "kappa: 20\ng: 1\ndelta_tls: 1.0e+200\ninput_max: 5\n", 4,
            "numerical failure: ") for command in ("steady", "cpa", "sweep")),
-        *((command, "kappa: 20\ng: 1\ngamma: 1.0e-300\n", 4, "numerical failure: ")
-          for command in ("steady", "cpa")),
+        *((command, "kappa: 20\ng: 1\ngamma: 1.0e-300\ninput_max: 5\n", 4,
+           "numerical failure: ") for command in ("steady", "cpa", "sweep")),
         *((command, "kappa_l: 1.0e+308\nkappa_r: 1.0e+308\n", 2,
            "error: kappa_l + kappa_r = 1e+308 + 1e+308 overflows")
           for command in ("steady", "cpa")),
     ], ids=["g-steady", "g-cpa", "delta_tls-steady", "delta_tls-cpa", "delta_tls-sweep",
-            "gamma-steady", "gamma-cpa", "kappa-steady", "kappa-cpa"])
+            "gamma-steady", "gamma-cpa", "gamma-sweep", "kappa-steady", "kappa-cpa"])
     def test_extreme_but_finite_parameters_are_one_line_errors(
             self, tmp_path, capsys, command, text, code, message):
         # these ended in a raw OverflowError or ZeroDivisionError traceback
-        # (exit 1), or, at an infinite kappa, in "(no steady states found)"
+        # (exit 1), or, at an infinite kappa, in "(no steady states found)";
+        # the gamma sweep printed numpy RuntimeWarnings before its one line
         cfg = write_cfg(tmp_path, text)
         argv = [command, "--config", cfg]
         if command != "steady":

@@ -85,7 +85,7 @@ def test_the_oracle_settles_the_pair_at_a_singular_state(x):
 # rounding floor does not resolve may be reported as one state, two or none.
 # Roots at the parametric singularity are excluded, and exact roots past the
 # float polynomial's Fujiwara bound come from coefficients zeroed as
-# rounding (``steady._poly_pieces``).
+# rounding (``steady.build_polynomial``).
 BAND, FAR = 1e-6, 1e-4
 ACCURATE, NEAR_ACCURATE = 1e-9, 1e-6
 

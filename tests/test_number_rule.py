@@ -16,7 +16,7 @@ from cpasim.cpa import cpa_input_amplitude, critical_coupling, critical_detuning
 from cpasim.dynamics import integrate, vacuum_state
 from cpasim.errors import ParseError, ValidationError
 from cpasim.io import emit_csv, emit_svg, parse_config
-from cpasim.model import SystemParams, parametric_denominator
+from cpasim.model import SystemParams, intracavity_field, parametric_denominator
 from cpasim.sweep import boundary_map, scan_folds, trace_hysteresis
 
 P = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0, omega_d=2.0)
@@ -60,6 +60,7 @@ CASES = [
      "n_c_cpa", 2.0, False),
     ("parametric_denominator.n_c", lambda v: parametric_denominator(v, P),
      "n_c", 2.0, False),
+    ("intracavity_field.n_c", lambda v: intracavity_field(v, P), "n_c", 2.0, False),
     ("trace_hysteresis.input_grid", lambda v: trace_hysteresis(FIG3C, [0.0, v]),
      "input_grid entry", 2.0, False),
     ("scan_folds.span", lambda v: scan_folds(FIG3C, v), "span", 2.0, True),
