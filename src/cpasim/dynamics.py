@@ -8,7 +8,10 @@ parametric term at the pump detuning ``delta``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,6 +67,9 @@ class TimeTrace:
     steps: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
+    # None when every sample was reached, else why the stepper stopped
+    # (set on a StepFailure's partial trace)
+    stop_reason: str | None = None
 
     def final_state(self) -> np.ndarray:
         return self.state[-1]
@@ -188,6 +194,31 @@ def _unsupported_scipy() -> ImportError:
         "install scipy >= 1.17")
 
 
+# scipy's dop853 runner, loaded by the first integration
+_dopri853 = None
+
+
+def _load_dopri853():
+    """scipy's dop853 runner, run from scipy's ``integrate/_dop`` extension
+    file on its own, so that neither ``scipy`` nor ``scipy.integrate`` is
+    imported: ``scipy/integrate/__init__.py`` loads some 600 modules
+    (linalg, sparse, optimize, special, ...) that the stepper never uses.
+    The extension is private scipy API, found by its module name in the
+    directory of the installed scipy."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package, runs nothing
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "scipy.integrate._dop",
+        [os.path.join(d, "integrate") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise _unsupported_scipy()
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.dopri853
+    except (ImportError, AttributeError) as exc:
+        raise _unsupported_scipy() from exc
+
+
 def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
               initial: np.ndarray, rtol: float,
               atol: float) -> tuple[np.ndarray, float, str | None, list[int]]:
@@ -205,13 +236,13 @@ def solve_ivp(p: SystemParams, delta: float, t_eval: np.ndarray,
     exception raised in the right-hand side (KeyboardInterrupt too) stops
     the stepper at the next accepted step and is raised here.
     """
-    # imported here, so that ``import cpasim`` does not pay for
-    # scipy.integrate.  The runner is private scipy API; called directly,
-    # it warns about nothing, and a failed call's return code below says why.
-    try:
-        from scipy.integrate._dop import dopri853
-    except ImportError as exc:
-        raise _unsupported_scipy() from exc
+    # loaded here, once, so that ``import cpasim`` does not pay for it.
+    # Called directly, the runner warns about nothing, and a failed call's
+    # return code below says why.
+    global _dopri853
+    if _dopri853 is None:
+        _dopri853 = _load_dopri853()
+    dopri853 = _dopri853
 
     run = _Run(p, delta, float(t_eval[0]))
     args = (run,)
@@ -297,7 +328,7 @@ def integrate(p: SystemParams, delta: float, initial: np.ndarray, t_end: float,
     states, t_stop, reason, counts = solve_ivp(p, delta, t_eval, initial,
                                                rtol, atol)
     n_c, out = _observables(p, states)
-    trace = TimeTrace(t_eval[:len(states)], states, n_c, out, *counts)
+    trace = TimeTrace(t_eval[:len(states)], states, n_c, out, *counts, reason)
     if reason is not None:
         raise StepFailure(
             f"integration stopped at t = {t_stop:.6g} of {t_end:.6g}: "

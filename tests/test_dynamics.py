@@ -1,4 +1,6 @@
 import gc
+import importlib.machinery
+import importlib.util
 import math
 import os
 import re
@@ -213,6 +215,14 @@ class TestIntegrate:
         assert len(trace.t) == len(trace.state) == len(trace.n_c)
         assert "magnitude passed" in str(err.value)
 
+    def test_stop_reason_is_set_on_the_partial_trace_only(self):
+        assert integrate(MONOSTABLE, 0.0, vacuum_state(), 1.0, 0.5).stop_reason is None
+        with pytest.raises(StepFailure) as err:
+            integrate(DIVERGENT, 0.0, vacuum_state(), 50.0, 0.05)
+        reason = err.value.trace.stop_reason
+        assert reason == dynamics.STOP_REASONS[2]
+        assert str(err.value).endswith(f": {reason}")
+
     def test_long_single_sample_run_completes(self):
         # one sample interval takes more steps than scipy's default cap of 500
         trace = integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
@@ -288,6 +298,7 @@ class TestIntegrate:
                 integrate(MONOSTABLE, 0.0, vacuum_state(), 2000.0, 2000.0)
         assert "steps" in str(err.value)
         assert list(err.value.trace.t) == [0.0]
+        assert err.value.trace.stop_reason == dynamics.STOP_REASONS[-2]
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX signals")
@@ -413,9 +424,44 @@ class TestAgainstReference:
         assert np.max(np.abs(trace.n_c - n_ref)) <= 1e-9 * n_ref.max()
 
 
+# a fresh interpreter runs the fig4 panel's first time unit twice, with
+# scipy.integrate imported never, before the first run or between the two;
+# it prints the scipy modules loaded after the first run, the state bytes of
+# both runs, and whether the oracle (scipy's solve_ivp), run afterwards,
+# agrees with the first
+IMPORT_ORDER_RUN = """
+import sys
+
+import numpy as np
+
+from cpasim import cli, dynamics
+from oracles import reference_trajectory
+
+p, order = cli.fig4_preset(), sys.argv[1]
+
+
+def run():
+    return dynamics.integrate(p, 1.0, dynamics.vacuum_state(), 1.0, 0.1,
+                              rtol=1e-8, atol=1e-10)
+
+
+if order == "before":
+    import scipy.integrate
+first = run()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+if order == "between":
+    import scipy.integrate
+second = run()
+print(first.state.tobytes().hex(), second.state.tobytes().hex())
+ref = reference_trajectory(p, 1.0, dynamics.vacuum_state(), first.t,
+                           rtol=1e-8, atol=1e-10)
+print(np.allclose(first.state, ref, rtol=1e-6, atol=1e-6))
+"""
+
+
 class TestImport:
     def test_import_loads_no_scipy_module(self):
-        # scipy.integrate is imported by the stepper when it first runs
+        # the stepper loads scipy's dop853 extension when it first runs
         src = os.path.dirname(os.path.dirname(os.path.abspath(cpasim.__file__)))
         code = ("import sys, cpasim; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -424,28 +470,61 @@ class TestImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_the_stepper_imports_no_scipy_package_in_any_import_order(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cpasim.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        runs = {}
+        for order in ("never", "before", "between"):
+            out = subprocess.run(
+                [sys.executable, "-c", IMPORT_ORDER_RUN, order], env=env,
+                capture_output=True, text=True, check=True)
+            loaded, states, agrees = out.stdout.splitlines()
+            runs[order] = loaded, states.split(), agrees
+        assert runs["never"][0] == runs["between"][0] == "[]"
+        assert "'scipy.integrate'" in runs["before"][0]
+        first = runs["never"][1][0]
+        assert all(states == [first, first] for _, states, _ in runs.values())
+        assert all(agrees == "True" for _, _, agrees in runs.values())
+
     @pytest.mark.parametrize("runner", [
-        None,  # no runner at all
+        "no file",  # scipy's integrate directory has no _dop extension
+        None,  # an extension without the runner
         # scipy's f2py runners before 1.17: nsteps and verbosity went in
         # iwork, so a 13th argument is one too many; four return values
         lambda f, x, y, xend, rtol, atol, solout, iout, work, iwork,
         fcn_extra_args=(): (x, y, iwork, 1),
         lambda f, x, y, xend, rtol, atol, solout, iout, work, iwork,
         *extra: (x, y, iwork, 1),
-    ], ids=["missing", "too-many-args", "four-returns"])
-    def test_an_unsupported_scipy_runner_is_named(self, monkeypatch, runner):
+    ], ids=["no-file", "missing", "too-many-args", "four-returns"])
+    def test_an_unsupported_scipy_runner_is_named(self, monkeypatch, tmp_path,
+                                                  runner):
         scipy = pytest.importorskip("scipy")
-        from scipy.integrate import _dop
 
-        if runner is None:
-            monkeypatch.delattr(_dop, "dopri853")
+        if callable(runner):
+            monkeypatch.setattr(dynamics, "_dopri853", runner)
         else:
-            monkeypatch.setattr(_dop, "dopri853", runner)
+            # the loader runs, and finds an empty stand-in file or no file
+            stand_in = tmp_path / "_dop.py"
+            stand_in.write_text("")
+            spec = None if runner else importlib.util.spec_from_file_location(
+                "scipy.integrate._dop", stand_in)
+            find_spec = importlib.machinery.PathFinder.find_spec
+
+            def finding(name, path=None, target=None):
+                if name == "scipy.integrate._dop":
+                    return spec
+                return find_spec(name, path, target)
+
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                                finding)
+            monkeypatch.setattr(dynamics, "_dopri853", None)
         p = SystemParams(kappa_l=10.0, kappa_r=10.0, g=1.0)
         with pytest.raises(ImportError, match=re.escape(
                 f"scipy {scipy.__version__} is installed")) as err:
             integrate(p, 0.0, vacuum_state(), 1.0, 0.5)
         assert "scipy >= 1.17" in str(err.value)
+        assert dynamics._dopri853 is (runner if callable(runner) else None)
 
 
 class TestSettle:
